@@ -1,11 +1,18 @@
 """Exact O(n^3) solver for the square linear assignment problem.
 
-Potential-based Hungarian algorithm (shortest augmenting paths).  Handles
-arbitrary real costs; deterministic: rows are assigned in index order and
-ties resolve to the first column found in scan order.
+Potential-based Hungarian algorithm in shortest-augmenting-path form
+(Jonker and Volgenant, 1987).  Each row is added in index order by a
+Dijkstra-like search over the columns not yet in its alternating tree,
+scanned in increasing index; ties resolve to the first column found in that
+order, so the result is a deterministic function of the cost matrix.  The
+search runs on Python lists and floats (``cost.tolist()``): at these sizes
+per-element numpy scalar indexing costs more than the arithmetic it does.
+Handles arbitrary finite real costs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -16,41 +23,45 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError("cost matrix must be square")
-    INF = np.inf
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("cost matrix must be finite")
+    rows = cost.tolist()
+    INF = math.inf
     # 1-based potentials; p[j] = row matched to column j (0 = none).
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=int)
-    way = np.zeros(n + 1, dtype=int)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, INF)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [INF] * (n + 1)
+        used = [0]                        # columns in the tree, in order reached
+        free = list(range(1, n + 1))      # the rest, in scan order
         while True:
-            used[j0] = True
             i0 = p[j0]
+            row = rows[i0 - 1]
+            ui0 = u[i0]
             delta = INF
             j1 = -1
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+            for j in free:
+                cur = row[j - 1] - ui0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
+            used.append(j0)
+            free.remove(j0)
         while j0 != 0:
             j1 = way[j0]
             p[j0] = p[j1]

@@ -1,11 +1,15 @@
 """Max filtering on weighted graphs under vertex relabeling.
 
 Templates are small weighted trees in post-order labeling; evaluation against
-an n-vertex graph runs a color-coding dynamic program that is exact whenever
-the coloring family has the rainbow property, and a lower bound otherwise.
-The value convention matches the Frobenius inner product of the zero-padded
-template against the conjugated graph (each unordered edge counted twice),
-which is what the injection oracle computes.
+an n-vertex graph runs the color-set dynamic program of color coding (Alon,
+Yuster and Zwick, J. ACM 1995), vectorized over a family of random
+colorings: each tree vertex keeps one table per color subset of its subtree's
+size, so an edge costs C(k, |subtree|) max-plus steps rather than one per
+color permutation.  The result is exact whenever the coloring family has the
+rainbow property, and a lower bound otherwise.  The value convention matches
+the Frobenius inner product of the zero-padded template against the
+conjugated graph (each unordered edge counted twice), which is what the
+injection oracle computes.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -184,15 +187,25 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
                return_stats: bool = False):
     """Color-coding dynamic program for the tree-template max filter.
 
-    For every (coloring, color permutation) pair, vertices are processed in
-    post-order, each accumulating into its parent the best placement of its
-    subtree within the color classes.  The returned value is twice the DP
-    optimum, converting the per-edge sum into the symmetric Frobenius inner
-    product of the zero-padded template with the conjugated graph.  A pair
-    with any empty required color class contributes -inf.
+    Color-set recursion of Alon, Yuster and Zwick, vectorized over the N
+    colorings: every tree vertex u keeps one (N, n) table per color subset S
+    with |S| = |subtree(u)|, holding the best placement of subtree(u) on
+    distinct colors S with u at each graph vertex.  Vertices are processed in
+    post-order; each tree edge (u, parent) costs one dense (N, n, n) max-plus
+    step per color subset of u, whose result merges into every disjoint
+    subset of the parent's partial table by union.  Colorful placements are
+    injective, and the maximum over colorings is exact when the family is
+    rainbow on some optimal placement, a lower bound otherwise.  The returned
+    value is twice the DP optimum, converting the per-edge sum into the
+    symmetric Frobenius inner product of the zero-padded template with the
+    conjugated graph.  A coloring leaving a color empty contributes -inf.
 
     Witness: the injection of tree vertices into graph vertices realizing the
-    optimum (recovered by a single-pair traceback).
+    optimum, traced back through the tables of the winning coloring alone.
+
+    ``return_stats`` adds ``{"pairs", "colorings", "color_sets"}``: the
+    (coloring, parent vertex, child vertex) evaluations performed, the number
+    of colorings, and the number of child color subsets processed.
     """
     a = tree.adj
     b = graph.adj
@@ -205,55 +218,81 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
 
     colorings = coding.colorings
     big_n = colorings.shape[0]
-    neg = -np.inf
-    best_val = neg
-    best_pair = None
-    pair_ops = 0
-    for pi in itertools.permutations(range(k)):
-        pi_arr = np.asarray(pi)
-        tv = pi_arr[colorings]                    # tree vertex of each graph vertex
-        masks = [tv == u for u in range(k)]       # (N, n) membership per tree vertex
-        ell = np.zeros((big_n, n))
-        for u, pu in edges:
-            cand = np.where(masks[u][:, None, :], ell[:, None, :], neg) \
-                + a[u, pu] * np.where(masks[u][:, None, :], b.T[None, :, :], 0.0)
-            best_child = cand.max(axis=2)         # (N, n) over v in class(u)
-            ell = np.where(masks[pu], ell + best_child, ell)
-            pair_ops += int(masks[u].sum(axis=1) @ masks[pu].sum(axis=1))
-        root_scores = np.where(masks[k - 1], ell, neg).max(axis=1)
-        i = int(np.argmax(root_scores))
-        if root_scores[i] > best_val:
-            best_val = float(root_scores[i])
-            best_pair = (i, pi_arr)
+    root, color_sets = _color_set_dp(a, b, edges, colorings, k)
+    root_scores = root.max(axis=1)
+    i = int(np.argmax(root_scores))
+    best_val = float(root_scores[i])
     if not np.isfinite(best_val):
         raise ValidationError("no coloring assigns every color; coding unusable")
 
-    sigma = _traceback(a, b, edges, colorings[best_pair[0]], best_pair[1], k, n)
+    sigma = _traceback(a, b, edges, colorings[i], k)
     result = FilterResult(value=2.0 * best_val, witnesses=[sigma])
     if return_stats:
-        stats = {"pairs": pair_ops, "colorings": big_n,
-                 "permutations": math.factorial(k)}
+        stats = {"pairs": color_sets * big_n * n * n, "colorings": big_n,
+                 "color_sets": color_sets}
         return result, stats
     return result
 
 
-def _traceback(a, b, edges, coloring, pi_arr, k, n):
-    """Re-run the DP for the winning (coloring, permutation) with backpointers."""
-    tv = pi_arr[np.asarray(coloring)]
-    classes = [np.flatnonzero(tv == u) for u in range(k)]
-    ell = np.zeros(n)
-    bp = {}
+def _color_set_dp(a, b, edges, colorings, k, history=None):
+    """Return the root's full-color-set (N, n) table and the number of child
+    color subsets processed.
+
+    Tables are dicts from a color-subset bitmask to an (N, n) array.  The
+    max-plus step ``best[i, x] = max_y child[i, y] + w[y, x]`` is taken one
+    child vertex y at a time, so no (N, n, n) array is ever built.  With
+    ``history`` a list, each edge appends (child table, parent table before
+    the merge) for the traceback.
+    """
+    n = colorings.shape[1]
+    leaf = {1 << c: np.where(colorings == c, 0.0, -np.inf) for c in range(k)}
+    tables = [leaf] * k
+    color_sets = 0
     for u, pu in edges:
-        cu, cpu = classes[u], classes[pu]
-        scores = ell[cu][None, :] + a[u, pu] * b[np.ix_(cpu, cu)]
-        choice = np.argmax(scores, axis=1)
-        bp[u] = dict(zip(cpu.tolist(), cu[choice].tolist()))
-        ell[cpu] += scores[np.arange(len(cpu)), choice]
-    root_class = classes[k - 1]
+        w = a[u, pu] * b
+        merged = {}
+        for t, child in tables[u].items():
+            best = child[:, 0, None] + w[0]
+            for y in range(1, n):
+                np.maximum(best, child[:, y, None] + w[y], out=best)
+            for s, part in tables[pu].items():
+                if s & t:
+                    continue
+                r = s | t
+                if r in merged:
+                    np.maximum(merged[r], part + best, out=merged[r])
+                else:
+                    merged[r] = part + best
+        if history is not None:
+            history.append((tables[u], tables[pu]))
+        color_sets += len(tables[u])
+        tables[pu] = merged
+    return tables[k - 1][(1 << k) - 1], color_sets
+
+
+def _traceback(a, b, edges, coloring, k):
+    """Re-run the DP for the winning coloring alone and walk the edges back
+    from the root, taking at each the first (subset split, child vertex)
+    that attains the parent's table entry."""
+    history = []
+    root, _ = _color_set_dp(a, b, edges, coloring[None, :], k, history)
     sigma = np.full(k, -1, dtype=int)
-    sigma[k - 1] = int(root_class[np.argmax(ell[root_class])])
-    for u, pu in reversed(edges):
-        sigma[u] = bp[u][int(sigma[pu])]
+    colors = [0] * k
+    sigma[k - 1] = int(np.argmax(root[0]))
+    colors[k - 1] = (1 << k) - 1
+    for (u, pu), (child, part) in zip(reversed(edges), reversed(history)):
+        x, r = sigma[pu], colors[pu]
+        w = a[u, pu] * b[:, x]
+        best = -np.inf
+        for t, table in child.items():
+            s = r & ~t
+            if t & ~r or s not in part:
+                continue
+            vals = part[s][0, x] + (table[0] + w)
+            y = int(np.argmax(vals))
+            if vals[y] > best:
+                best, sigma[u], colors[u] = vals[y], y, t
+        colors[pu] = r & ~colors[u]
     return sigma
 
 
@@ -284,15 +323,12 @@ def brute_force_tree_filter(tree: TreeTemplate, graph: WeightedGraph) -> float:
     return 2.0 * float(total.max())
 
 
-def graph_isomorphism_certificate(a1: WeightedGraph, a2: WeightedGraph,
-                                  coding: Optional[ColorCoding] = None) -> str:
+def graph_isomorphism_certificate(a1: WeightedGraph, a2: WeightedGraph) -> str:
     """Exact isomorphism check at n <= 8 by enumerating conjugations.
 
     Two weighted graphs are isomorphic exactly when the max filter between
-    them matches both squared Frobenius norms.  ``coding`` is accepted for
-    interface compatibility and ignored (the check is exhaustive).
+    them matches both squared Frobenius norms.
     """
-    del coding
     if a1.n != a2.n:
         return "non-isomorphic"
     n = a1.n

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -82,11 +83,19 @@ def random_bank_parameters(m: int, d: int) -> tuple:
     guaranteed lower Lipschitz bound and n_min the smallest bank size the
     guarantee asks for.  The prescribed n is astronomically large at desk
     scale; this is reporting, not something tests can realize.
+
+    Group orders such as 64! overflow a float, so delta is formed through its
+    logarithm (``math.log`` accepts the integer m however large) and n_min as an
+    exact integer.
     """
     if m < 1 or d < 1:
         raise ValidationError("need m, d >= 1")
-    delta = math.sqrt(math.pi / (128.0 * m ** 4) / (2.0 * d + 3.0 * math.log(4.0 * m ** 2)))
-    n_min = math.ceil(12.0 * m ** 2 * d * math.log(2.0 / delta + 1.0))
+    log_m = math.log(m)
+    log_delta = 0.5 * (math.log(math.pi / 128.0) - 4.0 * log_m
+                       - math.log(2.0 * d + 3.0 * (math.log(4.0) + 2.0 * log_m)))
+    delta = math.exp(log_delta)
+    log_ratio = math.log(2.0) - log_delta + math.log1p(delta / 2.0)     # log(2/delta + 1)
+    n_min = math.ceil(Fraction(log_ratio) * 12 * m * m * d)
     return n_min, delta
 
 

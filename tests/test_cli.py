@@ -176,6 +176,14 @@ class TestAnalysisCommands:
         doc = json.loads(out)
         assert 0 < doc["lower_est"] <= doc["upper_est"] <= doc["theory_upper"] + 1e-6
 
+    def test_lipschitz_on_factorial_order_group(self, capsys):
+        # |perm:64| = 64! overflows a float; the theory delta is still reported
+        code, out, _ = run_cli(capsys, "lipschitz", "--group", "perm:64",
+                               "--n", "4", "--samples", "2", "--seed", "0")
+        assert code == 0
+        delta = json.loads(out)["theory_delta"]
+        assert np.isfinite(delta) and delta > 0
+
     def test_stability_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "stability", "--grid", "64", "--warps", "5",
                                "--modes", "2", "--seed", "3")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -227,6 +228,99 @@ class TestTreeFilter:
             _, stats = mf_tree_dp(tree, graph, coding, return_stats=True)
             normalized.append(stats["pairs"] / (n ** 2 * math.log(n)))
         assert max(normalized) / min(normalized) < 2.0
+
+
+def branching_tree(k, rng, integer=False):
+    """Random recursive tree, redrawn until some vertex has degree >= 3 when
+    k >= 4 (for k <= 3 every tree is a path)."""
+    while True:
+        tree = random_tree(k, rng, integer)
+        if k < 4 or (np.count_nonzero(tree.adj, axis=1) >= 3).any():
+            return tree
+
+
+def permutation_dp_value(tree, graph, coding):
+    """Reference: the color-coding DP run once per color-to-tree-vertex
+    permutation, each tree vertex confined to the graph vertices of its color
+    (k! passes of dense (N, n, n) steps)."""
+    a, b = tree.adj, graph.adj
+    k, n = tree.k, graph.n
+    edges = validate_post_order(tree)
+    colorings = coding.colorings
+    best = -np.inf
+    for pi in itertools.permutations(range(k)):
+        tv = np.asarray(pi)[colorings]
+        masks = [tv == u for u in range(k)]
+        ell = np.zeros((colorings.shape[0], n))
+        for u, pu in edges:
+            cand = np.where(masks[u][:, None, :], ell[:, None, :], -np.inf) \
+                + a[u, pu] * np.where(masks[u][:, None, :], b.T[None, :, :], 0.0)
+            ell = np.where(masks[pu], ell + cand.max(axis=2), ell)
+        best = max(best, float(np.where(masks[k - 1], ell, -np.inf).max()))
+    return 2.0 * best
+
+
+class TestColorSetDP:
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 6) for n in range(k, 9)])
+    def test_matches_brute_force_on_branching_trees(self, k, n):
+        rng = np.random.default_rng(100 * k + n)
+        for trial in range(4):
+            integer = trial % 2 == 0
+            tree = branching_tree(k, rng, integer)
+            if integer:
+                # weights in {-1, 0, 1, 2}: many placements tie at the optimum
+                adj = np.triu(rng.integers(-1, 3, size=(n, n)).astype(float), 1)
+                graph = WeightedGraph(adj + adj.T)
+            else:
+                graph = random_graph(n, rng)
+            coding = make_color_coding(n, k, rng_seed=int(rng.integers(2 ** 31)))
+            res = mf_tree_dp(tree, graph, coding)
+            want = brute_force_tree_filter(tree, graph)
+            sigma = res.witnesses[0]
+            assert len(set(sigma.tolist())) == k
+            assert sigma.min() >= 0 and sigma.max() < n
+            if integer:
+                assert res.value == want
+                assert injection_value(tree, graph, sigma) == res.value
+            else:
+                assert res.value == pytest.approx(want, abs=1e-9)
+                assert injection_value(tree, graph, sigma) == pytest.approx(res.value, abs=1e-9)
+
+    @pytest.mark.parametrize("k,n", [(4, 16), (5, 12), (3, 40)])
+    def test_matches_permutation_dp_beyond_brute_force(self, k, n):
+        # Both programs form every placement's sum in the same order and take
+        # exact maxima, so the values agree bit for bit.
+        rng = np.random.default_rng(7 * k + n)
+        tree = branching_tree(k, rng)
+        graph = random_graph(n, rng)
+        coding = make_color_coding(n, k, rng_seed=k + n)
+        res = mf_tree_dp(tree, graph, coding)
+        assert res.value == permutation_dp_value(tree, graph, coding)
+        sigma = res.witnesses[0]
+        assert len(set(sigma.tolist())) == k
+        assert injection_value(tree, graph, sigma) == pytest.approx(res.value, rel=1e-12)
+
+    def test_stats_count_color_sets(self):
+        rng = np.random.default_rng(21)
+        graph = random_graph(9, rng)
+        coding = make_color_coding(9, 4, rng_seed=22)
+        _, stats = mf_tree_dp(TreeTemplate.path(4), graph, coding, return_stats=True)
+        # subtrees of sizes 1, 2, 3 below the root: C(4,1) + C(4,2) + C(4,3) subsets
+        assert stats == {"pairs": 14 * coding.size * 9 * 9, "colorings": coding.size,
+                         "color_sets": 14}
+
+    def test_single_vertex_tree(self):
+        graph = random_graph(3, np.random.default_rng(23))
+        res = mf_tree_dp(TreeTemplate(np.zeros((1, 1))), graph,
+                         make_color_coding(3, 1, rng_seed=24))
+        assert res.value == 0.0
+        assert res.witnesses[0].tolist() == [0]
+
+    def test_unusable_coding_rejected(self):
+        graph = random_graph(4, np.random.default_rng(25))
+        coding = ColorCoding(n=4, k=2, colorings=np.zeros((3, 4), dtype=int))
+        with pytest.raises(mf.ValidationError):
+            mf_tree_dp(TreeTemplate.path(2), graph, coding)
 
 
 class TestIsomorphismCertificate:

@@ -210,6 +210,105 @@ class TestColumnPermutation:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def scalar_min_cost_assignment(cost):
+    """Reference: the same shortest-augmenting-path Hungarian solver indexing
+    numpy arrays one scalar at a time."""
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)
+    way = np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = np.inf
+            j1 = -1
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col = np.empty(n, dtype=int)
+    col[p[1:] - 1] = np.arange(n)
+    return col
+
+
+def assignment_profits(n, rng):
+    """A real matrix, a tie-heavy integer matrix and a rank-one matrix."""
+    return [rng.standard_normal((n, n)) * rng.uniform(0.1, 50),
+            rng.integers(-2, 3, size=(n, n)).astype(float),
+            np.outer(rng.standard_normal(n), rng.standard_normal(n))]
+
+
+class TestAssignmentSolver:
+    @pytest.mark.parametrize("n", [1, 2, 8, 48, 100])
+    def test_matches_scipy(self, n):
+        from scipy.optimize import linear_sum_assignment
+        from maxfilt._assignment import max_profit_assignment
+
+        rng = np.random.default_rng(300 + n)
+        for profit in assignment_profits(n, rng):
+            value, col = max_profit_assignment(profit)
+            rows, cols = linear_sum_assignment(profit, maximize=True)
+            expected = float(profit[rows, cols].sum())
+            assert sorted(col.tolist()) == list(range(n))
+            if np.array_equal(profit, np.round(profit)):
+                assert value == expected
+            else:
+                assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 48])
+    def test_same_columns_as_scalar_reference(self, n):
+        # same scan order and tie rule: identical columns, ties included
+        from maxfilt._assignment import min_cost_assignment
+
+        rng = np.random.default_rng(400 + n)
+        for _ in range(10 if n < 48 else 1):
+            for profit in assignment_profits(n, rng):
+                np.testing.assert_array_equal(min_cost_assignment(-profit),
+                                              scalar_min_cost_assignment(-profit))
+
+    def test_all_equal_profits_give_identity(self):
+        from maxfilt._assignment import max_profit_assignment
+
+        for n in (1, 4, 9):
+            value, col = max_profit_assignment(np.full((n, n), 2.5))
+            assert col.tolist() == list(range(n))
+            assert value == 2.5 * n
+
+    def test_non_finite_cost_rejected(self):
+        from maxfilt._assignment import min_cost_assignment
+
+        for bad in (np.nan, np.inf):
+            cost = np.zeros((3, 3))
+            cost[1, 2] = bad
+            with pytest.raises(ValueError):
+                min_cost_assignment(cost)
+
+
 class TestPhase:
     def test_unit_example(self):
         res = groups.mf_phase([1.0 + 0j, 0j], [1j, 0j])

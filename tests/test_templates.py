@@ -201,6 +201,21 @@ class TestBankParameters:
         assert delta == pytest.approx(float(delta_hp), rel=1e-14)
         assert n_min == int(n_hp)
 
+    def test_factorial_group_order_does_not_overflow(self):
+        import mpmath
+
+        m, d = math.factorial(64), 64
+        n_min, delta = mf.random_bank_parameters(m, d)
+        with mpmath.workdps(250):
+            big = mpmath.mpf(m)
+            delta_hp = mpmath.sqrt(mpmath.pi / (128 * big ** 4)
+                                   / (2 * d + 3 * mpmath.log(4 * big ** 2)))
+            n_hp = mpmath.ceil(12 * big ** 2 * d * mpmath.log(2 / delta_hp + 1))
+            assert isinstance(n_min, int)
+            assert 0.0 < delta < 1e-180
+            assert abs(delta / delta_hp - 1) < 1e-12
+            assert abs(n_min / n_hp - 1) < 1e-12
+
 
 class TestProjectiveUniformity:
     def test_standard_basis_upper_bound(self):

@@ -20,8 +20,11 @@ import numpy as np
 from . import groups
 from .core import (GroupAction, LeftOrthogonal, ColumnPermutation, PhaseCircle,
                    ShiftAndConjugate, SlidingWindowShift, ValidationError,
-                   filter_bank_apply, group_order, quotient_distance)
-from .templates import random_bank_parameters
+                   bank_values, group_order, quotient_distance)
+from .templates import random_bank_log_delta
+
+# Elements held per block of random pairs while their features are evaluated.
+_PAIR_BLOCK = 1_000_000
 
 
 def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
@@ -40,26 +43,52 @@ def bank_frobenius(bank: Sequence) -> float:
     return math.sqrt(sum(float(np.linalg.norm(getattr(t, "vector", t))) ** 2 for t in bank))
 
 
-def random_bank(group: GroupAction, n: int, rng_seed: int) -> list:
-    """n unit-norm random templates shaped for the group's ambient space.
+def random_template(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
+    """One unit-norm random template shaped for the group's ambient space.
 
-    Sliding-window templates are constrained to a single slice, as the fast
-    path requires.
+    Sliding-window templates are constrained to slice 0, as the fast path
+    requires a single slice.
     """
+    if isinstance(group, SlidingWindowShift):
+        z = np.zeros(group.shape)
+        slab = rng.standard_normal((group.c, group.w))
+        z[:, :, 0] = slab / np.linalg.norm(slab)
+        return z
+    z = sample_point(group, rng)
+    return z / np.linalg.norm(z)
+
+
+def random_bank(group: GroupAction, n: int, rng_seed: int) -> list:
+    """n unit-norm random templates (see :func:`random_template`)."""
     from .templates import Template
 
     rng = np.random.default_rng(rng_seed)
-    out = []
-    for i in range(n):
-        if isinstance(group, SlidingWindowShift):
-            z = np.zeros(group.shape)
-            slab = rng.standard_normal((group.c, group.w))
-            z[:, :, 0] = slab / np.linalg.norm(slab)
-        else:
-            z = sample_point(group, rng)
-            z = z / np.linalg.norm(z)
-        out.append(Template(vector=z, group_kind=group.kind, label=f"bank-{i}"))
-    return out
+    return [Template(vector=random_template(group, rng), group_kind=group.kind,
+                     label=f"bank-{i}") for i in range(n)]
+
+
+def _distinct_pairs(group: GroupAction, bank: Sequence, count: int, min_dist: float,
+                    rng: np.random.Generator):
+    """Draw ``count`` random pairs (x, y) in order and yield
+    ``(x, y, d([x], [y]), Phi(x), Phi(y))`` for those with d > min_dist.
+
+    Pairs are drawn a block at a time and the bank is evaluated on the whole
+    block in one engine call.
+    """
+    block = max(1, _PAIR_BLOCK // (2 * group.dim))
+    for start in range(0, count, block):
+        kept = []
+        for _ in range(min(block, count - start)):
+            x = sample_point(group, rng)
+            y = sample_point(group, rng)
+            dist = quotient_distance(group, x, y)
+            if dist > min_dist:
+                kept.append((x, y, dist))
+        if not kept:
+            continue
+        feats = bank_values(group, bank, [x for x, _, _ in kept] + [y for _, y, _ in kept])
+        for (x, y, dist), fx, fy in zip(kept, feats[:len(kept)], feats[len(kept):]):
+            yield x, y, dist, fx, fy
 
 
 @dataclass
@@ -71,10 +100,12 @@ class LipschitzReport:
     samples: int
     theory_delta: Optional[float] = None
     theory_upper: Optional[float] = None
+    theory_log_delta: Optional[float] = None    # natural log; finite where delta underflows
 
     def to_dict(self) -> dict:
         return {"lower_est": self.lower_est, "upper_est": self.upper_est,
                 "samples": self.samples, "theory_delta": self.theory_delta,
+                "theory_log_delta": self.theory_log_delta,
                 "theory_upper": self.theory_upper}
 
 
@@ -93,16 +124,9 @@ def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
     lower, upper = math.inf, -math.inf
     argmin_pair = argmax_pair = None
     used = 0
-    for _ in range(samples):
-        x = sample_point(group, rng)
-        y = sample_point(group, rng)
-        dist = quotient_distance(group, x, y)
-        if dist <= 1e-8:
-            continue
+    for x, y, dist, fx, fy in _distinct_pairs(group, bank, samples, 1e-8, rng):
         used += 1
-        gap = float(np.linalg.norm(filter_bank_apply(group, bank, x)
-                                   - filter_bank_apply(group, bank, y)))
-        ratio = gap / dist
+        ratio = float(np.linalg.norm(fx - fy)) / dist
         if ratio < lower:
             lower, argmin_pair = ratio, (x, y)
         if ratio > upper:
@@ -110,13 +134,15 @@ def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
     if used == 0:
         raise ValidationError("degenerate sampler: every pair fell in one orbit")
     order = group_order(group)
-    theory_delta = None
+    theory_delta = theory_log_delta = None
     if order is not None:
-        theory_delta = random_bank_parameters(order, group.dim)[1]
+        theory_log_delta = random_bank_log_delta(order, group.dim)
+        theory_delta = math.exp(theory_log_delta)
     return LipschitzReport(lower_est=lower, upper_est=upper,
                            argmin_pair=argmin_pair, argmax_pair=argmax_pair,
                            samples=used, theory_delta=theory_delta,
-                           theory_upper=bank_frobenius(bank))
+                           theory_upper=bank_frobenius(bank),
+                           theory_log_delta=theory_log_delta)
 
 
 @dataclass
@@ -143,14 +169,9 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
     rng = np.random.default_rng(rng_seed)
     checked = violations = 0
     report = SeparationReport(trials=trials, checked=0, violations=0)
-    for _ in range(trials):
-        x = sample_point(group, rng)
-        y = sample_point(group, rng)
-        if quotient_distance(group, x, y) <= 1e-6:
-            continue
+    for x, y, _, fx, fy in _distinct_pairs(group, bank, trials, 1e-6, rng):
         checked += 1
-        gap = float(np.max(np.abs(filter_bank_apply(group, bank, x)
-                                  - filter_bank_apply(group, bank, y))))
+        gap = float(np.max(np.abs(fx - fy)))
         if gap <= report.threshold:
             violations += 1
             if len(report.violating_pairs) < 8:

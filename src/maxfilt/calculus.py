@@ -55,7 +55,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         tol = default_tie_tolerance(x, y)
 
     if isinstance(group, Enumerated):
-        vals = np.array([inner(x, g @ y) for g in group.matrices])
+        vals = groups.enumerated_scorer(np.stack(group.matrices), x[None])(y[None])[0, 0]
         return [int(i) for i in np.flatnonzero(vals >= vals.max() - tol)]
 
     if isinstance(group, CyclicShift):
@@ -64,7 +64,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
 
     if isinstance(group, SlidingWindowShift):
         t0 = groups.template_slice_index(x)
-        scores = np.einsum("cw,cwt->t", x[:, :, t0], y)
+        scores = groups.window_scores(x[None, :, :, t0], y[None])[0, 0]
         best = scores.max()
         return [int((t0 - p) % group.t) for p in np.flatnonzero(scores >= best - tol)]
 
@@ -312,8 +312,7 @@ def _colperm_witnesses(group, x, y, tol):
 
 
 def _shift_conjugate_witnesses(x, y, tol):
-    corr_plain = groups.complex_shift_correlation(x, y)
-    corr_conj = groups.complex_shift_correlation(x, np.conj(y))
+    corr_plain, corr_conj = groups.shift_conjugate_scorer(x[None])(y[None])[0, 0]
     best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
     out = []
     for conj_flag, corr in ((False, corr_plain), (True, corr_conj)):

@@ -16,7 +16,6 @@ import csv as csv_mod
 import hashlib
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -27,7 +26,7 @@ from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
                    FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
                    PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
                    SignedPermutation, SlidingWindowShift, ValidationError,
-                   brute_force_max_filter, max_filter)
+                   bank_values, brute_force_max_filter, max_filter)
 
 
 class OracleMismatch(RuntimeError):
@@ -319,8 +318,7 @@ def _load_training_data(args):
 def cmd_train(args) -> int:
     dataset, group, lift_w = _load_training_data(args)
     config = pipeline.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                                  ridge=args.ridge, rng_seed=args.seed,
-                                  threads=args.threads)
+                                  ridge=args.ridge, rng_seed=args.seed)
     model = pipeline.train_svm_templates(dataset, group, args.templates, config)
     if lift_w is not None:
         model.config["lift_w"] = lift_w
@@ -353,9 +351,7 @@ def cmd_district(args) -> int:
     signals = [pipeline.district_embed(v, args.samples) for v in dataset.raws]
     group = ShiftAndConjugate(args.samples)
     bank = analysis.random_bank(group, args.templates, args.seed)
-    feats = np.stack(pipeline.parallel_map(
-        lambda s: np.array([max_filter(group, t.vector, s).value for t in bank]),
-        signals, threads=args.threads))
+    feats = bank_values(group, bank, signals)
     k = min(args.pca, feats.shape[0] - 1, feats.shape[1])
     mean, basis = pipeline.pca_fit(feats, k)
     coords = pipeline.pca_transform(feats, mean, basis)
@@ -395,7 +391,7 @@ def cmd_texture(args) -> int:
     model = pipeline.fit_texture_model(dataset.raws, dataset.labels, levels, degrees,
                                        pca_k=args.pca,
                                        hermite=not args.random_templates,
-                                       rng_seed=args.seed, threads=args.threads)
+                                       rng_seed=args.seed)
     pipeline.save_model(model, args.output)
     train_acc = np.mean([pipeline.model_predict(model, img) == lab
                          for img, lab in dataset.samples])
@@ -423,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("filter", help="evaluate one max filter")
     p.add_argument("--group", required=True)

@@ -306,9 +306,6 @@ GroupAction = (
     | ShiftAndConjugate | PatchPermutation | SlidingWindowShift
 )
 
-_COMPLEX_KINDS = (PhaseCircle, ShiftAndConjugate)
-_MATRIX_KINDS = (LeftOrthogonal, ColumnPermutation)
-
 
 @dataclass
 class FilterResult:
@@ -326,35 +323,50 @@ class FilterResult:
 
 def tie_tolerance(z, x) -> float:
     """Relative tie tolerance for witness collection under float64 roundoff."""
-    return 1e-9 * (1.0 + float(np.linalg.norm(z)) * float(np.linalg.norm(x)))
+    return float(_tie_tolerance(np.linalg.norm(z), np.linalg.norm(x)))
+
+
+def _tie_tolerance(norm_z, norm_x):
+    return 1e-9 * (1.0 + norm_z * norm_x)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(v.reshape(len(v), math.prod(v.shape[1:])), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
 
-def as_operand(group: GroupAction, x) -> np.ndarray:
-    """Coerce ``x`` to the array layout the group acts on, validating shape."""
-    if isinstance(group, _COMPLEX_KINDS):
-        arr = np.asarray(x, dtype=complex)
-        want = group.r if isinstance(group, PhaseCircle) else group.n
-        if arr.shape != (want,):
-            raise DimensionMismatch(f"expected complex vector of length {want}, got {arr.shape}")
-    elif isinstance(group, _MATRIX_KINDS):
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != group.shape:
-            raise DimensionMismatch(f"expected matrix of shape {group.shape}, got {arr.shape}")
-    elif isinstance(group, SlidingWindowShift):
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != group.shape:
-            raise DimensionMismatch(f"expected tensor of shape {group.shape}, got {arr.shape}")
-    else:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (group.dim,):
-            raise DimensionMismatch(f"expected vector of length {group.dim}, got {arr.shape}")
+def _layout(group: GroupAction) -> tuple:
+    """(dtype, shape) of one operand of the group's ambient space."""
+    if isinstance(group, PhaseCircle):
+        return complex, (group.r,)
+    if isinstance(group, ShiftAndConjugate):
+        return complex, (group.n,)
+    if isinstance(group, (LeftOrthogonal, ColumnPermutation, SlidingWindowShift)):
+        return float, group.shape
+    return float, (group.dim,)
+
+
+def as_operands(group: GroupAction, xs) -> np.ndarray:
+    """Stack a sequence of operands into one (N, ...) array, validating shape
+    and finiteness."""
+    dtype, shape = _layout(group)
+    try:
+        arr = np.asarray(xs, dtype=dtype)
+    except ValueError as exc:
+        raise DimensionMismatch(f"operands do not all have shape {shape}") from exc
+    if arr.shape[1:] != shape or arr.ndim != len(shape) + 1:
+        raise DimensionMismatch(f"expected operands of shape {shape}, got {arr.shape[1:]}")
     if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
         raise ValidationError("operand contains NaN or infinity")
     return arr
+
+
+def as_operand(group: GroupAction, x) -> np.ndarray:
+    """Coerce ``x`` to the array layout the group acts on, validating shape."""
+    return as_operands(group, [x])[0]
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -411,7 +423,9 @@ def max_filter(group: GroupAction, z, x) -> FilterResult:
 
 
 def _mf_enumerated(group: Enumerated, z, x) -> FilterResult:
-    vals = np.array([float(z @ (g @ x)) for g in group.matrices])
+    from . import groups
+
+    vals = groups.enumerated_scorer(np.stack(group.matrices), z[None])(x[None])[0, 0]
     best = float(vals.max())
     tol = tie_tolerance(z, x)
     witnesses = [int(i) for i in np.flatnonzero(vals >= best - tol)]
@@ -419,19 +433,29 @@ def _mf_enumerated(group: Enumerated, z, x) -> FilterResult:
 
 
 def quotient_distance(group: GroupAction, x, y) -> float:
-    """Metric on orbits: sqrt(|x|^2 - 2 max_filter(x, y) + |y|^2), clamped at 0.
+    """Metric on orbits: ||x - g y|| for a maximizer g of <x, g y>.
 
-    The clamp absorbs roundoff when the orbits coincide.
+    Equal to sqrt(|x|^2 - 2 max_filter(x, y) + |y|^2), but formed from the
+    witness so that nearby orbits do not lose their distance to cancellation.
     """
     x = as_operand(group, x)
     y = as_operand(group, y)
-    mf = max_filter(group, x, y).value
-    sq = norm(x) ** 2 - 2.0 * mf + norm(y) ** 2
-    return math.sqrt(max(0.0, sq))
+    g = max_filter(group, x, y).witnesses[0]
+    return norm(x - apply_witness(group, g, y))
 
 
-def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
-    """Feature vector with entry i = max_filter(group, bank[i], x).value."""
+# ---------------------------------------------------------------------------
+# Batched filter-bank engine
+# ---------------------------------------------------------------------------
+
+# Elements per bulk array: the engine works through the inputs in chunks of
+# rows so that no array it builds holds much more than this (1 MB of float64;
+# an FFT kernel keeps a few such arrays at once).
+_BULK = 1 << 17
+
+
+def _bank_operands(group: GroupAction, bank) -> np.ndarray:
+    """Stacked template vectors; ``Template`` objects must match the kind."""
     if len(bank) == 0:
         raise ValidationError("filter bank is empty")
     vecs = []
@@ -440,12 +464,93 @@ def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
         if kind is not None and kind != group.kind:
             raise ValidationError(f"template bound to group kind {kind!r}, not {group.kind!r}")
         vecs.append(getattr(t, "vector", t))
-    if isinstance(group, Enumerated):
-        # One matrix product per group element instead of a loop over templates.
-        x = as_operand(group, x)
-        z = np.stack([as_operand(group, v) for v in vecs])
-        return np.max(np.stack([z @ (g @ x) for g in group.matrices]), axis=0)
-    return np.array([max_filter(group, v, x).value for v in vecs])
+    return as_operands(group, vecs)
+
+
+def _chunk_rows(group: GroupAction, n_templates: int) -> int:
+    if isinstance(group, SlidingWindowShift):
+        width = group.t                     # its scores; input chunks are views
+    elif isinstance(group, Enumerated):
+        width = group.dim * (1 + group.order)
+    else:
+        width = group.dim
+    return max(1, _BULK // (n_templates * width))
+
+
+def _concat(parts: list):
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(c) for c in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _bank(group: GroupAction, bank, xs, witnesses: bool) -> tuple:
+    from . import groups
+
+    kernel = groups.BANK_KERNELS.get(getattr(group, "kind", None))
+    if kernel is None:
+        raise ValidationError(f"unsupported group action: {group!r}")
+    Z = _bank_operands(group, bank)
+    X = as_operands(group, xs)
+    evaluate = kernel(group, Z)
+    nz = _row_norms(Z)
+    step = _chunk_rows(group, len(Z))
+    values, wits = [], []
+    for s in range(0, max(len(X), 1), step):
+        chunk = X[s:s + step]
+        tol = _tie_tolerance(nz[None, :], _row_norms(chunk)[:, None]) if witnesses else None
+        v, w = evaluate(chunk, tol)
+        values.append(v)
+        wits.append(w)
+    return np.concatenate(values), _concat(wits) if witnesses else None
+
+
+def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
+    """(N, K) matrix with entry [n, k] = max_filter(group, bank[k], xs[n]).value,
+    evaluated in bulk (see :mod:`maxfilt.groups`)."""
+    return _bank(group, bank, xs, witnesses=False)[0]
+
+
+def bank_argmax(group: GroupAction, bank, xs) -> tuple:
+    """``(values, witnesses)``: the values of :func:`bank_values` and, per pair,
+    the first witness ``max_filter(group, bank[k], xs[n])`` lists (same tie
+    tolerance, same order).  Witnesses are stacked over leading (N, K) axes
+    in the kind's encoding; tuple witnesses come as a tuple of such arrays."""
+    return _bank(group, bank, xs, witnesses=True)
+
+
+def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarray:
+    """Per template k, ``sum_n coef[n, k] g_nk xs[n]`` for the witnesses
+    g_nk of ``bank_argmax(group, bank, xs)``: a subgradient in the templates
+    of ``sum_n coef[n, k] Phi_k(xs[n])`` where ``coef >= 0``.
+
+    Sliding-window templates must stay on one slice, so for that kind only
+    each template's own slice of the sum is formed (the rest is zero).
+    """
+    from . import groups
+
+    Z = _bank_operands(group, bank)
+    X = as_operands(group, xs)
+    coef = np.asarray(coef, dtype=float)
+    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
+    used = np.flatnonzero(np.any(coef != 0, axis=1))
+    if isinstance(group, SlidingWindowShift):
+        t0 = np.array([groups.template_slice_index(z) for z in Z], dtype=int)
+        pos = (t0 - witnesses[used]) % group.t
+        slices = X[used[:, None], :, :, pos]                       # (used, K, c, w)
+        out[np.arange(len(Z)), :, :, t0] = np.einsum("nk,nkcw->kcw", coef[used], slices)
+        return out
+    step = _chunk_rows(group, len(Z))
+    for s in range(0, len(used), step):
+        idx = used[s:s + step]
+        w = tuple(c[idx] for c in witnesses) if isinstance(witnesses, tuple) else witnesses[idx]
+        images = groups.witness_images(group, w, X[idx])
+        out += np.einsum("nk,nk...->k...", coef[idx], images)
+    return out
+
+
+def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
+    """Feature vector with entry i = max_filter(group, bank[i], x).value."""
+    return bank_values(group, bank, [x])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -454,33 +559,14 @@ def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
 
 def apply_witness(group: GroupAction, witness, x) -> np.ndarray:
     """Materialize ``g x`` for a per-kind witness encoding ``g``."""
+    from . import groups
+
     x = as_operand(group, x)
-    if isinstance(group, Enumerated):
-        return group.matrices[int(witness)] @ x
-    if isinstance(group, CyclicShift):
-        return np.roll(x, int(witness))
-    if isinstance(group, (FullPermutation, PatchPermutation)):
-        return x[np.asarray(witness, dtype=int)]
-    if isinstance(group, SignedPermutation):
-        perm, signs = witness
-        return np.asarray(signs, dtype=float) * x[np.asarray(perm, dtype=int)]
-    if isinstance(group, SignFlips):
-        return np.asarray(witness, dtype=float) * x
-    if isinstance(group, FullOrthogonal):
-        return np.asarray(witness, dtype=float) @ x
-    if isinstance(group, LeftOrthogonal):
-        return np.asarray(witness, dtype=float) @ x
-    if isinstance(group, ColumnPermutation):
-        return x[:, np.asarray(witness, dtype=int)]
-    if isinstance(group, PhaseCircle):
-        return complex(witness) * x
-    if isinstance(group, ShiftAndConjugate):
-        shift, conj, phase = witness
-        y = np.conj(x) if conj else x
-        return complex(phase) * np.roll(y, int(shift))
-    if isinstance(group, SlidingWindowShift):
-        return np.roll(x, int(witness), axis=2)
-    raise ValidationError(f"unsupported group action: {group!r}")
+    if isinstance(witness, tuple):
+        stacked = tuple(np.asarray(w)[None, None] for w in witness)
+    else:
+        stacked = np.asarray(witness)[None, None]
+    return groups.witness_images(group, stacked, x[None])[0, 0]
 
 
 def random_element(group: GroupAction, rng: np.random.Generator):
@@ -564,7 +650,8 @@ def brute_force_max_filter(group: GroupAction, z, x, *, resolution: int = 10_000
     tol = tie_tolerance(z, x)
 
     if isinstance(group, Enumerated):
-        return _mf_enumerated(group, z, x)
+        vals = np.array([float(z @ (g @ x)) for g in group.matrices])
+        return _pick(vals, tol, lambda i: int(i))
 
     if isinstance(group, CyclicShift):
         vals = np.array([float(z @ np.roll(x, a)) for a in range(group.n)])

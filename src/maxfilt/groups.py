@@ -1,10 +1,21 @@
 """Specialized max filtering algorithms, one per group kind.
 
-Each function computes ``max_g <z, g x>`` together with witnesses, in the
-best known complexity for its group: FFT cross-correlation for circular
-shifts, sorting for (signed/patch) permutations, SVD for one-sided
-orthogonal actions, linear assignment for column permutations.  All are pure
-functions invoked through :func:`maxfilt.core.max_filter`.
+Each kind has a bulk form ``*_bank(group, Z)`` that evaluates a whole bank
+of K templates ``Z`` against many inputs at once, in the best known
+complexity for its group: FFT cross-correlation for circular shifts, sorting
+for (signed/patch) permutations, SVD for one-sided orthogonal actions,
+linear assignment for column permutations.  It does the bank's share of the
+work once and returns ``evaluate(X, tol)`` for chunks of N inputs; ``tol``
+holds the (N, K) tie tolerances, or is None when only values are wanted.
+``evaluate`` returns the (N, K) values and, unless ``tol`` is None, the
+first witness of every pair stacked over leading (N, K) axes (a tuple of
+such arrays for tuple witnesses); :func:`witness_images` maps stacked
+witnesses back to ``g x``.  They are reached through
+:func:`maxfilt.core.bank_values` and :func:`maxfilt.core.bank_argmax`.
+
+The single-pair functions ``mf_*`` (reached through
+:func:`maxfilt.core.max_filter`) run the same kernels at N = K = 1 and, for
+kinds with tie sets, list every witness within the tie tolerance.
 """
 
 from __future__ import annotations
@@ -12,35 +23,63 @@ from __future__ import annotations
 import numpy as np
 
 from ._assignment import max_profit_assignment
-from .core import DimensionMismatch, FilterResult, NumericFailure, ValidationError, tie_tolerance
+from .core import (DimensionMismatch, FilterResult, NumericFailure, PatchPermutation,
+                   ValidationError, _row_norms, tie_tolerance)
 
 
-def _check_same_shape(z, x):
+def _pair(z, x, dtype=float) -> tuple:
+    z = np.asarray(z, dtype=dtype)
+    x = np.asarray(x, dtype=dtype)
     if z.shape != x.shape:
         raise DimensionMismatch(f"operand shapes differ: {z.shape} vs {x.shape}")
+    return z, x
+
+
+def _single(kernel, group, z, x) -> tuple:
+    """(value, witness) of one pair through a bulk kernel of a kind with a
+    single witness per pair, whose tolerance argument only asks for it."""
+    values, wit = kernel(group, z[None])(x[None], np.zeros((1, 1)))
+    first = tuple(w[0, 0] for w in wit) if isinstance(wit, tuple) else wit[0, 0]
+    return float(values[0, 0]), first
+
+
+def _first_within(scores: np.ndarray, tol) -> tuple:
+    """Max over the last axis, and the index of the first score within tol of it."""
+    best = scores.max(axis=-1)
+    if tol is None:
+        return best, None
+    return best, np.argmax(scores >= (best - tol)[..., None], axis=-1)
+
+
+def _unit_phase(w: np.ndarray) -> np.ndarray:
+    """conj(w) / |w|, the phase c maximizing Re(c w); 1 where w vanishes."""
+    mag = np.abs(w)
+    safe = mag > 1e-300
+    return np.where(safe, np.conj(w) / np.where(safe, mag, 1.0), 1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------
 # Circular shifts
 # ---------------------------------------------------------------------------
 
+def cyclic_scorer(Z: np.ndarray):
+    """X -> scores[n, k, a] = <Z[k], roll(X[n], a)>: one real FFT of the bank
+    (taken here, once) and one of the inputs, at the exact signal length (no
+    zero-padding) so the correlation wraps at exactly n."""
+    fz, n = np.fft.rfft(Z), Z.shape[-1]
+    return lambda X: np.fft.irfft(fz * np.conj(np.fft.rfft(X))[:, None], n=n)
+
+
 def cyclic_correlation(z: np.ndarray, x: np.ndarray, use_fft: bool = True) -> np.ndarray:
     """corr[a] = <z, roll(x, a)> over all n circular shifts."""
-    n = len(z)
     if use_fft:
-        return np.real(np.fft.ifft(np.fft.fft(z) * np.conj(np.fft.fft(x))))
-    return np.array([float(z @ np.roll(x, a)) for a in range(n)])
+        return cyclic_scorer(z[None])(x[None])[0, 0]
+    return np.array([float(z @ np.roll(x, a)) for a in range(len(z))])
 
 
 def mf_cyclic(z, x, use_fft: bool = True) -> FilterResult:
-    """Max over all circular shifts of the cross-correlation, O(n log n).
-
-    The FFT runs at the exact signal length (no zero-padding) so the
-    correlation wraps at exactly n.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
+    """Max over all circular shifts of the cross-correlation, O(n log n)."""
+    z, x = _pair(z, x)
     corr = cyclic_correlation(z, x, use_fft=use_fft)
     best = float(corr.max())
     tol = tie_tolerance(z, x)
@@ -48,13 +87,44 @@ def mf_cyclic(z, x, use_fft: bool = True) -> FilterResult:
     return FilterResult(value=best, witnesses=witnesses)
 
 
+def cyclic_bank(group, Z):
+    scores = cyclic_scorer(Z)
+    return lambda X, tol: _first_within(scores(X), tol)
+
+
 # ---------------------------------------------------------------------------
 # Permutation families (sorting)
 # ---------------------------------------------------------------------------
 
-def _descending_order(v: np.ndarray) -> np.ndarray:
-    # Stable descending order with original-index tie-breaking.
-    return np.argsort(-v, kind="stable")
+def _descending_order(V: np.ndarray, patches=None) -> np.ndarray:
+    """Stable descending order of each row of V, within each patch when
+    patches are given; ties keep their position in the row (patch)."""
+    if patches is None:
+        return np.argsort(-V, axis=-1, kind="stable")
+    cat = np.concatenate([np.asarray(p) for p in patches])
+    seg = np.repeat(np.arange(len(patches)), [len(p) for p in patches])
+    return cat[np.lexsort((-V[..., cat], np.broadcast_to(seg, V.shape)), axis=-1)]
+
+
+def _rank_matcher(Z: np.ndarray, patches):
+    """Pair the r-th largest entries of every template and input (within each
+    patch): values by one matmul of the sorted rows; witness ``p`` with
+    ``p[iz[r]] = ix[r]`` so that ``g x = x[p]``.  The bank is sorted here,
+    once."""
+    iz = _descending_order(Z, patches)
+    zs = Z[np.arange(len(Z))[:, None], iz].T
+    rank = np.argsort(iz, axis=-1)          # inverse permutation: rank[iz[r]] = r
+
+    def evaluate(X, tol):
+        ix = _descending_order(X, patches)
+        values = X[np.arange(len(X))[:, None], ix] @ zs
+        return values, None if tol is None else ix[:, rank]
+    return evaluate
+
+
+def sort_bank(group, Z):
+    """Full and patch permutations: sort every row once, then one matmul."""
+    return _rank_matcher(Z, getattr(group, "patches", None))
 
 
 def mf_sort_permutation(z, x) -> FilterResult:
@@ -63,61 +133,57 @@ def mf_sort_permutation(z, x) -> FilterResult:
     Witness is the permutation aligning the sorted orders (ties broken by
     original index), encoded as ``p`` with ``g x = x[p]``.
     """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    iz = _descending_order(z)
-    ix = _descending_order(x)
-    value = float(z[iz] @ x[ix])
-    perm = np.empty(len(z), dtype=int)
-    perm[iz] = ix
+    z, x = _pair(z, x)
+    value, perm = _single(sort_bank, None, z, x)
     return FilterResult(value=value, witnesses=[perm])
+
+
+def signed_sort_bank(group, Z):
+    """<sort(|z|), sort(|x|)>; each matched pair signed to contribute |z_i||x_j|."""
+    match = _rank_matcher(np.abs(Z), None)
+    sign_z = np.sign(Z)[None]
+
+    def evaluate(X, tol):
+        values, perm = match(np.abs(X), tol)
+        if perm is None:
+            return values, None
+        signs = sign_z * np.sign(np.take_along_axis(X[:, None], perm, -1))
+        signs[signs == 0] = 1.0
+        return values, (perm, signs)
+    return evaluate
 
 
 def mf_signed_permutation(z, x) -> FilterResult:
     """<sort(|z|), sort(|x|)> descending; witness = (perm, signs)."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    az, ax = np.abs(z), np.abs(x)
-    iz = _descending_order(az)
-    ix = _descending_order(ax)
-    value = float(az[iz] @ ax[ix])
-    perm = np.empty(len(z), dtype=int)
-    perm[iz] = ix
-    # Pick signs so each matched pair contributes |z_i||x_j|.
-    signs = np.ones(len(z))
-    for i, j in zip(iz, ix):
-        s = np.sign(z[i]) * np.sign(x[j])
-        signs[i] = s if s != 0 else 1.0
-    return FilterResult(value=value, witnesses=[(perm, signs)])
+    z, x = _pair(z, x)
+    value, witness = _single(signed_sort_bank, None, z, x)
+    return FilterResult(value=value, witnesses=[witness])
+
+
+def sign_flips_bank(group, Z):
+    """sum |z_i x_i| by a matmul of absolute values; witness = sign vector."""
+    abs_z = np.abs(Z).T
+
+    def evaluate(X, tol):
+        values = np.abs(X) @ abs_z
+        return values, None if tol is None else np.where(Z[None] * X[:, None] >= 0, 1.0, -1.0)
+    return evaluate
 
 
 def mf_sign_flips(z, x) -> FilterResult:
     """sum |z_i x_i| over diagonal +-1 matrices; witness = sign vector."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    prod = z * x
-    signs = np.where(prod >= 0, 1.0, -1.0)
-    return FilterResult(value=float(np.abs(prod).sum()), witnesses=[signs])
+    z, x = _pair(z, x)
+    value, signs = _single(sign_flips_bank, None, z, x)
+    return FilterResult(value=value, witnesses=[signs])
 
 
 def mf_patch_permutation(z, x, patches) -> FilterResult:
     """Sum over patches of the within-patch sorted inner product."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
+    z, x = _pair(z, x)
     covered = sorted(i for p in patches for i in p)
     if covered != list(range(len(z))):
         raise ValidationError("patch specification does not tile the index set")
-    value = 0.0
-    perm = np.empty(len(z), dtype=int)
-    for p in patches:
-        idx = np.asarray(p)
-        sub = mf_sort_permutation(z[idx], x[idx])
-        value += sub.value
-        perm[idx] = idx[sub.witnesses[0]]
+    value, perm = _single(sort_bank, PatchPermutation(patches), z, x)
     return FilterResult(value=value, witnesses=[perm])
 
 
@@ -125,55 +191,76 @@ def mf_patch_permutation(z, x, patches) -> FilterResult:
 # Orthogonal actions
 # ---------------------------------------------------------------------------
 
+def orthogonal_bank(group, Z):
+    """|z| |x| for every pair; witness: the reflection sending x/|x| to
+    z/|z|, or the identity when either vanishes or the two coincide."""
+    nz = _row_norms(Z)
+    eye = np.eye(Z.shape[-1])
+
+    def evaluate(X, tol):
+        nx = _row_norms(X)
+        values = nx[:, None] * nz[None, :]
+        if tol is None:
+            return values, None
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w = (X / nx[:, None])[:, None] - (Z / nz[:, None])[None]
+            nw = np.linalg.norm(w, axis=-1)
+            w = w / nw[..., None]
+        reflect = (nx[:, None] > 0) & (nz[None, :] > 0) & (nw > 1e-14)
+        g = np.where(reflect[..., None, None], eye - 2.0 * w[..., :, None] * w[..., None, :], eye)
+        return values, g
+    return evaluate
+
+
 def mf_orthogonal(z, x) -> FilterResult:
     """|z| * |x| over the full orthogonal group; witness maps x/|x| to z/|z|."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    nz, nx = np.linalg.norm(z), np.linalg.norm(x)
-    d = len(z)
-    if nz == 0 or nx == 0:
-        return FilterResult(value=0.0, witnesses=[np.eye(d)])
-    u = x / nx
-    v = z / nz
-    w = u - v
-    nw = np.linalg.norm(w)
-    if nw <= 1e-14:
-        g = np.eye(d)
-    else:
-        w /= nw
-        g = np.eye(d) - 2.0 * np.outer(w, w)   # reflection sending u to v
-    return FilterResult(value=float(nz * nx), witnesses=[g])
+    z, x = _pair(z, x)
+    value, g = _single(orthogonal_bank, None, z, x)
+    return FilterResult(value=value, witnesses=[g])
+
+
+def left_orthogonal_bank(group, Z):
+    """Nuclear norm of X[n] Z[k]^T by stacked SVDs of the k x k products;
+    witness: the orthogonal polar factor R = V U^T, so that <z, R x> equals
+    the sum of singular values."""
+    zt = np.swapaxes(Z, -1, -2)[None]
+
+    def evaluate(X, tol):
+        try:
+            u, s, vt = np.linalg.svd(np.matmul(X[:, None], zt))
+        except np.linalg.LinAlgError as exc:
+            raise NumericFailure(f"SVD did not converge: {exc}") from exc
+        if tol is None:
+            return s.sum(axis=-1), None
+        return s.sum(axis=-1), np.swapaxes(vt, -1, -2) @ np.swapaxes(u, -1, -2)
+    return evaluate
 
 
 def mf_left_orthogonal(z, x) -> FilterResult:
-    """Nuclear norm of x z^T over O(k) acting on the left of (k, n) matrices.
+    """Nuclear norm of x z^T over O(k) acting on the left of (k, n) matrices."""
+    z, x = _pair(z, x)
+    value, r = _single(left_orthogonal_bank, None, z, x)
+    return FilterResult(value=value, witnesses=[r])
 
-    Witness is the orthogonal polar factor R = V U^T of the k x k product,
-    so that <z, R x> equals the sum of singular values.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    m = x @ z.T
-    try:
-        u, s, vt = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"SVD did not converge: {exc}") from exc
-    r = vt.T @ u.T
-    return FilterResult(value=float(s.sum()), witnesses=[r])
+
+def column_permutation_bank(group, Z):
+    """Maximum-profit linear assignment, one per pair (there is no bulk
+    form): profit[j, i] = <z_col_j, x_col_i>; witness ``p`` satisfies
+    ``g x = x[:, p]``."""
+    def evaluate(X, tol):
+        values = np.empty((len(X), len(Z)))
+        cols = np.empty((len(X), len(Z), Z.shape[-1]), dtype=int)
+        for a, x in enumerate(X):
+            for b, z in enumerate(Z):
+                values[a, b], cols[a, b] = max_profit_assignment(z.T @ x)
+        return values, None if tol is None else cols
+    return evaluate
 
 
 def mf_column_permutation(z, x) -> FilterResult:
-    """Maximum-profit linear assignment over column permutations, O(n^3).
-
-    profit[j, i] = <z_col_j, x_col_i>; witness ``p`` satisfies ``g x = x[:, p]``.
-    """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
-    profit = z.T @ x
-    value, col = max_profit_assignment(profit)
+    """Maximum-profit linear assignment over column permutations, O(n^3)."""
+    z, x = _pair(z, x)
+    value, col = _single(column_permutation_bank, None, z, x)
     return FilterResult(value=value, witnesses=[col])
 
 
@@ -181,46 +268,64 @@ def mf_column_permutation(z, x) -> FilterResult:
 # Complex kinds
 # ---------------------------------------------------------------------------
 
+def phase_bank(group, Z):
+    """|z^* x| for every pair; witness is the optimal unit phase c, since
+    <z, c x> = Re(c z^* x) peaks at c = conj(w)/|w|."""
+    conj_z = np.conj(Z).T
+
+    def evaluate(X, tol):
+        w = X @ conj_z
+        return np.abs(w), None if tol is None else _unit_phase(w)
+    return evaluate
+
+
 def mf_phase(z, x) -> FilterResult:
     """|z^* x| over the unit phase circle; witness is the optimal phase c."""
-    z = np.asarray(z, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    _check_same_shape(z, x)
-    w = np.vdot(z, x)
-    mag = abs(w)
-    if mag <= 1e-300:
-        return FilterResult(value=0.0, witnesses=[complex(1.0)])
-    # <z, c x> = Re(c * z^* x) is maximized at c = conj(w)/|w|.
-    return FilterResult(value=float(mag), witnesses=[complex(np.conj(w) / mag)])
+    z, x = _pair(z, x, complex)
+    value, phase = _single(phase_bank, None, z, x)
+    return FilterResult(value=value, witnesses=[complex(phase)])
 
 
-def complex_shift_correlation(z: np.ndarray, x: np.ndarray, use_fft: bool = True) -> np.ndarray:
-    """corr[a] = z^* (roll(x, a)) over all circular shifts of a complex signal."""
-    n = len(z)
-    if use_fft:
-        return np.fft.ifft(np.fft.fft(np.conj(z)) * np.conj(np.fft.fft(np.conj(x))))
-    return np.array([np.vdot(z, np.roll(x, a)) for a in range(n)])
+def shift_conjugate_scorer(Z: np.ndarray):
+    """X -> scores[n, k, c, a] = Z[k]^* roll(Y, a) with Y = X[n] for c = 0
+    and Y = conj(X[n]) for c = 1: one FFT of the bank (taken here, once) and
+    two of the inputs."""
+    fz = np.fft.fft(np.conj(Z))[None, :, None]
+    return lambda X: np.fft.ifft(
+        fz * np.conj(np.stack([np.fft.fft(np.conj(X)), np.fft.fft(X)], axis=1))[:, None])
 
 
-def mf_shift_conjugate(z, x, use_fft: bool = True) -> FilterResult:
+def shift_conjugate_bank(group, Z):
+    scores = shift_conjugate_scorer(Z)
+
+    def evaluate(X, tol):
+        corr = scores(X)
+        n = corr.shape[-1]
+        corr = corr.reshape(corr.shape[:2] + (2 * n,))
+        best, first = _first_within(np.abs(corr), tol)
+        if first is None:
+            return best, None
+        w = np.take_along_axis(corr, first[..., None], -1)[..., 0]
+        return best, (first % n, first >= n, _unit_phase(w))
+    return evaluate
+
+
+def mf_shift_conjugate(z, x) -> FilterResult:
     """Max over shifts x phases x conjugation of Re(z^* g x).
 
     Both FFT cross-correlations (with x and conj(x)) are scanned; witness =
     (shift, conjugation flag, unit phase).  Realizes O(2) x C_n on closed
     planar curves encoded as complex signals.
     """
-    z = np.asarray(z, dtype=complex)
-    x = np.asarray(x, dtype=complex)
-    _check_same_shape(z, x)
-    corr_plain = complex_shift_correlation(z, x, use_fft=use_fft)
-    corr_conj = complex_shift_correlation(z, np.conj(x), use_fft=use_fft)
+    z, x = _pair(z, x, complex)
+    corr = shift_conjugate_scorer(z[None])(x[None])[0, 0]
+    mag = np.abs(corr)
     tol = tie_tolerance(z, x)
-    best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
+    best = float(mag.max())
     witnesses = []
-    for conj_flag, corr in ((False, corr_plain), (True, corr_conj)):
-        for a in np.flatnonzero(np.abs(corr) >= best - tol):
-            w = corr[a]
-            phase = complex(np.conj(w) / abs(w)) if abs(w) > 1e-300 else complex(1.0)
+    for conj_flag in (False, True):
+        for a in np.flatnonzero(mag[int(conj_flag)] >= best - tol):
+            phase = complex(_unit_phase(corr[int(conj_flag), a]))
             witnesses.append((int(a), conj_flag, phase))
     return FilterResult(value=best, witnesses=witnesses)
 
@@ -240,6 +345,23 @@ def template_slice_index(z: np.ndarray) -> int:
     return int(nonzero[0])
 
 
+def window_scores(S: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """scores[n, k, p] = <S[k], X[n][:, :, p]> for template slices S (K, c, w)
+    and inputs X (N, c, w, T), as one matmul."""
+    c, w, t = X.shape[1:]
+    return np.matmul(S.reshape(len(S), c * w), X.reshape(len(X), c * w, t))
+
+
+def sliding_window_bank(group, Z):
+    t0 = np.array([template_slice_index(z) for z in Z], dtype=int)
+    slices = Z[np.arange(len(Z)), :, :, t0]
+
+    def evaluate(X, tol):
+        best, first = _first_within(window_scores(slices, X), tol)
+        return best, None if first is None else (t0 - first) % X.shape[-1]
+    return evaluate
+
+
 def mf_sliding_window(z, x) -> FilterResult:
     """Max over slice positions of <z_slice, x_slice(a)> for a (c, w, T) tensor.
 
@@ -247,16 +369,96 @@ def mf_sliding_window(z, x) -> FilterResult:
     slice shift (so the best-aligned position is ``(t0 - shift) mod T`` where
     t0 is the template's slice).
     """
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _check_same_shape(z, x)
+    z, x = _pair(z, x)
     t0 = template_slice_index(z)
-    zs = z[:, :, t0]
-    scores = np.einsum("cw,cwt->t", zs, x)
     # scores[p] = <z_slice, x_slice(p)>; shift a places x_slice(p) at t0 when
     # a = (t0 - p) mod T.
+    scores = window_scores(z[None, :, :, t0], x[None])[0, 0]
     T = x.shape[2]
     best = float(scores.max())
     tol = tie_tolerance(z, x)
     witnesses = [int((t0 - p) % T) for p in np.flatnonzero(scores >= best - tol)]
     return FilterResult(value=best, witnesses=witnesses)
+
+
+# ---------------------------------------------------------------------------
+# Explicit finite groups
+# ---------------------------------------------------------------------------
+
+def enumerated_scorer(mats: np.ndarray, Z: np.ndarray):
+    """X -> scores[n, k, g] = <Z[k], M_g X[n]>: one matmul against the
+    M_g^T Z[k], formed here, once."""
+    gz = np.einsum("gij,ki->kgj", mats, Z).reshape(-1, Z.shape[-1]).T
+    return lambda X: (X @ gz).reshape(len(X), len(Z), len(mats))
+
+
+def enumerated_bank(group, Z):
+    scores = enumerated_scorer(np.stack(group.matrices), Z)
+    return lambda X, tol: _first_within(scores(X), tol)
+
+
+# ---------------------------------------------------------------------------
+# Bulk dispatch and witness images
+# ---------------------------------------------------------------------------
+
+BANK_KERNELS = {
+    "enumerated": enumerated_bank,
+    "cyclic": cyclic_bank,
+    "perm": sort_bank,
+    "signedperm": signed_sort_bank,
+    "signflips": sign_flips_bank,
+    "orth": orthogonal_bank,
+    "leftorth": left_orthogonal_bank,
+    "colperm": column_permutation_bank,
+    "phase": phase_bank,
+    "shiftconj": shift_conjugate_bank,
+    "patchperm": sort_bank,
+    "window": sliding_window_bank,
+}
+
+
+def _gather_last(X: np.ndarray, idx) -> np.ndarray:
+    """X[n][..., idx[n, k]] for every pair: (N, K) + X.shape[1:]."""
+    return np.take_along_axis(X[:, None], np.asarray(idx, dtype=int), axis=-1)
+
+
+def _roll_last(X: np.ndarray, shifts) -> np.ndarray:
+    """roll(X[n], shifts[n, k]) along the last axis for every pair."""
+    s = np.asarray(shifts, dtype=int)
+    t = X.shape[-1]
+    return _gather_last(X, (np.arange(t) - s.reshape(s.shape + (1,) * (X.ndim - 1))) % t)
+
+
+def _shift_conjugate_images(group, W, X):
+    shift, conj, phase = W
+    y = np.where(np.asarray(conj, dtype=bool)[..., None], np.conj(X)[:, None], X[:, None])
+    s = np.asarray(shift, dtype=int)
+    t = X.shape[-1]
+    rolled = np.take_along_axis(y, (np.arange(t) - s[..., None]) % t, axis=-1)
+    return np.asarray(phase, dtype=complex)[..., None] * rolled
+
+
+_IMAGES = {
+    "enumerated": lambda group, W, X: np.matmul(
+        np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
+    "cyclic": lambda group, W, X: _roll_last(X, W),
+    "perm": lambda group, W, X: _gather_last(X, W),
+    "signedperm": lambda group, W, X: np.asarray(W[1], dtype=float) * _gather_last(X, W[0]),
+    "signflips": lambda group, W, X: np.asarray(W, dtype=float) * X[:, None],
+    "orth": lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
+    "leftorth": lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
+    "colperm": lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
+    "phase": lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
+    "shiftconj": _shift_conjugate_images,
+    "patchperm": lambda group, W, X: _gather_last(X, W),
+    "window": lambda group, W, X: _roll_last(X, W),
+}
+
+
+def witness_images(group, W, X: np.ndarray) -> np.ndarray:
+    """g X[n] for the stacked witnesses W[n, k] (per-kind encoding, leading
+    (N, K) axes): an array of shape (N, K) + operand shape."""
+    images = _IMAGES.get(getattr(group, "kind", None))
+    if images is None:
+        raise ValidationError(f"unsupported group action: {group!r}")
+    return images(group, W, X)

@@ -11,19 +11,19 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import calculus
+from .analysis import random_template
 from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
                    FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
                    PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
                    SignedPermutation, SlidingWindowShift, ValidationError,
-                   filter_bank_apply, max_filter)
-from .templates import HermiteSpec, Template, hermite_template, unit_sphere_vectors
+                   as_operands, bank_argmax, bank_subgradient, bank_values,
+                   filter_bank_apply)
+from .templates import HermiteSpec, Template, hermite_template
 
 MODEL_FORMAT = "maxfilt-model/1"
 
@@ -43,13 +43,6 @@ class LabeledDataset:
     @property
     def raws(self) -> list:
         return [raw for raw, _ in self.samples]
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +357,7 @@ class TrainConfig:
     learning_rate: float = 0.5
     ridge: float = 1e-3
     rng_seed: int = 0
-    threads: int = 1
     freeze_templates: bool = False   # optimize only the convex (w, b) slice
-
-
-def _init_templates(group: GroupAction, n_templates: int, rng: np.random.Generator) -> list:
-    if isinstance(group, SlidingWindowShift):
-        out = []
-        for _ in range(n_templates):
-            z = np.zeros(group.shape)
-            slab = rng.standard_normal((group.c, group.w))
-            z[:, :, 0] = slab / np.linalg.norm(slab)
-            out.append(z)
-        return out
-    return [unit_sphere_vectors(1, group.dim, rng)[0] for _ in range(n_templates)]
 
 
 def _hinge_loss(feats: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
@@ -391,10 +371,12 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     """Jointly optimize max-filter templates and a linear hinge classifier by
     projected subgradient descent (step eta_0 / sqrt(t), full batch).
 
-    Templates for the sliding-window group stay supported on their initial
-    slice.  The returned model holds the averaged iterates; the loss history
-    of the running iterate and the initial/final losses of the averaged one
-    are recorded in the config snapshot.
+    Each epoch evaluates the whole bank on all samples in one engine call
+    (:func:`maxfilt.core.bank_argmax`) and forms the template subgradients
+    from its witnesses.  Templates for the sliding-window group stay
+    supported on their initial slice.  The returned model holds the averaged
+    iterates; the loss history of the running iterate and the initial/final
+    losses of the averaged one are recorded in the config snapshot.
     """
     config = config or TrainConfig()
     labels = dataset.labels
@@ -402,35 +384,22 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     if len(classes) != 2:
         raise ValidationError("hinge training requires exactly two classes")
     y = np.array([1.0 if l == classes[1] else -1.0 for l in labels])
-    raws = dataset.raws
+    xs = as_operands(group, dataset.raws)
     rng = np.random.default_rng(config.rng_seed)
-    templates = _init_templates(group, n_templates, rng)
+    templates = np.stack([random_template(group, rng) for _ in range(n_templates)])
     # Alternating nonzero weights break the cold start: template subgradients
     # are proportional to w, so an all-zero init would freeze the templates.
     w = np.array([(-1.0) ** i for i in range(n_templates)]) / n_templates
     b = 0.0
 
-    def extract(zs):
-        cols = []
-        subs = []
-        for z in zs:
-            pairs = parallel_map(
-                lambda x: (max_filter(group, z, x).value,
-                           calculus.subgradient(group, z, x, "first")),
-                raws, threads=config.threads)
-            cols.append([p[0] for p in pairs])
-            subs.append([p[1] for p in pairs])
-        return np.array(cols).T, subs              # (N, K), per-template images
-
-    feats, _ = extract(templates)
-    initial_loss = _hinge_loss(feats, y, w, b, config.ridge)
+    initial_loss = _hinge_loss(bank_values(group, templates, xs), y, w, b, config.ridge)
     w_sum = np.zeros_like(w)
     b_sum = 0.0
-    z_sum = [np.zeros_like(z) for z in templates]
+    z_sum = np.zeros_like(templates)
     history = []
-    n = len(raws)
+    n = len(xs)
     for t in range(1, config.epochs + 1):
-        feats, subs = extract(templates)
+        feats, witnesses = bank_argmax(group, templates, xs)
         loss = _hinge_loss(feats, y, w, b, config.ridge)
         if not math.isfinite(loss):
             raise NumericFailure("training diverged (non-finite loss)")
@@ -441,29 +410,19 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         gb = -float(np.mean(active * y))
         eta = config.learning_rate / math.sqrt(t)
         if not config.freeze_templates:
-            for i in range(n_templates):
-                gz = np.zeros_like(templates[i])
-                for s in range(n):
-                    if active[s]:
-                        gz -= y[s] * w[i] * subs[i][s]
-                gz /= n
-                templates[i] = templates[i] - eta * gz
-                if isinstance(group, SlidingWindowShift):
-                    keep = templates[i][:, :, 0].copy()
-                    templates[i][:] = 0.0
-                    templates[i][:, :, 0] = keep
+            coef = -(active * y)[:, None] * w[None, :]
+            gz = bank_subgradient(group, templates, xs, witnesses, coef) / n
+            templates = templates - eta * gz
         w = w - eta * gw
         b = b - eta * gb
         w_sum += w
         b_sum += b
-        for i in range(n_templates):
-            z_sum[i] += templates[i]
+        z_sum += templates
 
     w_avg = w_sum / config.epochs
     b_avg = b_sum / config.epochs
-    z_avg = [zs / config.epochs for zs in z_sum]
-    feats, _ = extract(z_avg)
-    final_loss = _hinge_loss(feats, y, w_avg, b_avg, config.ridge)
+    z_avg = z_sum / config.epochs
+    final_loss = _hinge_loss(bank_values(group, z_avg, xs), y, w_avg, b_avg, config.ridge)
     tmpl = [Template(vector=z, group_kind=group.kind, label=f"trained-{i}")
             for i, z in enumerate(z_avg)]
     return PipelineModel(
@@ -682,13 +641,11 @@ def load_model(path: str) -> PipelineModel:
 def fit_texture_model(images: Sequence[np.ndarray], labels: Sequence[str],
                       levels: Sequence[int], degrees: Sequence[int],
                       pca_k: int = 25, hermite: bool = True,
-                      rng_seed: int = 0, threads: int = 1) -> PipelineModel:
+                      rng_seed: int = 0) -> PipelineModel:
     """Texture pipeline: multiscale sorted-patch features, PCA (capped at the
     feasible rank), then pooled-covariance LDA."""
-    feats = np.stack(parallel_map(
-        lambda img: texture_features(img, levels, degrees, hermite=hermite,
-                                     rng_seed=rng_seed),
-        list(images), threads=threads))
+    feats = np.stack([texture_features(img, levels, degrees, hermite=hermite,
+                                       rng_seed=rng_seed) for img in images])
     n, f = feats.shape
     k_eff = min(pca_k, n - 1, f)
     mean, basis = pca_fit(feats, k_eff)

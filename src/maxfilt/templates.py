@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CyclicShift, ValidationError, max_filter
+from .core import CyclicShift, ValidationError, bank_values, max_filter
 
 
 @dataclass(eq=False)
@@ -77,6 +77,17 @@ def random_sphere_templates(n: int, d: int, rng_seed: int) -> list:
     return [Template(vector=vecs[i], label=f"sphere-{i}") for i in range(n)]
 
 
+def random_bank_log_delta(m: int, d: int) -> float:
+    """Natural log of the guaranteed lower Lipschitz bound delta of
+    :func:`random_bank_parameters`; finite for group orders whose delta
+    underflows a float (from about m = 100! on)."""
+    if m < 1 or d < 1:
+        raise ValidationError("need m, d >= 1")
+    log_m = math.log(m)
+    return 0.5 * (math.log(math.pi / 128.0) - 4.0 * log_m
+                  - math.log(2.0 * d + 3.0 * (math.log(4.0) + 2.0 * log_m)))
+
+
 def random_bank_parameters(m: int, d: int) -> tuple:
     """Sample-size prescription for a random bank over a finite group of
     order m in dimension d: returns (n_min, delta) where delta is the
@@ -88,11 +99,7 @@ def random_bank_parameters(m: int, d: int) -> tuple:
     logarithm (``math.log`` accepts the integer m however large) and n_min as an
     exact integer.
     """
-    if m < 1 or d < 1:
-        raise ValidationError("need m, d >= 1")
-    log_m = math.log(m)
-    log_delta = 0.5 * (math.log(math.pi / 128.0) - 4.0 * log_m
-                       - math.log(2.0 * d + 3.0 * (math.log(4.0) + 2.0 * log_m)))
+    log_delta = random_bank_log_delta(m, d)
     delta = math.exp(log_delta)
     log_ratio = math.log(2.0) - log_delta + math.log1p(delta / 2.0)     # log(2/delta + 1)
     n_min = math.ceil(Fraction(log_ratio) * 12 * m * m * d)
@@ -374,9 +381,7 @@ class GMMClassifier:
 
     def scores(self, draws: np.ndarray) -> np.ndarray:
         draws = np.atleast_2d(np.asarray(draws, dtype=float))
-        zf = np.fft.fft(self.template)
-        corr = np.real(np.fft.ifft(zf[None, :] * np.conj(np.fft.fft(draws, axis=1)), axis=1))
-        return corr.max(axis=1)
+        return bank_values(CyclicShift(len(self.template)), [self.template], draws)[:, 0]
 
     def predict(self, draws: np.ndarray) -> np.ndarray:
         high, low = ("A", "B") if self.metadata["swapped"] else ("B", "A")

@@ -184,6 +184,30 @@ class TestAnalysisCommands:
         delta = json.loads(out)["theory_delta"]
         assert np.isfinite(delta) and delta > 0
 
+    def test_lipschitz_log_delta_past_float_range(self, capsys):
+        # delta for |perm:102| = 102! underflows to 0.0; its log stays exact
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(capsys, "lipschitz", "--group", "perm:102",
+                               "--n", "2", "--samples", "2", "--seed", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["theory_delta"] == 0.0
+        with mpmath.workdps(60):
+            m = mpmath.factorial(102)
+            want = 0.5 * (mpmath.log(mpmath.pi / 128) - 4 * mpmath.log(m)
+                          - mpmath.log(2 * 102 + 3 * (mpmath.log(4) + 2 * mpmath.log(m))))
+            assert doc["theory_log_delta"] == pytest.approx(float(want), rel=1e-12)
+
+    def test_config_hash_does_not_depend_on_the_machine(self, capsys, monkeypatch):
+        hashes = []
+        for cpus in (1, 8):
+            monkeypatch.setattr("os.cpu_count", lambda: cpus)
+            code, out, _ = run_cli(capsys, "separation", "--group", "cyclic:4",
+                                   "--n", "4", "--trials", "20", "--seed", "5")
+            assert code == 0
+            hashes.append(json.loads(out)["config_hash"])
+        assert hashes[0] == hashes[1]
+
     def test_stability_sweep(self, capsys):
         code, out, _ = run_cli(capsys, "stability", "--grid", "64", "--warps", "5",
                                "--modes", "2", "--seed", "3")

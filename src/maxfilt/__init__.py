@@ -11,7 +11,7 @@ from .core import (ColumnPermutation, CyclicShift, DimensionMismatch, Enumerated
                    brute_force_max_filter, filter_bank_apply,
                    group_order, max_filter, quotient_distance, random_element)
 from .templates import (GMMClassifier, HermiteSpec, Template, banded_circulant,
-                        gmm_classifier, hermite_poly, hermite_template,
+                        gmm_classifier, hermite_template,
                         hermite_value, indicator_signal, indicator_templates,
                         normal_quantile, projective_uniformity_estimate,
                         random_bank_log_delta, random_bank_parameters,

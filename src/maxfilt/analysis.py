@@ -46,8 +46,8 @@ def bank_frobenius(bank: Sequence) -> float:
 def random_template(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
     """One unit-norm random template shaped for the group's ambient space.
 
-    Sliding-window templates are constrained to slice 0, as the fast path
-    requires a single slice.
+    Sliding-window templates are constrained to slice 0, as template
+    training keeps each template on a single slice.
     """
     if isinstance(group, SlidingWindowShift):
         z = np.zeros(group.shape)

@@ -63,17 +63,17 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         return [int(a) for a in np.flatnonzero(corr >= corr.max() - tol)]
 
     if isinstance(group, SlidingWindowShift):
-        t0 = groups.template_slice_index(x)
-        scores = groups.window_scores(x[None, :, :, t0], y[None])[0, 0]
+        score, t0 = groups.window_scorer(x[None])
+        scores = score(y[None])[0, 0]
         best = scores.max()
-        return [int((t0 - p) % group.t) for p in np.flatnonzero(scores >= best - tol)]
+        return [int((t0[0] - p) % group.t) for p in np.flatnonzero(scores >= best - tol)]
 
     if isinstance(group, SignFlips):
         return _sign_flip_witnesses(x, y, tol, max_witnesses)
 
     if isinstance(group, FullPermutation):
         pairings = _tie_pairings(x, y, tol, max_witnesses)
-        return [_pairing_to_perm(x, y, pairing) for pairing in pairings]
+        return [_pairing_to_perm(pairing) for pairing in pairings]
 
     if isinstance(group, SignedPermutation):
         return _signed_perm_witnesses(x, y, tol, max_witnesses)
@@ -217,9 +217,9 @@ def _tie_pairings(x, y, tol, cap):
     return [(ox, oy, p) for p in pairings]
 
 
-def _pairing_to_perm(x, y, pairing):
+def _pairing_to_perm(pairing):
     ox, oy, rho = pairing
-    perm = np.empty(len(x), dtype=int)
+    perm = np.empty(len(ox), dtype=int)
     for r, s in enumerate(rho):
         perm[ox[r]] = oy[s]
     return perm
@@ -230,10 +230,8 @@ def _signed_perm_witnesses(x, y, tol, cap):
     pairings = _tie_pairings(ax, ay, tol, cap)
     best = float(np.sort(ax) @ np.sort(ay))
     out = []
-    for ox, oy, rho in pairings:
-        perm = np.empty(len(x), dtype=int)
-        for r, s in enumerate(rho):
-            perm[ox[r]] = oy[s]
+    for pairing in pairings:
+        perm = _pairing_to_perm(pairing)
         matched = x * y[perm]
         deficit = best - float(np.abs(x) @ np.abs(y[perm]))
         base_signs = np.where(matched >= 0, 1.0, -1.0)
@@ -273,10 +271,8 @@ def _patch_witnesses(group, x, y, tol, cap):
         base += sub.value
         local = _tie_pairings(x[idx], y[idx], tol, cap)
         locals_perm = []
-        for ox, oy, rho in local:
-            perm = np.empty(len(idx), dtype=int)
-            for r, s in enumerate(rho):
-                perm[ox[r]] = oy[s]
+        for pairing in local:
+            perm = _pairing_to_perm(pairing)
             deficit = sub.value - float(x[idx] @ y[idx][perm])
             locals_perm.append((perm, deficit))
         per_patch.append((idx, locals_perm))

@@ -467,13 +467,17 @@ def _bank_operands(group: GroupAction, bank) -> np.ndarray:
     return as_operands(group, vecs)
 
 
+# Elements a kernel's bulk arrays hold per (input, template) pair, where that
+# is not one operand (``group.dim``).
+_PAIR_WIDTH = {
+    "window": lambda group: group.t,                        # its scores; input chunks are views
+    "enumerated": lambda group: group.dim * (1 + group.order),
+    "colperm": lambda group: group.n * group.n,             # its profit matrices
+}
+
+
 def _chunk_rows(group: GroupAction, n_templates: int) -> int:
-    if isinstance(group, SlidingWindowShift):
-        width = group.t                     # its scores; input chunks are views
-    elif isinstance(group, Enumerated):
-        width = group.dim * (1 + group.order)
-    else:
-        width = group.dim
+    width = _PAIR_WIDTH.get(group.kind, lambda group: group.dim)(group)
     return max(1, _BULK // (n_templates * width))
 
 

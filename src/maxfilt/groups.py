@@ -4,7 +4,8 @@ Each kind has a bulk form ``*_bank(group, Z)`` that evaluates a whole bank
 of K templates ``Z`` against many inputs at once, in the best known
 complexity for its group: FFT cross-correlation for circular shifts, sorting
 for (signed/patch) permutations, SVD for one-sided orthogonal actions,
-linear assignment for column permutations.  It does the bank's share of the
+linear assignment (solved in lockstep over the whole stack of profit
+matrices) for column permutations.  It does the bank's share of the
 work once and returns ``evaluate(X, tol)`` for chunks of N inputs; ``tol``
 holds the (N, K) tie tolerances, or is None when only values are wanted.
 ``evaluate`` returns the (N, K) values and, unless ``tol`` is None, the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._assignment import max_profit_assignment
+from ._assignment import max_profit_assignments
 from .core import (DimensionMismatch, FilterResult, NumericFailure, PatchPermutation,
                    ValidationError, _row_norms, tie_tolerance)
 
@@ -244,16 +245,18 @@ def mf_left_orthogonal(z, x) -> FilterResult:
 
 
 def column_permutation_bank(group, Z):
-    """Maximum-profit linear assignment, one per pair (there is no bulk
-    form): profit[j, i] = <z_col_j, x_col_i>; witness ``p`` satisfies
+    """Maximum-profit linear assignment for every pair, profit[j, i] =
+    <z_col_j, x_col_i>: the chunk's (N, K) profit matrices are formed by one
+    broadcast matmul (the same products as ``z.T @ x``, bit for bit, which an
+    einsum is not) and solved by one batched call; witness ``p`` satisfies
     ``g x = x[:, p]``."""
+    zt = np.swapaxes(Z, -1, -2)[None]
+
     def evaluate(X, tol):
-        values = np.empty((len(X), len(Z)))
-        cols = np.empty((len(X), len(Z), Z.shape[-1]), dtype=int)
-        for a, x in enumerate(X):
-            for b, z in enumerate(Z):
-                values[a, b], cols[a, b] = max_profit_assignment(z.T @ x)
-        return values, None if tol is None else cols
+        profits = np.matmul(zt, X[:, None])
+        values, cols = max_profit_assignments(profits.reshape((-1,) + profits.shape[2:]))
+        values = values.reshape(profits.shape[:2])
+        return values, None if tol is None else cols.reshape(profits.shape[:3])
     return evaluate
 
 
@@ -352,32 +355,62 @@ def window_scores(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(S.reshape(len(S), c * w), X.reshape(len(X), c * w, t))
 
 
+def window_scorer(Z: np.ndarray) -> tuple:
+    """``(scores, t0)``: ``t0[k]`` is the first slice template Z[k] occupies
+    (0 for a zero template) and X -> scores[n, k, p] = <Z[k], roll(X[n],
+    t0[k] - p)> along the slice axis, so that shift ``(t0[k] - p) mod T``
+    is the witness of slice position p.
+
+    A template on a single slice is matched by :func:`window_scores` (one
+    matmul of the slices).  Templates that occupy several slices are matched
+    by circular correlation along the slice axis: one real FFT along T of
+    the bank (taken here, once) and of the inputs, summed over c and w.
+    """
+    occupied = np.abs(Z).sum(axis=(1, 2)) > 0                  # (K, T)
+    t0 = occupied.argmax(axis=1)
+    multi = np.flatnonzero(occupied.sum(axis=1) > 1)
+    single = np.flatnonzero(occupied.sum(axis=1) <= 1)
+    slices = Z[single, :, :, t0[single]]
+    if len(multi) == 0:
+        return (lambda X: window_scores(slices, X)), t0
+    t = Z.shape[-1]
+    fz = np.fft.rfft(Z[multi], axis=-1)
+    back = (t0[multi, None] - np.arange(t)) % t                # shift of each position
+
+    def scores(X):
+        out = np.empty((len(X), len(Z), t))
+        out[:, single] = window_scores(slices, X)
+        fx = np.conj(np.fft.rfft(X, axis=-1))
+        corr = np.fft.irfft(np.einsum("mcwf,ncwf->nmf", fz, fx), n=t)
+        out[:, multi] = np.take_along_axis(corr, back[None], axis=-1)
+        return out
+    return scores, t0
+
+
 def sliding_window_bank(group, Z):
-    t0 = np.array([template_slice_index(z) for z in Z], dtype=int)
-    slices = Z[np.arange(len(Z)), :, :, t0]
+    scores, t0 = window_scorer(Z)
 
     def evaluate(X, tol):
-        best, first = _first_within(window_scores(slices, X), tol)
+        best, first = _first_within(scores(X), tol)
         return best, None if first is None else (t0 - first) % X.shape[-1]
     return evaluate
 
 
 def mf_sliding_window(z, x) -> FilterResult:
-    """Max over slice positions of <z_slice, x_slice(a)> for a (c, w, T) tensor.
+    """Max over slice positions of <z, roll(x, a)> for (c, w, T) tensors.
 
-    The template must be supported on a single slice; witness is the cyclic
-    slice shift (so the best-aligned position is ``(t0 - shift) mod T`` where
-    t0 is the template's slice).
+    Witnesses are cyclic slice shifts a, listed in order of the position
+    ``p = (t0 - a) mod T`` that the template's first occupied slice t0 is
+    matched with; for a single-slice template, p is the best-aligned slice
+    of x.
     """
     z, x = _pair(z, x)
-    t0 = template_slice_index(z)
-    # scores[p] = <z_slice, x_slice(p)>; shift a places x_slice(p) at t0 when
-    # a = (t0 - p) mod T.
-    scores = window_scores(z[None, :, :, t0], x[None])[0, 0]
+    score, t0 = window_scorer(z[None])
+    scores = score(x[None])[0, 0]
     T = x.shape[2]
     best = float(scores.max())
     tol = tie_tolerance(z, x)
-    witnesses = [int((t0 - p) % T) for p in np.flatnonzero(scores >= best - tol)]
+    witnesses = [int((t0[0] - p) % T) for p in np.flatnonzero(scores >= best - tol)]
     return FilterResult(value=best, witnesses=witnesses)
 
 

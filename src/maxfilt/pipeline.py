@@ -23,7 +23,7 @@ from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
                    SignedPermutation, SlidingWindowShift, ValidationError,
                    as_operands, bank_argmax, bank_subgradient, bank_values,
                    filter_bank_apply)
-from .templates import HermiteSpec, Template, hermite_template
+from .templates import HermiteSpec, Template, _hermite_grid
 
 MODEL_FORMAT = "maxfilt-model/1"
 
@@ -266,7 +266,8 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
         patches = np.sort(patches, axis=1)
         for deg in degrees:
             if hermite:
-                v = hermite_template(HermiteSpec(degree=deg, length=s * s)).vector
+                spec = HermiteSpec(degree=deg, length=s * s)
+                v = _hermite_grid(spec.degree, spec.length)
             else:
                 v = np.sort(rng.standard_normal(s * s))
             feats.append(float((patches @ v).sum()))

@@ -200,6 +200,8 @@ class HermiteSpec:
     def __post_init__(self):
         if self.degree < 0 or self.length < 1:
             raise ValidationError("need degree >= 0 and length >= 1")
+        if self.degree > 16:
+            raise ValidationError("degree capped at 16 by quantile accuracy")
 
 
 def hermite_value(degree: int, x) -> float | np.ndarray:
@@ -212,15 +214,15 @@ def hermite_value(degree: int, x) -> float | np.ndarray:
     return float(cur) if cur.ndim == 0 else cur
 
 
-def hermite_poly(spec: HermiteSpec, x: float) -> float:
-    return hermite_value(spec.degree, x)
-
-
 @lru_cache(maxsize=256)
 def _hermite_grid(degree: int, length: int) -> np.ndarray:
+    """The cells of :func:`hermite_template`, cached and read-only: callers
+    share one array per (degree, length)."""
     d = length
     if degree == 0:
-        return np.ones(d)
+        out = np.ones(d)
+        out.flags.writeable = False
+        return out
     # Cell averages of p_n(Q(y)) over [(j-1)/d, j/d]: since
     # (phi p_{n-1})' = -phi p_n, each is d [g(u_{j-1}) - g(u_j)] with
     # g = phi p_{n-1}, u_j = Q(j/d) and g(-inf) = 0.
@@ -236,6 +238,7 @@ def _hermite_grid(degree: int, length: int) -> np.ndarray:
     if d % 2 == 1:
         # The middle cell is symmetric about 1/2, where g has the parity of n - 1.
         out[d // 2] = 2.0 * d * g[half - 1] if degree % 2 == 0 else 0.0
+    out.flags.writeable = False
     return out
 
 
@@ -247,8 +250,6 @@ def hermite_template(spec: HermiteSpec) -> Template:
     ascending-sorted data, or reverse for descending-sort conventions (the
     value only changes sign for odd degrees).
     """
-    if spec.degree > 16:
-        raise ValidationError("degree capped at 16 by quantile accuracy")
     vec = _hermite_grid(spec.degree, spec.length).copy()
     return Template(vector=vec, group_kind="perm", label=f"hermite-{spec.degree}")
 

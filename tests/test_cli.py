@@ -198,6 +198,18 @@ class TestAnalysisCommands:
                           - mpmath.log(2 * 102 + 3 * (mpmath.log(4) + 2 * mpmath.log(m))))
             assert doc["theory_log_delta"] == pytest.approx(float(want), rel=1e-12)
 
+    def test_window_separation_and_lipschitz_run(self, capsys):
+        # The quotient distance passes a full (c, w, T) tensor as template.
+        code, out, _ = run_cli(capsys, "separation", "--group", "window:2x3x6",
+                               "--n", "4", "--trials", "100", "--seed", "6")
+        assert code == 0
+        assert json.loads(out)["checked"] == 100
+        code, out, _ = run_cli(capsys, "lipschitz", "--group", "window:2x3x6",
+                               "--n", "4", "--samples", "20", "--seed", "6")
+        assert code == 0
+        doc = json.loads(out)
+        assert 0 < doc["lower_est"] <= doc["upper_est"] <= doc["theory_upper"] + 1e-6
+
     def test_config_hash_does_not_depend_on_the_machine(self, capsys, monkeypatch):
         hashes = []
         for cpus in (1, 8):

@@ -309,6 +309,76 @@ class TestAssignmentSolver:
                 min_cost_assignment(cost)
 
 
+def batch_profits(n, per_kind, rng):
+    """A stack of real, tie-heavy integer, rank-one, all-zero and 1e8-scaled
+    profit matrices, ``per_kind`` of each, interleaved."""
+    kinds = [lambda: rng.standard_normal((n, n)),
+             lambda: rng.integers(-2, 3, size=(n, n)).astype(float),
+             lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+             lambda: np.zeros((n, n)),
+             lambda: rng.standard_normal((n, n)) * 1e8]
+    return np.stack([make() for _ in range(per_kind) for make in kinds])
+
+
+class TestBatchedAssignment:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 48])
+    def test_same_columns_as_list_and_scalar_solvers(self, n):
+        # Batches on both sides of the crossover: the list solver below it,
+        # lockstep at and above it.
+        from maxfilt._assignment import (_LOCKSTEP_MIN_BATCH, max_profit_assignment,
+                                         max_profit_assignments)
+
+        rng = np.random.default_rng(500 + n)
+        for size in (_LOCKSTEP_MIN_BATCH - 1, _LOCKSTEP_MIN_BATCH, 2 * _LOCKSTEP_MIN_BATCH):
+            profits = batch_profits(n, -(-size // 5), rng)[:size]
+            values, cols = max_profit_assignments(profits)
+            assert values.shape == (size,) and cols.shape == (size, n)
+            for b, profit in enumerate(profits):
+                value, col = max_profit_assignment(profit)
+                np.testing.assert_array_equal(cols[b], col)
+                assert values[b] == value
+            # The numpy-scalar reference is slow at n = 48: check one of each kind.
+            for b in range(size if n < 48 else 5):
+                np.testing.assert_array_equal(cols[b], scalar_min_cost_assignment(-profits[b]))
+
+    def test_non_finite_entry_anywhere_rejected(self):
+        from maxfilt._assignment import _LOCKSTEP_MIN_BATCH, max_profit_assignments
+
+        for size in (3, _LOCKSTEP_MIN_BATCH + 5):
+            for bad in (np.nan, np.inf, -np.inf):
+                profits = np.zeros((size, 4, 4))
+                profits[size - 1, 2, 3] = bad
+                with pytest.raises(ValueError):
+                    max_profit_assignments(profits)
+
+    def test_shape_checked_and_empty_batch(self):
+        from maxfilt._assignment import max_profit_assignments
+
+        with pytest.raises(ValueError):
+            max_profit_assignments(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            max_profit_assignments(np.zeros((3, 3)))
+        values, cols = max_profit_assignments(np.zeros((0, 3, 3)))
+        assert values.shape == (0,) and cols.shape == (0, 3)
+
+    @pytest.mark.parametrize("n_inputs", [2, 30])
+    def test_bank_argmax_first_witness_matches_max_filter(self, n_inputs):
+        # 2 x 4 = 8 pairs go to the list solver, 30 x 4 = 120 to lockstep.
+        group = mf.ColumnPermutation(2, 6)
+        rng = np.random.default_rng(520 + n_inputs)
+        Z = rng.integers(-1, 2, size=(4, 2, 6)).astype(float)
+        X = np.concatenate([rng.integers(-1, 2, size=(n_inputs // 2, 2, 6)).astype(float),
+                            rng.standard_normal((n_inputs - n_inputs // 2, 2, 6))])
+        values, cols = mf.bank_argmax(group, Z, X)
+        for n, x in enumerate(X):
+            for k, z in enumerate(Z):
+                res = mf.max_filter(group, z, x)
+                assert values[n, k] == res.value
+                np.testing.assert_array_equal(cols[n, k], res.witnesses[0])
+                oracle = mf.brute_force_max_filter(group, z, x)
+                assert any(np.array_equal(cols[n, k], w) for w in oracle.witnesses)
+
+
 class TestPhase:
     def test_unit_example(self):
         res = groups.mf_phase([1.0 + 0j, 0j], [1j, 0j])
@@ -431,7 +501,45 @@ class TestSlidingWindow:
     def test_zero_template(self):
         assert groups.mf_sliding_window(np.zeros((1, 2, 3)), np.ones((1, 2, 3))).value == 0.0
 
-    def test_multi_slice_template_rejected(self):
-        z = np.ones((1, 2, 3))
+    def test_multi_slice_template_matches_oracle(self):
+        # Full-tensor templates (as quotient_distance passes them): real,
+        # tie-heavy integer and periodic operands, zero inputs and templates.
+        rng = np.random.default_rng(22)
+        group = mf.SlidingWindowShift(2, 3, 6)
+        base = rng.integers(-1, 2, size=(2, 3, 2)).astype(float)
+        periodic = np.tile(base, (1, 1, 3))
+        cases = [(rng.standard_normal(group.shape), rng.standard_normal(group.shape)),
+                 (rng.integers(-1, 2, group.shape).astype(float),
+                  rng.integers(-1, 2, group.shape).astype(float)),
+                 (periodic, np.roll(periodic, 1, axis=2)),
+                 (rng.standard_normal(group.shape), np.zeros(group.shape)),
+                 (np.zeros(group.shape), rng.standard_normal(group.shape)),
+                 (1e4 * rng.standard_normal(group.shape), rng.standard_normal(group.shape))]
+        for z, x in cases:
+            res = groups.mf_sliding_window(z, x)
+            oracle = mf.brute_force_max_filter(group, z, x)
+            assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=1e-12)
+            assert sorted(res.witnesses) == oracle.witnesses
+            g = res.witnesses[0]
+            assert float(np.sum(z * np.roll(x, g, axis=2))) == pytest.approx(res.value, abs=1e-9)
+
+    def test_mixed_bank_matches_per_call(self):
+        rng = np.random.default_rng(23)
+        group = mf.SlidingWindowShift(2, 2, 5)
+        Z = rng.integers(-1, 2, size=(4, 2, 2, 5)).astype(float)
+        Z[1] = 0.0
+        Z[2, :, :, [0, 1, 3, 4]] = 0.0               # on slice 2 only
+        X = rng.integers(-1, 2, size=(6, 2, 2, 5)).astype(float)
+        X[0] = 0.0
+        values, shifts = mf.bank_argmax(group, Z, X)
+        for n, x in enumerate(X):
+            for k, z in enumerate(Z):
+                res = mf.max_filter(group, z, x)
+                assert values[n, k] == pytest.approx(res.value, abs=1e-12)
+                assert shifts[n, k] == res.witnesses[0]
+
+    def test_training_keeps_single_slice_templates(self):
+        group = mf.SlidingWindowShift(1, 2, 3)
         with pytest.raises(mf.ValidationError):
-            groups.mf_sliding_window(z, np.ones((1, 2, 3)))
+            mf.bank_subgradient(group, [np.ones((1, 2, 3))], [np.ones((1, 2, 3))],
+                                np.zeros((1, 1), dtype=int), np.ones((1, 1)))

@@ -97,6 +97,17 @@ class TestHermiteTemplate:
         with pytest.raises(mf.ValidationError):
             mf.hermite_template(mf.HermiteSpec(degree=17, length=8))
 
+    def test_cached_grid_read_only_template_a_copy(self):
+        # texture_features reads the shared cached grid; templates own theirs.
+        for degree in (0, 3):
+            grid = _hermite_grid(degree, 16)
+            assert not grid.flags.writeable
+            with pytest.raises(ValueError):
+                grid[0] = 1.0
+            t = mf.hermite_template(mf.HermiteSpec(degree=degree, length=16))
+            t.vector[0] += 1.0
+            assert t.vector[0] != grid[0]
+
     def test_parity_symmetry(self):
         for degree in (2, 3):
             v = mf.hermite_template(mf.HermiteSpec(degree=degree, length=10)).vector

@@ -150,40 +150,50 @@ _QD = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
-def _quantile_core(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        num = ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
-        den = (((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0
-        x = num / den
-    else:
-        q = p - 0.5
-        r = q * q
-        num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
-        den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
-        x = q * num / den
+def _elementwise(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) applied to each entry of the 1-D float array ``a``."""
+    return np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+
+
+def _quantile_core(p: np.ndarray) -> np.ndarray:
+    """Q(p) for a 1-D array with 0 < p <= 1/2.
+
+    The rational parts use only numpy ``+ - * /`` and ``sqrt``, which are
+    correctly rounded, and the transcendentals go through ``math`` one entry
+    at a time (numpy has no ``erfc``, and its SIMD ``exp``/``log`` may round
+    differently on another CPU), so each entry equals the scalar evaluation
+    of the same formulas bit for bit.
+    """
+    x = np.empty_like(p)
+    low = p < _P_LOW
+    q = np.sqrt(-2.0 * _elementwise(math.log, p[low]))
+    num = ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
+    den = (((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0
+    x[low] = num / den
+    q = p[~low] - 0.5
+    r = q * q
+    num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
+    den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
+    x[~low] = q * num / den
     # Halley refinement using Phi(x) = erfc(-x / sqrt(2)) / 2.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    err = 0.5 * _elementwise(math.erfc, -x / math.sqrt(2.0)) - p
+    u = err * math.sqrt(2.0 * math.pi) * _elementwise(math.exp, 0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)
 
 
 def normal_quantile(p) -> float | np.ndarray:
-    """Inverse standard normal CDF, antisymmetric by construction around 1/2."""
+    """Inverse standard normal CDF, antisymmetric by construction around 1/2.
+
+    Evaluates the whole array at once; a scalar argument gives a Python float.
+    """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    flat = arr.ravel()
+    if not np.all((flat > 0.0) & (flat < 1.0)):             # also rejects NaN
         raise ValidationError("quantile argument must lie strictly inside (0, 1)")
-    out = np.empty_like(arr)
-    for i, pi in enumerate(arr):
-        if pi == 0.5:
-            out[i] = 0.0
-        elif pi > 0.5:
-            out[i] = -_quantile_core(1.0 - pi)
-        else:
-            out[i] = _quantile_core(pi)
-    return float(out[0]) if scalar else out
+    upper = flat > 0.5
+    out = _quantile_core(np.where(upper, 1.0 - flat, flat))
+    out[upper] = -out[upper]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +208,10 @@ class HermiteSpec:
     length: int
 
     def __post_init__(self):
+        for name in ("degree", "length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.degree < 0 or self.length < 1:
             raise ValidationError("need degree >= 0 and length >= 1")
         if self.degree > 16:
@@ -214,6 +228,16 @@ def hermite_value(degree: int, x) -> float | np.ndarray:
     return float(cur) if cur.ndim == 0 else cur
 
 
+@lru_cache(maxsize=32)
+def _half_grid_quantiles(length: int) -> np.ndarray:
+    """u_j = Q(j/d) for j = 1..ceil(d/2), with d = length, clipped at Q(1/2) = 0;
+    cached and read-only: every degree at one length shares it."""
+    half = (length + 1) // 2
+    u = normal_quantile(np.minimum(np.arange(1, half + 1) / length, 0.5))
+    u.flags.writeable = False
+    return u
+
+
 @lru_cache(maxsize=256)
 def _hermite_grid(degree: int, length: int) -> np.ndarray:
     """The cells of :func:`hermite_template`, cached and read-only: callers
@@ -227,7 +251,7 @@ def _hermite_grid(degree: int, length: int) -> np.ndarray:
     # (phi p_{n-1})' = -phi p_n, each is d [g(u_{j-1}) - g(u_j)] with
     # g = phi p_{n-1}, u_j = Q(j/d) and g(-inf) = 0.
     half = (d + 1) // 2
-    u = normal_quantile(np.minimum(np.arange(1, half + 1) / d, 0.5))
+    u = _half_grid_quantiles(d)
     g = np.zeros(half + 1)
     g[1:] = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * hermite_value(degree - 1, u)
     vals = d * (g[:-1] - g[1:])

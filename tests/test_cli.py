@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -343,3 +344,34 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == pytest.approx(3.0)
+
+
+class TestNumpyOnlyRuntime:
+    SCRIPT = r"""
+import sys
+sys.modules["scipy"] = None        # any import of scipy now raises ImportError
+import numpy as np
+import maxfilt
+from maxfilt import cli, pipeline
+image = sys.argv[1]
+pipeline.write_pgm(image, np.random.default_rng(0).uniform(size=(16, 16)))
+codes = [cli.main(["templates", "--hermite", "3", "--dim", "16"]),
+         cli.main(["texture", "--extract", "--image", image, "--levels", "1:4",
+                   "--seed", "0"])]
+assert not [m for m in sys.modules if m.startswith("scipy.")]
+sys.exit(max(codes))
+"""
+
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # The child imports the same maxfilt as this process, from any directory.
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(mf.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "x.pgm")],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        decoder = json.JSONDecoder()
+        template, end = decoder.raw_decode(proc.stdout)
+        features, _ = decoder.raw_decode(proc.stdout[end:].lstrip())
+        assert len(template["template"]["vector"]) == 16
+        assert len(features["features"]) == 4 * 6

@@ -6,11 +6,69 @@ from numpy.polynomial import hermite_e
 from scipy import special, stats
 
 import maxfilt as mf
-from maxfilt.templates import (_hermite_grid, banded_circulant, gmm_classifier,
+from maxfilt.templates import (_P_LOW, _QA, _QB, _QC, _QD, _half_grid_quantiles,
+                               _hermite_grid, banded_circulant, gmm_classifier,
                                hermite_value, indicator_signal, normal_quantile,
                                sorted_gaussian_kernel, thompson_distance,
                                unit_sphere_vectors)
 from maxfilt.groups import mf_cyclic
+
+
+def scalar_quantile_core(p):
+    """Reference: Acklam's approximation plus one Halley step, one Python
+    float at a time with ``math`` functions."""
+    if p < _P_LOW:
+        q = math.sqrt(-2.0 * math.log(p))
+        num = ((((_QC[0] * q + _QC[1]) * q + _QC[2]) * q + _QC[3]) * q + _QC[4]) * q + _QC[5]
+        den = (((_QD[0] * q + _QD[1]) * q + _QD[2]) * q + _QD[3]) * q + 1.0
+        x = num / den
+    else:
+        q = p - 0.5
+        r = q * q
+        num = ((((_QA[0] * r + _QA[1]) * r + _QA[2]) * r + _QA[3]) * r + _QA[4]) * r + _QA[5]
+        den = ((((_QB[0] * r + _QB[1]) * r + _QB[2]) * r + _QB[3]) * r + _QB[4]) * r + 1.0
+        x = q * num / den
+    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
+    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
+    return x - u / (1.0 + 0.5 * x * u)
+
+
+def scalar_normal_quantile(ps):
+    """Reference: the quantile of each entry by the scalar core, mirrored
+    around 1/2."""
+    out = []
+    for p in np.asarray(ps, dtype=float).tolist():
+        if p == 0.5:
+            out.append(0.0)
+        elif p > 0.5:
+            out.append(-scalar_quantile_core(1.0 - p))
+        else:
+            out.append(scalar_quantile_core(p))
+    return np.array(out)
+
+
+def reference_hermite_grid(degree, d, u):
+    """The cell averages of p_n(Q(y)) as _hermite_grid forms them, from the
+    half-grid quantiles u given by the caller."""
+    if degree == 0:
+        return np.ones(d)
+    half = (d + 1) // 2
+    g = np.zeros(half + 1)
+    g[1:] = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi) * hermite_value(degree - 1, u)
+    vals = d * (g[:-1] - g[1:])
+    out = np.empty(d)
+    out[:half] = vals
+    out[d - half:] = ((-1.0) ** degree) * vals[::-1]
+    if d % 2 == 1:
+        out[d // 2] = 2.0 * d * g[half - 1] if degree % 2 == 0 else 0.0
+    return out
+
+
+def assert_same_bits(actual, expected):
+    actual = np.asarray(actual, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
 class TestNormalQuantile:
@@ -27,10 +85,33 @@ class TestNormalQuantile:
         assert normal_quantile(0.5) == 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(mf.ValidationError):
-            normal_quantile(0.0)
-        with pytest.raises(mf.ValidationError):
-            normal_quantile(1.0)
+        for bad in (0.0, 1.0, float("nan"), [0.3, float("nan")], np.array([[0.2], [np.nan]])):
+            with pytest.raises(mf.ValidationError):
+                normal_quantile(bad)
+
+    def test_bit_identical_to_scalar_reference(self):
+        tails = np.geomspace(1e-300, 0.5, 4000)
+        near_edges = []
+        for edge in (_P_LOW, 1.0 - _P_LOW):
+            below = above = edge
+            for _ in range(16):
+                below = np.nextafter(below, 0.0)
+                above = np.nextafter(above, 1.0)
+                near_edges += [below, above]
+            near_edges.append(edge)
+        dyadic = [np.arange(1, 4 ** level) / 4 ** level for level in range(1, 9)]
+        lower = np.concatenate([tails, near_edges, [0.5]] + dyadic)
+        mirrored = 1.0 - lower[1.0 - lower < 1.0]
+        ps = np.concatenate([lower, mirrored])
+        assert_same_bits(normal_quantile(ps), scalar_normal_quantile(ps))
+        grid = np.array([[0.1, 0.9], [0.5, 1e-20]])
+        assert_same_bits(normal_quantile(grid), scalar_normal_quantile(grid.ravel()).reshape(2, 2))
+
+    def test_scalar_in_python_float_out(self):
+        for p in (1e-300, _P_LOW, 0.3, 0.5, 0.75, 1.0 - 1e-12):
+            q = normal_quantile(p)
+            assert type(q) is float
+            assert_same_bits(q, scalar_normal_quantile([p])[0])
 
 
 class TestHermite:
@@ -97,6 +178,13 @@ class TestHermiteTemplate:
         with pytest.raises(mf.ValidationError):
             mf.hermite_template(mf.HermiteSpec(degree=17, length=8))
 
+    def test_integer_degree_and_length_required(self):
+        for degree, length in ((2, 8.0), (2.5, 8), (2.0, 8), (2, "8"), (True, 8)):
+            with pytest.raises(mf.ValidationError):
+                mf.HermiteSpec(degree, length)
+        spec = mf.HermiteSpec(np.int64(2), np.int32(8))
+        assert_same_bits(mf.hermite_template(spec).vector, _hermite_grid(2, 8))
+
     def test_cached_grid_read_only_template_a_copy(self):
         # texture_features reads the shared cached grid; templates own theirs.
         for degree in (0, 3):
@@ -107,6 +195,18 @@ class TestHermiteTemplate:
             t = mf.hermite_template(mf.HermiteSpec(degree=degree, length=16))
             t.vector[0] += 1.0
             assert t.vector[0] != grid[0]
+        # One quantile table per length, shared by every degree.
+        u = _half_grid_quantiles(16)
+        assert not u.flags.writeable
+        assert _half_grid_quantiles(16) is u
+
+    def test_grids_match_scalar_reference_quantiles(self):
+        lengths = [1, 2, 3, 7, 10, 999, 1001] + [4 ** level for level in range(9)]
+        for d in lengths:
+            half = (d + 1) // 2
+            u = scalar_normal_quantile(np.minimum(np.arange(1, half + 1) / d, 0.5))
+            for degree in range(17):
+                assert_same_bits(_hermite_grid(degree, d), reference_hermite_grid(degree, d, u))
 
     def test_parity_symmetry(self):
         for degree in (2, 3):

@@ -9,7 +9,8 @@ from .core import (ColumnPermutation, CyclicShift, DimensionMismatch, Enumerated
                    SignedPermutation, SlidingWindowShift, ValidationError,
                    apply_witness, bank_argmax, bank_subgradient, bank_values,
                    brute_force_max_filter, filter_bank_apply,
-                   group_order, max_filter, quotient_distance, random_element)
+                   group_order, max_filter, quotient_distance, quotient_distances,
+                   random_element)
 from .templates import (GMMClassifier, HermiteSpec, Template, banded_circulant,
                         gmm_classifier, hermite_template,
                         hermite_value, indicator_signal, indicator_templates,

@@ -20,7 +20,7 @@ import numpy as np
 from . import groups
 from .core import (GroupAction, LeftOrthogonal, ColumnPermutation, PhaseCircle,
                    ShiftAndConjugate, SlidingWindowShift, ValidationError,
-                   bank_values, group_order, quotient_distance)
+                   bank_values, group_order, quotient_distances)
 from .templates import random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
@@ -72,23 +72,22 @@ def _distinct_pairs(group: GroupAction, bank: Sequence, count: int, min_dist: fl
     """Draw ``count`` random pairs (x, y) in order and yield
     ``(x, y, d([x], [y]), Phi(x), Phi(y))`` for those with d > min_dist.
 
-    Pairs are drawn a block at a time and the bank is evaluated on the whole
-    block in one engine call.
+    Pairs are drawn a block at a time; the quotient distances of the whole
+    block take one paired engine call and the bank features of the pairs
+    kept take one more.
     """
     block = max(1, _PAIR_BLOCK // (2 * group.dim))
     for start in range(0, count, block):
-        kept = []
-        for _ in range(min(block, count - start)):
-            x = sample_point(group, rng)
-            y = sample_point(group, rng)
-            dist = quotient_distance(group, x, y)
-            if dist > min_dist:
-                kept.append((x, y, dist))
-        if not kept:
+        pairs = [(sample_point(group, rng), sample_point(group, rng))
+                 for _ in range(min(block, count - start))]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        dists = quotient_distances(group, xs, ys)
+        kept = np.flatnonzero(dists > min_dist)
+        if not len(kept):
             continue
-        feats = bank_values(group, bank, [x for x, _, _ in kept] + [y for _, y, _ in kept])
-        for (x, y, dist), fx, fy in zip(kept, feats[:len(kept)], feats[len(kept):]):
-            yield x, y, dist, fx, fy
+        feats = bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
+        for j, i in enumerate(kept):
+            yield xs[i], ys[i], float(dists[i]), feats[j], feats[len(kept) + j]
 
 
 @dataclass
@@ -120,6 +119,8 @@ def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
     """
     if len(bank) == 0:
         raise ValidationError("filter bank is empty")
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(rng_seed)
     lower, upper = math.inf, -math.inf
     argmin_pair = argmax_pair = None
@@ -166,6 +167,8 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
     the feature gap (sup norm) stays within the threshold.  Expected zero for
     banks of sufficient size.
     """
+    if trials < 0:
+        raise ValidationError(f"trials must be non-negative, got {trials}")
     rng = np.random.default_rng(rng_seed)
     checked = violations = 0
     report = SeparationReport(trials=trials, checked=0, violations=0)

@@ -59,7 +59,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         return [int(i) for i in np.flatnonzero(vals >= vals.max() - tol)]
 
     if isinstance(group, CyclicShift):
-        corr = groups.cyclic_correlation(x, y)
+        corr = groups.cyclic_scorer(x)(y)
         return [int(a) for a in np.flatnonzero(corr >= corr.max() - tol)]
 
     if isinstance(group, SlidingWindowShift):
@@ -308,7 +308,7 @@ def _colperm_witnesses(group, x, y, tol):
 
 
 def _shift_conjugate_witnesses(x, y, tol):
-    corr_plain, corr_conj = groups.shift_conjugate_scorer(x[None])(y[None])[0, 0]
+    corr_plain, corr_conj = groups.shift_conjugate_scorer(x)(y)
     best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
     out = []
     for conj_flag, corr in ((False, corr_plain), (True, corr_conj)):

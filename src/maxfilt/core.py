@@ -432,18 +432,6 @@ def _mf_enumerated(group: Enumerated, z, x) -> FilterResult:
     return FilterResult(value=best, witnesses=witnesses)
 
 
-def quotient_distance(group: GroupAction, x, y) -> float:
-    """Metric on orbits: ||x - g y|| for a maximizer g of <x, g y>.
-
-    Equal to sqrt(|x|^2 - 2 max_filter(x, y) + |y|^2), but formed from the
-    witness so that nearby orbits do not lose their distance to cancellation.
-    """
-    x = as_operand(group, x)
-    y = as_operand(group, y)
-    g = max_filter(group, x, y).witnesses[0]
-    return norm(x - apply_witness(group, g, y))
-
-
 # ---------------------------------------------------------------------------
 # Batched filter-bank engine
 # ---------------------------------------------------------------------------
@@ -555,6 +543,48 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
 def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
     """Feature vector with entry i = max_filter(group, bank[i], x).value."""
     return bank_values(group, bank, [x])[0]
+
+
+def _vector_norms(v: np.ndarray) -> np.ndarray:
+    """``norm(v[i])`` for every i, bit for bit: the same BLAS dot product of
+    each flattened row with itself (a sum along an axis rounds otherwise)."""
+    flat = v.reshape(len(v), math.prod(v.shape[1:]))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    return np.sqrt(sum(np.matmul(p[:, None, :], p[:, :, None])[:, 0, 0] for p in parts))
+
+
+def quotient_distances(group: GroupAction, X, Y) -> np.ndarray:
+    """(N,) array with entry i = ||X[i] - g Y[i]||, where g is the first
+    witness ``max_filter(group, X[i], Y[i])`` lists (same tie tolerance, same
+    order): the metric on orbits, row against row.
+
+    Equal to sqrt(|x|^2 - 2 max_filter(x, y) + |y|^2), but formed from the
+    witness so that nearby orbits do not lose their distance to
+    cancellation.  Each chunk of rows goes through the kind's paired form in
+    one call (see :mod:`maxfilt.groups`).
+    """
+    from . import groups
+
+    paired = groups.PAIR_KERNELS.get(getattr(group, "kind", None))
+    if paired is None:
+        raise ValidationError(f"unsupported group action: {group!r}")
+    X = as_operands(group, X)
+    Y = as_operands(group, Y)
+    if len(X) != len(Y):
+        raise DimensionMismatch(f"{len(X)} operands paired with {len(Y)}")
+    out = np.empty(len(X))
+    step = _chunk_rows(group, 1)
+    for s in range(0, len(X), step):
+        x, y = X[s:s + step], Y[s:s + step]
+        w = paired(group, x, y, _tie_tolerance(_vector_norms(x), _vector_norms(y)))
+        w = tuple(c[:, None] for c in w) if isinstance(w, tuple) else w[:, None]
+        out[s:s + step] = _vector_norms(x - groups.witness_images(group, w, y)[:, 0])
+    return out
+
+
+def quotient_distance(group: GroupAction, x, y) -> float:
+    """Metric on orbits: ``quotient_distances`` of the one pair (x, y)."""
+    return float(quotient_distances(group, [x], [y])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ such arrays for tuple witnesses); :func:`witness_images` maps stacked
 witnesses back to ``g x``.  They are reached through
 :func:`maxfilt.core.bank_values` and :func:`maxfilt.core.bank_argmax`.
 
+Each kind also has a paired form ``*_pairs(group, Z, X, tol)`` that matches
+row i of Z against row i of X only and returns, stacked over a leading (N,)
+axis, the first witness of every pair; ``tol`` holds the (N,) tie
+tolerances.  It is built from the helpers of the kind's bulk form and is
+reached through :func:`maxfilt.core.quotient_distances`.
+
 The single-pair functions ``mf_*`` (reached through
 :func:`maxfilt.core.max_filter`) run the same kernels at N = K = 1 and, for
 kinds with tie sets, list every witness within the tie tolerance.
@@ -64,24 +70,19 @@ def _unit_phase(w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cyclic_scorer(Z: np.ndarray):
-    """X -> scores[n, k, a] = <Z[k], roll(X[n], a)>: one real FFT of the bank
-    (taken here, once) and one of the inputs, at the exact signal length (no
-    zero-padding) so the correlation wraps at exactly n."""
+    """X -> scores[..., a] = <Z, roll(X, a)> along the last axis, the leading
+    axes of Z and X broadcast (X[:, None] against a bank Z gives every pair;
+    equal leading axes give row against row): one real FFT of Z (taken here,
+    once) and one of X, at the exact signal length (no zero-padding) so the
+    correlation wraps at exactly n."""
     fz, n = np.fft.rfft(Z), Z.shape[-1]
-    return lambda X: np.fft.irfft(fz * np.conj(np.fft.rfft(X))[:, None], n=n)
+    return lambda X: np.fft.irfft(fz * np.conj(np.fft.rfft(X)), n=n)
 
 
-def cyclic_correlation(z: np.ndarray, x: np.ndarray, use_fft: bool = True) -> np.ndarray:
-    """corr[a] = <z, roll(x, a)> over all n circular shifts."""
-    if use_fft:
-        return cyclic_scorer(z[None])(x[None])[0, 0]
-    return np.array([float(z @ np.roll(x, a)) for a in range(len(z))])
-
-
-def mf_cyclic(z, x, use_fft: bool = True) -> FilterResult:
+def mf_cyclic(z, x) -> FilterResult:
     """Max over all circular shifts of the cross-correlation, O(n log n)."""
     z, x = _pair(z, x)
-    corr = cyclic_correlation(z, x, use_fft=use_fft)
+    corr = cyclic_scorer(z)(x)
     best = float(corr.max())
     tol = tie_tolerance(z, x)
     witnesses = [int(a) for a in np.flatnonzero(corr >= best - tol)]
@@ -90,7 +91,11 @@ def mf_cyclic(z, x, use_fft: bool = True) -> FilterResult:
 
 def cyclic_bank(group, Z):
     scores = cyclic_scorer(Z)
-    return lambda X, tol: _first_within(scores(X), tol)
+    return lambda X, tol: _first_within(scores(X[:, None]), tol)
+
+
+def cyclic_pairs(group, Z, X, tol):
+    return _first_within(cyclic_scorer(Z)(X), tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +133,13 @@ def sort_bank(group, Z):
     return _rank_matcher(Z, getattr(group, "patches", None))
 
 
+def sort_pairs(group, Z, X, tol):
+    """The witness of :func:`_rank_matcher`, row against row."""
+    patches = getattr(group, "patches", None)
+    rank = np.argsort(_descending_order(Z, patches), axis=-1)
+    return np.take_along_axis(_descending_order(X, patches), rank, axis=-1)
+
+
 def mf_sort_permutation(z, x) -> FilterResult:
     """<sort(z), sort(x)> with both sorted descending; O(d log d).
 
@@ -148,10 +160,20 @@ def signed_sort_bank(group, Z):
         values, perm = match(np.abs(X), tol)
         if perm is None:
             return values, None
-        signs = sign_z * np.sign(np.take_along_axis(X[:, None], perm, -1))
-        signs[signs == 0] = 1.0
-        return values, (perm, signs)
+        return values, (perm, _matched_signs(sign_z, np.take_along_axis(X[:, None], perm, -1)))
     return evaluate
+
+
+def _matched_signs(sign_z: np.ndarray, matched_x: np.ndarray) -> np.ndarray:
+    """Signs making every matched pair contribute |z_i||x_j|; +1 at zeros."""
+    signs = sign_z * np.sign(matched_x)
+    signs[signs == 0] = 1.0
+    return signs
+
+
+def signed_sort_pairs(group, Z, X, tol):
+    perm = sort_pairs(group, np.abs(Z), np.abs(X), tol)
+    return perm, _matched_signs(np.sign(Z), np.take_along_axis(X, perm, -1))
 
 
 def mf_signed_permutation(z, x) -> FilterResult:
@@ -167,8 +189,13 @@ def sign_flips_bank(group, Z):
 
     def evaluate(X, tol):
         values = np.abs(X) @ abs_z
-        return values, None if tol is None else np.where(Z[None] * X[:, None] >= 0, 1.0, -1.0)
+        return values, None if tol is None else sign_flips_pairs(group, Z[None], X[:, None], tol)
     return evaluate
+
+
+def sign_flips_pairs(group, Z, X, tol):
+    """The sign vector aligning X with Z entry by entry (+1 where either is 0)."""
+    return np.where(Z * X >= 0, 1.0, -1.0)
 
 
 def mf_sign_flips(z, x) -> FilterResult:
@@ -196,21 +223,30 @@ def orthogonal_bank(group, Z):
     """|z| |x| for every pair; witness: the reflection sending x/|x| to
     z/|z|, or the identity when either vanishes or the two coincide."""
     nz = _row_norms(Z)
-    eye = np.eye(Z.shape[-1])
 
     def evaluate(X, tol):
         nx = _row_norms(X)
         values = nx[:, None] * nz[None, :]
         if tol is None:
             return values, None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = (X / nx[:, None])[:, None] - (Z / nz[:, None])[None]
-            nw = np.linalg.norm(w, axis=-1)
-            w = w / nw[..., None]
-        reflect = (nx[:, None] > 0) & (nz[None, :] > 0) & (nw > 1e-14)
-        g = np.where(reflect[..., None, None], eye - 2.0 * w[..., :, None] * w[..., None, :], eye)
-        return values, g
+        return values, _reflections(Z, nz, X[:, None], nx[:, None])
     return evaluate
+
+
+def _reflections(Z, nz, X, nx) -> np.ndarray:
+    """The reflection sending X/|X| to Z/|Z| (norms nx, nz given; leading
+    axes broadcast), or the identity where either vanishes or they coincide."""
+    eye = np.eye(Z.shape[-1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w = X / nx[..., None] - Z / nz[..., None]
+        nw = np.linalg.norm(w, axis=-1)
+        w = w / nw[..., None]
+    reflect = (nx > 0) & (nz > 0) & (nw > 1e-14)
+    return np.where(reflect[..., None, None], eye - 2.0 * w[..., :, None] * w[..., None, :], eye)
+
+
+def orthogonal_pairs(group, Z, X, tol):
+    return _reflections(Z, _row_norms(Z), X, _row_norms(X))
 
 
 def mf_orthogonal(z, x) -> FilterResult:
@@ -225,16 +261,23 @@ def left_orthogonal_bank(group, Z):
     witness: the orthogonal polar factor R = V U^T, so that <z, R x> equals
     the sum of singular values."""
     zt = np.swapaxes(Z, -1, -2)[None]
+    return lambda X, tol: _polar(np.matmul(X[:, None], zt), tol is not None)
 
-    def evaluate(X, tol):
-        try:
-            u, s, vt = np.linalg.svd(np.matmul(X[:, None], zt))
-        except np.linalg.LinAlgError as exc:
-            raise NumericFailure(f"SVD did not converge: {exc}") from exc
-        if tol is None:
-            return s.sum(axis=-1), None
-        return s.sum(axis=-1), np.swapaxes(vt, -1, -2) @ np.swapaxes(u, -1, -2)
-    return evaluate
+
+def _polar(P: np.ndarray, witnesses: bool) -> tuple:
+    """Nuclear norms of the stacked k x k matrices P and, if asked, their
+    orthogonal polar factors R = V U^T (so that <z, R x> = |x z^T|_*)."""
+    try:
+        u, s, vt = np.linalg.svd(P)
+    except np.linalg.LinAlgError as exc:
+        raise NumericFailure(f"SVD did not converge: {exc}") from exc
+    if not witnesses:
+        return s.sum(axis=-1), None
+    return s.sum(axis=-1), np.swapaxes(vt, -1, -2) @ np.swapaxes(u, -1, -2)
+
+
+def left_orthogonal_pairs(group, Z, X, tol):
+    return _polar(np.matmul(X, np.swapaxes(Z, -1, -2)), True)[1]
 
 
 def mf_left_orthogonal(z, x) -> FilterResult:
@@ -260,6 +303,11 @@ def column_permutation_bank(group, Z):
     return evaluate
 
 
+def column_permutation_pairs(group, Z, X, tol):
+    """One (N, n, n) stack of profit matrices, one per row, for one solve."""
+    return max_profit_assignments(np.matmul(np.swapaxes(Z, -1, -2), X))[1]
+
+
 def mf_column_permutation(z, x) -> FilterResult:
     """Maximum-profit linear assignment over column permutations, O(n^3)."""
     z, x = _pair(z, x)
@@ -282,6 +330,11 @@ def phase_bank(group, Z):
     return evaluate
 
 
+def phase_pairs(group, Z, X, tol):
+    """z^* x row against row, by the same dot product as ``X @ conj_z``."""
+    return _unit_phase(np.matmul(X[:, None, :], np.conj(Z)[:, :, None])[:, 0, 0])
+
+
 def mf_phase(z, x) -> FilterResult:
     """|z^* x| over the unit phase circle; witness is the optimal phase c."""
     z, x = _pair(z, x, complex)
@@ -290,27 +343,33 @@ def mf_phase(z, x) -> FilterResult:
 
 
 def shift_conjugate_scorer(Z: np.ndarray):
-    """X -> scores[n, k, c, a] = Z[k]^* roll(Y, a) with Y = X[n] for c = 0
-    and Y = conj(X[n]) for c = 1: one FFT of the bank (taken here, once) and
-    two of the inputs."""
-    fz = np.fft.fft(np.conj(Z))[None, :, None]
+    """X -> scores[..., c, a] = Z^* roll(Y, a) with Y = X for c = 0 and
+    Y = conj(X) for c = 1, the leading axes of Z and X broadcast as in
+    :func:`cyclic_scorer`: one FFT of Z (taken here, once) and two of X."""
+    fz = np.fft.fft(np.conj(Z))[..., None, :]
     return lambda X: np.fft.ifft(
-        fz * np.conj(np.stack([np.fft.fft(np.conj(X)), np.fft.fft(X)], axis=1))[:, None])
+        fz * np.conj(np.stack([np.fft.fft(np.conj(X)), np.fft.fft(X)], axis=-2)))
+
+
+def _shift_conjugate_first(corr: np.ndarray, tol) -> tuple:
+    """Best |score| over the (..., 2, n) scores and, unless tol is None, the
+    first (shift, conjugation flag, unit phase) within tol of it."""
+    n = corr.shape[-1]
+    corr = corr.reshape(corr.shape[:-2] + (2 * n,))
+    best, first = _first_within(np.abs(corr), tol)
+    if first is None:
+        return best, None
+    w = np.take_along_axis(corr, first[..., None], -1)[..., 0]
+    return best, (first % n, first >= n, _unit_phase(w))
 
 
 def shift_conjugate_bank(group, Z):
     scores = shift_conjugate_scorer(Z)
+    return lambda X, tol: _shift_conjugate_first(scores(X[:, None]), tol)
 
-    def evaluate(X, tol):
-        corr = scores(X)
-        n = corr.shape[-1]
-        corr = corr.reshape(corr.shape[:2] + (2 * n,))
-        best, first = _first_within(np.abs(corr), tol)
-        if first is None:
-            return best, None
-        w = np.take_along_axis(corr, first[..., None], -1)[..., 0]
-        return best, (first % n, first >= n, _unit_phase(w))
-    return evaluate
+
+def shift_conjugate_pairs(group, Z, X, tol):
+    return _shift_conjugate_first(shift_conjugate_scorer(Z)(X), tol)[1]
 
 
 def mf_shift_conjugate(z, x) -> FilterResult:
@@ -321,7 +380,7 @@ def mf_shift_conjugate(z, x) -> FilterResult:
     planar curves encoded as complex signals.
     """
     z, x = _pair(z, x, complex)
-    corr = shift_conjugate_scorer(z[None])(x[None])[0, 0]
+    corr = shift_conjugate_scorer(z)(x)
     mag = np.abs(corr)
     tol = tie_tolerance(z, x)
     best = float(mag.max())
@@ -366,7 +425,7 @@ def window_scorer(Z: np.ndarray) -> tuple:
     by circular correlation along the slice axis: one real FFT along T of
     the bank (taken here, once) and of the inputs, summed over c and w.
     """
-    occupied = np.abs(Z).sum(axis=(1, 2)) > 0                  # (K, T)
+    occupied = _occupied_slices(Z)                             # (K, T)
     t0 = occupied.argmax(axis=1)
     multi = np.flatnonzero(occupied.sum(axis=1) > 1)
     single = np.flatnonzero(occupied.sum(axis=1) <= 1)
@@ -380,11 +439,21 @@ def window_scorer(Z: np.ndarray) -> tuple:
     def scores(X):
         out = np.empty((len(X), len(Z), t))
         out[:, single] = window_scores(slices, X)
-        fx = np.conj(np.fft.rfft(X, axis=-1))
-        corr = np.fft.irfft(np.einsum("mcwf,ncwf->nmf", fz, fx), n=t)
-        out[:, multi] = np.take_along_axis(corr, back[None], axis=-1)
+        out[:, multi] = np.take_along_axis(_slice_correlation(fz, X[:, None]), back[None], axis=-1)
         return out
     return scores, t0
+
+
+def _occupied_slices(Z: np.ndarray) -> np.ndarray:
+    """occupied[..., t]: whether template Z has a nonzero entry on slice t."""
+    return np.abs(Z).sum(axis=(-3, -2)) > 0
+
+
+def _slice_correlation(fz: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """corr[..., a] = <Z, roll(X, a)> along the slice axis, from the real FFTs
+    fz of the templates Z along that axis; leading axes broadcast."""
+    fx = np.conj(np.fft.rfft(X, axis=-1))
+    return np.fft.irfft(np.einsum("...cwf,...cwf->...f", fz, fx), n=X.shape[-1])
 
 
 def sliding_window_bank(group, Z):
@@ -394,6 +463,16 @@ def sliding_window_bank(group, Z):
         best, first = _first_within(scores(X), tol)
         return best, None if first is None else (t0 - first) % X.shape[-1]
     return evaluate
+
+
+def sliding_window_pairs(group, Z, X, tol):
+    """The scores of :func:`window_scorer` row against row, every template
+    matched by correlation along the slice axis."""
+    t = X.shape[-1]
+    t0 = _occupied_slices(Z).argmax(axis=-1)
+    back = (t0[:, None] - np.arange(t)) % t                   # shift of each position
+    scores = np.take_along_axis(_slice_correlation(np.fft.rfft(Z, axis=-1), X), back, axis=-1)
+    return (t0 - _first_within(scores, tol)[1]) % t
 
 
 def mf_sliding_window(z, x) -> FilterResult:
@@ -418,16 +497,26 @@ def mf_sliding_window(z, x) -> FilterResult:
 # Explicit finite groups
 # ---------------------------------------------------------------------------
 
+def _pulled_back(mats: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """M_g^T Z[k] for every template and element: (K, |G|, d)."""
+    return np.einsum("gij,ki->kgj", mats, Z)
+
+
 def enumerated_scorer(mats: np.ndarray, Z: np.ndarray):
     """X -> scores[n, k, g] = <Z[k], M_g X[n]>: one matmul against the
     M_g^T Z[k], formed here, once."""
-    gz = np.einsum("gij,ki->kgj", mats, Z).reshape(-1, Z.shape[-1]).T
+    gz = _pulled_back(mats, Z).reshape(-1, Z.shape[-1]).T
     return lambda X: (X @ gz).reshape(len(X), len(Z), len(mats))
 
 
 def enumerated_bank(group, Z):
     scores = enumerated_scorer(np.stack(group.matrices), Z)
     return lambda X, tol: _first_within(scores(X), tol)
+
+
+def enumerated_pairs(group, Z, X, tol):
+    scores = np.matmul(_pulled_back(np.stack(group.matrices), Z), X[:, :, None])[..., 0]
+    return _first_within(scores, tol)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +536,22 @@ BANK_KERNELS = {
     "shiftconj": shift_conjugate_bank,
     "patchperm": sort_bank,
     "window": sliding_window_bank,
+}
+
+
+PAIR_KERNELS = {
+    "enumerated": enumerated_pairs,
+    "cyclic": cyclic_pairs,
+    "perm": sort_pairs,
+    "signedperm": signed_sort_pairs,
+    "signflips": sign_flips_pairs,
+    "orth": orthogonal_pairs,
+    "leftorth": left_orthogonal_pairs,
+    "colperm": column_permutation_pairs,
+    "phase": phase_pairs,
+    "shiftconj": shift_conjugate_pairs,
+    "patchperm": sort_pairs,
+    "window": sliding_window_pairs,
 }
 
 

@@ -46,8 +46,22 @@ class TestLipschitz:
         with pytest.raises(mf.ValidationError):
             estimate_lipschitz(sign_group(2), [], samples=10, rng_seed=0)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        group = mf.CyclicShift(4)
+        with pytest.raises(mf.ValidationError, match="samples"):
+            estimate_lipschitz(group, random_bank(group, 2, rng_seed=0), samples, rng_seed=0)
+
 
 class TestSeparation:
+    def test_negative_trials_rejected(self):
+        group = mf.CyclicShift(4)
+        bank = random_bank(group, 2, rng_seed=0)
+        with pytest.raises(mf.ValidationError, match="trials"):
+            separation_test(group, bank, trials=-5, rng_seed=0)
+        report = separation_test(group, bank, trials=0, rng_seed=0)
+        assert (report.checked, report.violations) == (0, 0)
+
     def test_cyclic_with_double_dimension_bank(self):
         group = mf.CyclicShift(4)
         bank = random_bank(group, 8, rng_seed=6)

@@ -211,6 +211,16 @@ class TestAnalysisCommands:
         doc = json.loads(out)
         assert 0 < doc["lower_est"] <= doc["upper_est"] <= doc["theory_upper"] + 1e-6
 
+    @pytest.mark.parametrize("argv", [("separation", "--trials", "-5"),
+                                      ("lipschitz", "--samples", "0"),
+                                      ("lipschitz", "--samples", "-1")])
+    def test_counts_below_range_exit_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], "--group", "perm:4", "--n", "4",
+                                 "--seed", "0", *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert argv[1].lstrip("-") in err
+
     def test_config_hash_does_not_depend_on_the_machine(self, capsys, monkeypatch):
         hashes = []
         for cpus in (1, 8):

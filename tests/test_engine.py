@@ -1,6 +1,6 @@
 """The batched filter-bank engine against per-call evaluation and the oracle,
 training on the engine against the per-call training loop, and the witness
-form of the quotient distance."""
+form of the quotient distance, in bulk against one pair at a time."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maxfilt as mf
-from maxfilt import calculus
+from maxfilt import calculus, groups
 from maxfilt.analysis import random_bank, random_template, sample_point
 from maxfilt.groups import mf_sort_permutation, template_slice_index
 from maxfilt.pipeline import (LabeledDataset, TrainConfig, make_planted_window_dataset,
@@ -331,6 +331,113 @@ def test_quotient_distance_keeps_small_distances_at_large_norm(distance):
     y = np.roll(base, 37)
     got = mf.quotient_distance(mf.CyclicShift(256), x, y)
     assert got == pytest.approx(float(np.linalg.norm(offset)), rel=1e-6)
+
+
+def per_pair_distances(group, X, Y):
+    """The per-pair route: the first witness ``max_filter`` lists, its image
+    and the norm of the difference, one pair at a time."""
+    witnesses, dists = [], []
+    for x, y in zip(X, Y):
+        g = mf.max_filter(group, x, y).witnesses[0]
+        witnesses.append(g)
+        dists.append(mf.core.norm(x - mf.apply_witness(group, g, y)))
+    return witnesses, np.array(dists)
+
+
+def paired_witnesses(group, X, Y):
+    tol = np.array([mf.core.tie_tolerance(x, y) for x, y in zip(X, Y)])
+    return groups.PAIR_KERNELS[group.kind](group, X, Y, tol)
+
+
+def assert_paired_matches_per_pair(group, X, Y):
+    """First witnesses and distances ``==``; the continuous kinds included,
+    as their paired forms repeat the per-pair floating-point operations."""
+    X, Y = mf.core.as_operands(group, X), mf.core.as_operands(group, Y)
+    want_w, want_d = per_pair_distances(group, X, Y)
+    got_w = paired_witnesses(group, X, Y)
+    for i, want in enumerate(want_w):
+        got = tuple(w[i] for w in got_w) if isinstance(got_w, tuple) else got_w[i]
+        if isinstance(want, tuple):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (i, got, want)
+        else:
+            assert np.array_equal(got, want), (i, got, want)
+    got_d = mf.quotient_distances(group, X, Y)
+    assert got_d.shape == (len(X),)
+    np.testing.assert_array_equal(got_d, want_d)
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_quotient_distances_match_per_pair(kind, data):
+    # Dyadic tie-heavy, constant, zero and equal operands, at norms up to
+    # about 1e4; X rows sometimes sit on one slice (window).
+    group = GROUPS[kind]
+    scale = data.draw(st.sampled_from([1.0, 1024.0, 4096.0]))
+    n = data.draw(st.integers(1, 4))
+    X = [draw_operand(data, group, scale, data.draw(st.booleans())) for _ in range(n)]
+    Y = [x.copy() if data.draw(st.booleans()) else draw_operand(data, group, scale, False)
+         for x in X]
+    assert_paired_matches_per_pair(group, X, Y)
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_quotient_distances_match_per_pair_in_bulk(kind):
+    # 45 pairs: over the lockstep solver's threshold for colperm.  Half the
+    # pairs are rounded to a coarse grid, so ties are common.
+    group = GROUPS[kind]
+    rng = np.random.default_rng(25)
+    X = [sample_point(group, rng) for _ in range(45)]
+    Y = [sample_point(group, rng) for _ in range(45)]
+    for i in range(0, 45, 2):
+        X[i], Y[i] = np.round(2.0 * X[i]) / 2.0, np.round(2.0 * Y[i]) / 2.0
+    X[1] = np.zeros_like(X[1])
+    Y[3] = X[3]
+    assert_paired_matches_per_pair(group, X, Y)
+
+
+@pytest.mark.parametrize("group", [mf.CyclicShift(96), mf.ShiftAndConjugate(96),
+                                   mf.SlidingWindowShift(2, 2, 96)], ids=lambda g: g.kind)
+def test_quotient_distances_break_exact_ties_like_max_filter(group):
+    # Operands of period 12 along the shift axis tie exactly at every 12th
+    # shift, and the FFT at n = 96 rounds those scores apart: only the tie
+    # tolerance picks the same first witness as max_filter.
+    rng = np.random.default_rng(27)
+    point = sample_point(group, rng)
+
+    def periodic():
+        v = np.tile(rng.integers(-4, 5, point.shape[:-1] + (12,)) / 2.0, 8)
+        return v + 1j * np.roll(v, 1) if np.iscomplexobj(point) else v
+    assert_paired_matches_per_pair(group, [periodic() for _ in range(20)],
+                                   [periodic() for _ in range(20)])
+
+
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_quotient_distances_chunk_and_empty(kind, monkeypatch):
+    group = GROUPS[kind]
+    rng = np.random.default_rng(26)
+    X = np.stack([sample_point(group, rng) for _ in range(11)])
+    Y = np.stack([sample_point(group, rng) for _ in range(11)])
+    whole = mf.quotient_distances(group, X, Y)
+    assert mf.quotient_distances(group, X[:0], Y[:0]).shape == (0,)
+    assert mf.quotient_distance(group, X[0], Y[0]) == whole[0]
+    monkeypatch.setattr(mf.core, "_BULK", 1)
+    assert mf.core._chunk_rows(group, 1) == 1
+    np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
+    monkeypatch.setattr(mf.core, "_BULK", 4 * mf.core._PAIR_WIDTH.get(
+        kind, lambda group: group.dim)(group))
+    assert mf.core._chunk_rows(group, 1) == 4
+    np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
+
+
+def test_quotient_distances_validate_operands():
+    group = mf.CyclicShift(4)
+    with pytest.raises(mf.DimensionMismatch):
+        mf.quotient_distances(group, np.zeros((2, 4)), np.zeros((3, 4)))
+    with pytest.raises(mf.DimensionMismatch):
+        mf.quotient_distances(group, np.zeros((2, 4)), np.zeros((2, 5)))
+    with pytest.raises(mf.ValidationError):
+        mf.quotient_distances(group, np.zeros((1, 4)), [[0.0, np.inf, 0.0, 0.0]])
 
 
 @pytest.mark.parametrize("kind", ["leftorth", "phase", "colperm"])

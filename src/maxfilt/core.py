@@ -357,6 +357,8 @@ def as_operands(group: GroupAction, xs) -> np.ndarray:
         arr = np.asarray(xs, dtype=dtype)
     except ValueError as exc:
         raise DimensionMismatch(f"operands do not all have shape {shape}") from exc
+    if arr.shape == (0,):                       # an empty sequence: no rows
+        arr = arr.reshape((0,) + shape)
     if arr.shape[1:] != shape or arr.ndim != len(shape) + 1:
         raise DimensionMismatch(f"expected operands of shape {shape}, got {arr.shape[1:]}")
     if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
@@ -464,8 +466,17 @@ _PAIR_WIDTH = {
 }
 
 
-def _chunk_rows(group: GroupAction, n_templates: int) -> int:
-    width = _PAIR_WIDTH.get(group.kind, lambda group: group.dim)(group)
+# The same per pair of the paired forms (``quotient_distances``).  The window
+# form correlates whole operands along the slice axis, so a pair holds its
+# operands and their c*w*(T/2+1) complex FFT entries (two float64 each).
+_PAIRED_WIDTH = {
+    **_PAIR_WIDTH,
+    "window": lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
+}
+
+
+def _chunk_rows(group: GroupAction, n_templates: int, widths: dict = _PAIR_WIDTH) -> int:
+    width = widths.get(group.kind, lambda group: group.dim)(group)
     return max(1, _BULK // (n_templates * width))
 
 
@@ -478,22 +489,31 @@ def _concat(parts: list):
 def _bank(group: GroupAction, bank, xs, witnesses: bool) -> tuple:
     from . import groups
 
-    kernel = groups.BANK_KERNELS.get(getattr(group, "kind", None))
-    if kernel is None:
+    if getattr(group, "kind", None) not in groups.BANK_KERNELS:
         raise ValidationError(f"unsupported group action: {group!r}")
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
-    evaluate = kernel(group, Z)
+    return _evaluate(group, Z, X, _row_norms(X) if witnesses else None)
+
+
+def _evaluate(group: GroupAction, Z: np.ndarray, X: np.ndarray, nx) -> tuple:
+    """The engine on validated operands: ``(values, witnesses)`` of the bank
+    Z on the inputs X, chunk by chunk.  ``nx`` holds the row norms of X for
+    the tie tolerances; ``None`` asks for values only (witnesses ``None``).
+    Row norms do not depend on the chunking, so callers that evaluate the
+    same inputs again take them once."""
+    from . import groups
+
+    evaluate = groups.BANK_KERNELS[group.kind](group, Z)
     nz = _row_norms(Z)
     step = _chunk_rows(group, len(Z))
     values, wits = [], []
     for s in range(0, max(len(X), 1), step):
-        chunk = X[s:s + step]
-        tol = _tie_tolerance(nz[None, :], _row_norms(chunk)[:, None]) if witnesses else None
-        v, w = evaluate(chunk, tol)
+        tol = None if nx is None else _tie_tolerance(nz[None, :], nx[s:s + step, None])
+        v, w = evaluate(X[s:s + step], tol)
         values.append(v)
         wits.append(w)
-    return np.concatenate(values), _concat(wits) if witnesses else None
+    return np.concatenate(values), None if nx is None else _concat(wits)
 
 
 def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
@@ -518,11 +538,16 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
     Sliding-window templates must stay on one slice, so for that kind only
     each template's own slice of the sum is formed (the rest is zero).
     """
-    from . import groups
-
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
-    coef = np.asarray(coef, dtype=float)
+    return _subgradient(group, Z, X, witnesses, np.asarray(coef, dtype=float))
+
+
+def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
+                 coef: np.ndarray) -> np.ndarray:
+    """:func:`bank_subgradient` on validated operands."""
+    from . import groups
+
     out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
     used = np.flatnonzero(np.any(coef != 0, axis=1))
     if isinstance(group, SlidingWindowShift):
@@ -573,7 +598,7 @@ def quotient_distances(group: GroupAction, X, Y) -> np.ndarray:
     if len(X) != len(Y):
         raise DimensionMismatch(f"{len(X)} operands paired with {len(Y)}")
     out = np.empty(len(X))
-    step = _chunk_rows(group, 1)
+    step = _chunk_rows(group, 1, _PAIRED_WIDTH)
     for s in range(0, len(X), step):
         x, y = X[s:s + step], Y[s:s + step]
         w = paired(group, x, y, _tie_tolerance(_vector_norms(x), _vector_norms(y)))

@@ -21,7 +21,7 @@ from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
                    FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
                    PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
                    SignedPermutation, SlidingWindowShift, ValidationError,
-                   as_operands, bank_argmax, bank_subgradient, bank_values,
+                   _bank_operands, _evaluate, _row_norms, _subgradient, as_operands,
                    filter_bank_apply)
 from .templates import HermiteSpec, Template, _hermite_grid
 
@@ -372,12 +372,14 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     """Jointly optimize max-filter templates and a linear hinge classifier by
     projected subgradient descent (step eta_0 / sqrt(t), full batch).
 
-    Each epoch evaluates the whole bank on all samples in one engine call
-    (:func:`maxfilt.core.bank_argmax`) and forms the template subgradients
-    from its witnesses.  Templates for the sliding-window group stay
-    supported on their initial slice.  The returned model holds the averaged
-    iterates; the loss history of the running iterate and the initial/final
-    losses of the averaged one are recorded in the config snapshot.
+    The samples are validated and their norms taken once; each epoch then
+    evaluates the whole bank on all of them in one engine call (what
+    :func:`maxfilt.core.bank_argmax` runs) and forms the template
+    subgradients from its witnesses.  Templates for the sliding-window group
+    stay supported on their initial slice.  The returned model holds the
+    averaged iterates; the loss history of the running iterate and the
+    initial/final losses of the averaged one are recorded in the config
+    snapshot.
     """
     config = config or TrainConfig()
     labels = dataset.labels
@@ -386,6 +388,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         raise ValidationError("hinge training requires exactly two classes")
     y = np.array([1.0 if l == classes[1] else -1.0 for l in labels])
     xs = as_operands(group, dataset.raws)
+    nx = _row_norms(xs)
     rng = np.random.default_rng(config.rng_seed)
     templates = np.stack([random_template(group, rng) for _ in range(n_templates)])
     # Alternating nonzero weights break the cold start: template subgradients
@@ -393,14 +396,19 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     w = np.array([(-1.0) ** i for i in range(n_templates)]) / n_templates
     b = 0.0
 
-    initial_loss = _hinge_loss(bank_values(group, templates, xs), y, w, b, config.ridge)
+    def loss_at(zs, w, b):
+        feats = _evaluate(group, _bank_operands(group, zs), xs, None)[0]
+        return _hinge_loss(feats, y, w, b, config.ridge)
+
+    initial_loss = loss_at(templates, w, b)
     w_sum = np.zeros_like(w)
     b_sum = 0.0
     z_sum = np.zeros_like(templates)
     history = []
     n = len(xs)
     for t in range(1, config.epochs + 1):
-        feats, witnesses = bank_argmax(group, templates, xs)
+        Z = _bank_operands(group, templates)      # templates change every epoch
+        feats, witnesses = _evaluate(group, Z, xs, nx)
         loss = _hinge_loss(feats, y, w, b, config.ridge)
         if not math.isfinite(loss):
             raise NumericFailure("training diverged (non-finite loss)")
@@ -412,7 +420,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         eta = config.learning_rate / math.sqrt(t)
         if not config.freeze_templates:
             coef = -(active * y)[:, None] * w[None, :]
-            gz = bank_subgradient(group, templates, xs, witnesses, coef) / n
+            gz = _subgradient(group, Z, xs, witnesses, coef) / n
             templates = templates - eta * gz
         w = w - eta * gw
         b = b - eta * gb
@@ -423,7 +431,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     w_avg = w_sum / config.epochs
     b_avg = b_sum / config.epochs
     z_avg = z_sum / config.epochs
-    final_loss = _hinge_loss(bank_values(group, z_avg, xs), y, w_avg, b_avg, config.ridge)
+    final_loss = loss_at(z_avg, w_avg, b_avg)
     tmpl = [Template(vector=z, group_kind=group.kind, label=f"trained-{i}")
             for i, z in enumerate(z_avg)]
     return PipelineModel(

@@ -292,6 +292,23 @@ class TestTrainPredict:
         assert code == 0, err
         assert json.loads(out)["label"] in ("mi", "ok")
 
+    def test_train_rejects_non_finite_samples(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        motif = rng.standard_normal((2, 6))
+        entries = [self._write_ecg(tmp_path, rng, ("mi", "ok")[i % 2], f"s{i}.csv", motif)
+                   for i in range(4)]
+        mat = np.loadtxt(str(tmp_path / "s2.csv"), delimiter=",", ndmin=2)
+        mat[1, 5] = np.nan
+        np.savetxt(str(tmp_path / "s2.csv"), mat, delimiter=",")
+        manifest = write_json(tmp_path / "manifest.json", {"samples": entries})
+        code, out, err = run_cli(capsys, "train", "--data", manifest,
+                                 "--group", "window:6x19", "--templates", "2",
+                                 "--epochs", "3", "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert code == 3
+        assert "NaN" in err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestDistrictCommand:
     def test_csv_emission(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ training on the engine against the per-call training loop, and the witness
 form of the quotient distance, in bulk against one pair at a time."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import maxfilt as mf
 from maxfilt import calculus, groups
 from maxfilt.analysis import random_bank, random_template, sample_point
 from maxfilt.groups import mf_sort_permutation, template_slice_index
-from maxfilt.pipeline import (LabeledDataset, TrainConfig, make_planted_window_dataset,
-                              train_svm_templates)
+from maxfilt.pipeline import (LabeledDataset, TrainConfig, _hinge_loss,
+                              make_planted_window_dataset, train_svm_templates)
 from maxfilt.templates import unit_sphere_vectors
 
 from conftest import permutation_matrices, sign_group
@@ -193,6 +194,15 @@ def test_engine_accepts_no_inputs(kind):
     values, witnesses = mf.bank_argmax(group, bank, X)
     assert values.shape == (0, 2)
     assert not np.any(mf.bank_subgradient(group, bank, X, witnesses, np.zeros((0, 2))))
+    # An empty list has no row shape of its own: it is no inputs, as X is.
+    empty = mf.core.as_operands(group, [])
+    assert empty.shape == X.shape and empty.dtype == X.dtype
+    np.testing.assert_array_equal(mf.bank_values(group, bank, []), values)
+    got = mf.bank_argmax(group, bank, [])
+    np.testing.assert_array_equal(got[0], values)
+    for g, w in zip(*(v if isinstance(v, tuple) else (v,) for v in (got[1], witnesses))):
+        assert g.shape == w.shape and g.dtype == w.dtype
+    assert not np.any(mf.bank_subgradient(group, bank, [], got[1], np.zeros((0, 2))))
 
 
 def test_engine_validates_operands():
@@ -205,6 +215,23 @@ def test_engine_validates_operands():
         mf.bank_values(group, np.ones((2, 4)), [[0.0, np.nan, 0.0, 0.0]])
     with pytest.raises(mf.ValidationError):
         mf.bank_values(group, [mf.Template(np.ones(4), group_kind="perm")], np.zeros((1, 4)))
+    group = mf.SlidingWindowShift(2, 3, 5)
+    Z = np.stack([t.vector for t in random_bank(group, 2, rng_seed=8)])
+    X = np.random.default_rng(8).standard_normal((3,) + group.shape)
+    _, witnesses = mf.bank_argmax(group, Z, X)
+    coef = np.ones((3, 2))
+    bad = X.copy()
+    bad[1, 0, 2, 4] = np.nan
+    with pytest.raises(mf.ValidationError):
+        mf.bank_argmax(group, Z, bad)
+    with pytest.raises(mf.ValidationError):
+        mf.bank_subgradient(group, Z, bad, witnesses, coef)
+    bad = Z.copy()
+    bad[0, 1, 1, 0] = np.inf
+    with pytest.raises(mf.ValidationError):
+        mf.bank_argmax(group, bad, X)
+    with pytest.raises(mf.ValidationError):
+        mf.bank_subgradient(group, bad, X, witnesses, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +320,72 @@ def test_training_matches_per_call_loop(case):
     assert model.config["final_loss"] == pytest.approx(final, rel=1e-9)
     for t, z in zip(model.templates, z_avg):
         np.testing.assert_allclose(t.vector, z, rtol=1e-9, atol=1e-12)
+
+
+def public_call_training(dataset, group, n_templates, config):
+    """``train_svm_templates`` written with the public engine calls, which
+    validate the samples and take their norms again on every epoch."""
+    classes = sorted(set(dataset.labels))
+    y = np.array([1.0 if l == classes[1] else -1.0 for l in dataset.labels])
+    xs = dataset.raws
+    rng = np.random.default_rng(config.rng_seed)
+    templates = np.stack([random_template(group, rng) for _ in range(n_templates)])
+    w = np.array([(-1.0) ** i for i in range(n_templates)]) / n_templates
+    b = 0.0
+    initial = _hinge_loss(mf.bank_values(group, templates, xs), y, w, b, config.ridge)
+    w_sum, b_sum, z_sum = np.zeros_like(w), 0.0, np.zeros_like(templates)
+    history = []
+    for t in range(1, config.epochs + 1):
+        feats, witnesses = mf.bank_argmax(group, templates, xs)
+        history.append(_hinge_loss(feats, y, w, b, config.ridge))
+        active = y * (feats @ w + b) < 1.0
+        gw = 2.0 * config.ridge * w - (feats * (active * y)[:, None]).mean(axis=0)
+        gb = -float(np.mean(active * y))
+        eta = config.learning_rate / math.sqrt(t)
+        coef = -(active * y)[:, None] * w[None, :]
+        gz = mf.bank_subgradient(group, templates, xs, witnesses, coef) / len(xs)
+        templates = templates - eta * gz
+        w, b = w - eta * gw, b - eta * gb
+        w_sum += w
+        b_sum += b
+        z_sum += templates
+    w_avg, b_avg, z_avg = w_sum / config.epochs, b_sum / config.epochs, z_sum / config.epochs
+    final = _hinge_loss(mf.bank_values(group, z_avg, xs), y, w_avg, b_avg, config.ridge)
+    return z_avg, w_avg, b_avg, history, initial, final
+
+
+@pytest.mark.parametrize("kind", ["window", "colperm", "cyclic"])
+def test_training_matches_public_call_loop_exactly(kind):
+    # Training validates the samples and takes their norms once per run; the
+    # result must be the public per-epoch calls' bit for bit.
+    if kind == "window":
+        group = mf.SlidingWindowShift(2, 3, 15)
+        dataset = make_planted_window_dataset(12, c=2, w=3, t=15, noise=0.1, rng_seed=22)
+    else:
+        group = GROUPS[kind]
+        rng = np.random.default_rng(28)
+        xs = [sample_point(group, rng) * (2.0 if i % 2 else 0.5) for i in range(24)]
+        dataset = LabeledDataset(samples=[(x, "p" if i % 2 else "n") for i, x in enumerate(xs)])
+    config = TrainConfig(epochs=20, learning_rate=0.5, ridge=1e-3, rng_seed=29)
+    model = train_svm_templates(dataset, group, 3, config)
+    z_avg, w_avg, b_avg, history, initial, final = public_call_training(dataset, group, 3, config)
+    assert np.array_equal(np.stack([t.vector for t in model.templates]), z_avg)
+    assert np.array_equal(model.classifier["weights"], w_avg)
+    assert model.classifier["bias"] == b_avg
+    assert model.config["loss_history"] == history
+    assert model.config["initial_loss"] == initial
+    assert model.config["final_loss"] == final
+
+
+def test_training_validates_samples():
+    group = mf.SlidingWindowShift(2, 3, 15)
+    dataset = make_planted_window_dataset(4, c=2, w=3, t=15, noise=0.1, rng_seed=22)
+    raw, label = dataset.samples[3]
+    raw = raw.copy()
+    raw[1, 2, 7] = np.nan
+    dataset.samples[3] = (raw, label)
+    with pytest.raises(mf.ValidationError):
+        train_svm_templates(dataset, group, 2, TrainConfig(epochs=2))
 
 
 def test_window_bank_keeps_its_stream():
@@ -420,14 +513,36 @@ def test_quotient_distances_chunk_and_empty(kind, monkeypatch):
     Y = np.stack([sample_point(group, rng) for _ in range(11)])
     whole = mf.quotient_distances(group, X, Y)
     assert mf.quotient_distances(group, X[:0], Y[:0]).shape == (0,)
+    assert mf.quotient_distances(group, [], []).shape == (0,)
     assert mf.quotient_distance(group, X[0], Y[0]) == whole[0]
+    widths = mf.core._PAIRED_WIDTH
     monkeypatch.setattr(mf.core, "_BULK", 1)
-    assert mf.core._chunk_rows(group, 1) == 1
+    assert mf.core._chunk_rows(group, 1, widths) == 1
     np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
-    monkeypatch.setattr(mf.core, "_BULK", 4 * mf.core._PAIR_WIDTH.get(
-        kind, lambda group: group.dim)(group))
-    assert mf.core._chunk_rows(group, 1) == 4
+    monkeypatch.setattr(mf.core, "_BULK", 4 * widths.get(kind, lambda group: group.dim)(group))
+    assert mf.core._chunk_rows(group, 1, widths) == 4
     np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
+
+
+def test_window_quotient_distances_size_chunks_by_their_ffts(monkeypatch):
+    # The paired window form takes real FFTs of whole operands, so its chunks
+    # are sized by those and not by the bank's score width (which let these
+    # 700 pairs peak at 96 MB).  Validating the operands takes one bool per
+    # entry (4.2 MB here) beside the chunks' 1.6 MB.
+    group = mf.SlidingWindowShift(3, 10, 200)
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((700,) + group.shape)
+    Y = rng.standard_normal((700,) + group.shape)
+    tracemalloc.start()
+    try:
+        chunked = mf.quotient_distances(group, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * mf.core._BULK
+    monkeypatch.setattr(mf.core, "_BULK", len(X) * mf.core._PAIRED_WIDTH["window"](group))
+    assert mf.core._chunk_rows(group, 1, mf.core._PAIRED_WIDTH) == len(X)
+    np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), chunked)
 
 
 def test_quotient_distances_validate_operands():

@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups
-from .core import (GroupAction, LeftOrthogonal, ColumnPermutation, PhaseCircle,
-                   ShiftAndConjugate, SlidingWindowShift, ValidationError,
-                   bank_values, group_order, quotient_distances)
+from .core import (CyclicShift, GroupAction, SlidingWindowShift, ValidationError,
+                   bank_values, group_order, max_filter, quotient_distances)
 from .templates import random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
@@ -28,15 +27,11 @@ _PAIR_BLOCK = 1_000_000
 
 
 def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal draw in the group's ambient space (complex where needed)."""
-    if isinstance(group, (PhaseCircle, ShiftAndConjugate)):
-        n = group.r if isinstance(group, PhaseCircle) else group.n
-        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    if isinstance(group, (LeftOrthogonal, ColumnPermutation)):
-        return rng.standard_normal(group.shape)
-    if isinstance(group, SlidingWindowShift):
-        return rng.standard_normal(group.shape)
-    return rng.standard_normal(group.dim)
+    """Standard normal draw in the group's operand layout; a complex draw
+    takes its real parts first."""
+    dtype, shape = groups.kind_of(group).layout(group)
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if dtype is complex else x
 
 
 def bank_frobenius(bank: Sequence) -> float:
@@ -267,8 +262,8 @@ def diffeo_stability_experiment(h: np.ndarray, f: np.ndarray, warp: Warp,
     slope = warp.slope()
     if slope > 0.5 + 1e-12:
         raise ValidationError(f"warp slope {slope:.3f} exceeds the 1/2 cap")
-    base = groups.mf_cyclic(h, f).value
-    warped = groups.mf_cyclic(h, apply_warp(f, warp)).value
+    base = max_filter(CyclicShift(grid), h, f).value
+    warped = max_filter(CyclicShift(grid), h, apply_warp(f, warp)).value
     gap = abs(base - warped)
     nf = float(np.linalg.norm(f))
     ratio = gap / (nf * slope) if slope > 0 and nf > 0 else 0.0

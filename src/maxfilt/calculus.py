@@ -14,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import (ColumnPermutation, CyclicShift, Enumerated,
-                   EnumerationCapExceeded, FullOrthogonal, FullPermutation,
+from .core import (ColumnPermutation, EnumerationCapExceeded, FullOrthogonal, FullPermutation,
                    LeftOrthogonal, PatchPermutation, PhaseCircle, ShiftAndConjugate,
-                   SignedPermutation, SignFlips, SlidingWindowShift, ValidationError,
-                   apply_witness, as_operand, inner, norm)
+                   SignedPermutation, SignFlips, ValidationError,
+                   apply_witness, as_operand, inner, max_filter, norm)
 
 _PHASE_REPS = (complex(1), complex(0, 1), complex(-1), complex(0, -1))
 
@@ -54,19 +53,8 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     if tol is None:
         tol = default_tie_tolerance(x, y)
 
-    if isinstance(group, Enumerated):
-        vals = groups.enumerated_scorer(np.stack(group.matrices), x[None])(y[None])[0, 0]
-        return [int(i) for i in np.flatnonzero(vals >= vals.max() - tol)]
-
-    if isinstance(group, CyclicShift):
-        corr = groups.cyclic_scorer(x)(y)
-        return [int(a) for a in np.flatnonzero(corr >= corr.max() - tol)]
-
-    if isinstance(group, SlidingWindowShift):
-        score, t0 = groups.window_scorer(x[None])
-        scores = score(y[None])[0, 0]
-        best = scores.max()
-        return [int((t0[0] - p) % group.t) for p in np.flatnonzero(scores >= best - tol)]
+    if group.kind in ("enumerated", "cyclic", "window"):
+        return groups.KINDS[group.kind].ties(group, x, y, tol)[1]
 
     if isinstance(group, SignFlips):
         return _sign_flip_witnesses(x, y, tol, max_witnesses)
@@ -86,7 +74,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
             return _colperm_witnesses(group, x, y, tol)
         # Beyond enumeration scale only the assignment optimum is reported; tie
         # enumeration for degenerate assignment polytopes is not attempted.
-        return list(groups.mf_column_permutation(x, y).witnesses)
+        return max_filter(group, x, y).witnesses
 
     if isinstance(group, PhaseCircle):
         w = np.vdot(x, y)
@@ -97,10 +85,10 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     if isinstance(group, FullOrthogonal):
         if norm(x) == 0 or norm(y) == 0:
             return [np.eye(group.d)]
-        return list(groups.mf_orthogonal(x, y).witnesses)
+        return max_filter(group, x, y).witnesses
 
     if isinstance(group, LeftOrthogonal):
-        return list(groups.mf_left_orthogonal(x, y).witnesses)
+        return max_filter(group, x, y).witnesses
 
     if isinstance(group, ShiftAndConjugate):
         return _shift_conjugate_witnesses(x, y, tol)
@@ -136,8 +124,6 @@ def subgradient(group, x, y, selection: str = "first") -> np.ndarray:
     if selection == "first":
         # Any single maximizer is a valid subgradient, so the specialized
         # evaluation's first witness suffices; no tie enumeration needed.
-        from .core import max_filter
-
         result = max_filter(group, x, y)
         return apply_witness(group, result.witnesses[0], y)
     if selection == "average":
@@ -267,7 +253,7 @@ def _patch_witnesses(group, x, y, tol, cap):
     base = 0.0
     for p in group.patches:
         idx = np.asarray(p)
-        sub = groups.mf_sort_permutation(x[idx], y[idx])
+        sub = max_filter(FullPermutation(len(idx)), x[idx], y[idx])
         base += sub.value
         local = _tie_pairings(x[idx], y[idx], tol, cap)
         locals_perm = []

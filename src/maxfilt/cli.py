@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, analysis, graphs, pipeline, templates as tmod
+from . import __version__, analysis, graphs, groups, pipeline, templates as tmod
 from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
                    FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
                    PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
@@ -104,7 +104,7 @@ def load_operand(path: str, group: GroupAction) -> np.ndarray:
     if isinstance(data, dict) and "vector" in data:
         return tmod.Template.from_dict(data).vector
     arr = np.asarray(data, dtype=float)
-    if isinstance(group, (PhaseCircle, ShiftAndConjugate)):
+    if groups.kind_of(group).dtype is complex:
         if arr.ndim == 2 and arr.shape[1] == 2:
             return arr[:, 0] + 1j * arr[:, 1]
         raise ValidationError("complex operand must be a list of [re, im] pairs")
@@ -118,7 +118,7 @@ def _jsonable(value):
         return value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
@@ -130,23 +130,11 @@ def _jsonable(value):
 
 
 def witness_jsonable(group: GroupAction, witness):
-    if isinstance(group, (Enumerated, CyclicShift, SlidingWindowShift)):
-        return int(witness)
-    if isinstance(group, (FullPermutation, PatchPermutation, ColumnPermutation)):
-        return [int(i) for i in witness]
-    if isinstance(group, SignedPermutation):
-        perm, signs = witness
-        return {"perm": [int(i) for i in perm], "signs": [float(s) for s in signs]}
-    if isinstance(group, SignFlips):
-        return [float(s) for s in witness]
-    if isinstance(group, (FullOrthogonal, LeftOrthogonal)):
-        return np.asarray(witness).tolist()
-    if isinstance(group, PhaseCircle):
-        return [witness.real, witness.imag]
-    if isinstance(group, ShiftAndConjugate):
-        shift, conj, phase = witness
-        return {"shift": int(shift), "conjugate": bool(conj),
-                "phase": [phase.real, phase.imag]}
+    """A witness in JSON: tuple witnesses as objects keyed by the kind's
+    ``witness_keys``, everything else as nested lists and numbers."""
+    keys = groups.kind_of(group).witness_keys
+    if keys:
+        return {key: _jsonable(part) for key, part in zip(keys, witness)}
     return _jsonable(witness)
 
 

@@ -1,7 +1,8 @@
 """Ambient-space data model and the generic max filtering evaluation contract.
 
-A group action is described by a tagged, immutable descriptor; ``max_filter``
-dispatches to a specialized algorithm per kind (see :mod:`maxfilt.groups`).
+A group action is described by a tagged, immutable descriptor; everything
+else about its kind (the specialized algorithms, the operand layout, the
+sampler and the order) sits in one record, ``groups.KINDS[group.kind]``.
 ``brute_force_max_filter`` enumerates group elements (or a dense parameter
 grid for continuous kinds) and is the independent oracle everything else is
 tested against.
@@ -338,21 +339,11 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 # Input validation
 # ---------------------------------------------------------------------------
 
-def _layout(group: GroupAction) -> tuple:
-    """(dtype, shape) of one operand of the group's ambient space."""
-    if isinstance(group, PhaseCircle):
-        return complex, (group.r,)
-    if isinstance(group, ShiftAndConjugate):
-        return complex, (group.n,)
-    if isinstance(group, (LeftOrthogonal, ColumnPermutation, SlidingWindowShift)):
-        return float, group.shape
-    return float, (group.dim,)
-
-
 def as_operands(group: GroupAction, xs) -> np.ndarray:
     """Stack a sequence of operands into one (N, ...) array, validating shape
-    and finiteness."""
-    dtype, shape = _layout(group)
+    and finiteness (a block of rows at a time, so the check's temporary stays
+    within ``_BULK`` entries)."""
+    dtype, shape = groups.kind_of(group).layout(group)
     try:
         arr = np.asarray(xs, dtype=dtype)
     except ValueError as exc:
@@ -361,8 +352,10 @@ def as_operands(group: GroupAction, xs) -> np.ndarray:
         arr = arr.reshape((0,) + shape)
     if arr.shape[1:] != shape or arr.ndim != len(shape) + 1:
         raise DimensionMismatch(f"expected operands of shape {shape}, got {arr.shape[1:]}")
-    if not np.all(np.isfinite(arr.view(float) if arr.dtype == complex else arr)):
-        raise ValidationError("operand contains NaN or infinity")
+    step = max(1, _BULK // math.prod(shape))
+    for s in range(0, len(arr), step):
+        if not np.isfinite(arr[s:s + step]).all():
+            raise ValidationError("operand contains NaN or infinity")
     return arr
 
 
@@ -390,48 +383,29 @@ def max_filter(group: GroupAction, z, x) -> FilterResult:
     """Evaluate ``max_{g in G} <z, g x>`` by the kind's specialized algorithm.
 
     ``z`` is the template, ``x`` the input; both must live in the group's
-    ambient space.  Witnesses are populated where the specialization yields
-    them (all shipped kinds do).
+    ambient space.  Kinds with tie sets list every witness within
+    :func:`tie_tolerance`; the others give the first witness of their bulk
+    form at N = K = 1.  Scalar witness parts are Python ``int``, ``bool``
+    and ``complex``.
     """
-    from . import groups
-
+    kind = groups.kind_of(group)
     z = as_operand(group, z)
     x = as_operand(group, x)
-    if isinstance(group, Enumerated):
-        return _mf_enumerated(group, z, x)
-    if isinstance(group, CyclicShift):
-        return groups.mf_cyclic(z, x)
-    if isinstance(group, FullPermutation):
-        return groups.mf_sort_permutation(z, x)
-    if isinstance(group, SignedPermutation):
-        return groups.mf_signed_permutation(z, x)
-    if isinstance(group, SignFlips):
-        return groups.mf_sign_flips(z, x)
-    if isinstance(group, FullOrthogonal):
-        return groups.mf_orthogonal(z, x)
-    if isinstance(group, LeftOrthogonal):
-        return groups.mf_left_orthogonal(z, x)
-    if isinstance(group, ColumnPermutation):
-        return groups.mf_column_permutation(z, x)
-    if isinstance(group, PhaseCircle):
-        return groups.mf_phase(z, x)
-    if isinstance(group, ShiftAndConjugate):
-        return groups.mf_shift_conjugate(z, x)
-    if isinstance(group, PatchPermutation):
-        return groups.mf_patch_permutation(z, x, group.patches)
-    if isinstance(group, SlidingWindowShift):
-        return groups.mf_sliding_window(z, x)
-    raise ValidationError(f"unsupported group action: {group!r}")
+    if kind.ties is not None:
+        value, witnesses = kind.ties(group, z, x, tie_tolerance(z, x))
+        return FilterResult(value=value, witnesses=witnesses)
+    # One witness per pair: a tolerance only asks the bulk form for it.
+    values, wit = kind.bank(group, z[None])(x[None], _ASK_WITNESS)
+    first = tuple(_scalar(w[0, 0]) for w in wit) if isinstance(wit, tuple) else _scalar(wit[0, 0])
+    return FilterResult(value=float(values[0, 0]), witnesses=[first])
 
 
-def _mf_enumerated(group: Enumerated, z, x) -> FilterResult:
-    from . import groups
+_ASK_WITNESS = np.zeros((1, 1))
 
-    vals = groups.enumerated_scorer(np.stack(group.matrices), z[None])(x[None])[0, 0]
-    best = float(vals.max())
-    tol = tie_tolerance(z, x)
-    witnesses = [int(i) for i in np.flatnonzero(vals >= best - tol)]
-    return FilterResult(value=best, witnesses=witnesses)
+
+def _scalar(w):
+    """A witness part as a Python scalar where it is one."""
+    return w.item() if w.ndim == 0 else w
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +431,10 @@ def _bank_operands(group: GroupAction, bank) -> np.ndarray:
     return as_operands(group, vecs)
 
 
-# Elements a kernel's bulk arrays hold per (input, template) pair, where that
-# is not one operand (``group.dim``).
-_PAIR_WIDTH = {
-    "window": lambda group: group.t,                        # its scores; input chunks are views
-    "enumerated": lambda group: group.dim * (1 + group.order),
-    "colperm": lambda group: group.n * group.n,             # its profit matrices
-}
-
-
-# The same per pair of the paired forms (``quotient_distances``).  The window
-# form correlates whole operands along the slice axis, so a pair holds its
-# operands and their c*w*(T/2+1) complex FFT entries (two float64 each).
-_PAIRED_WIDTH = {
-    **_PAIR_WIDTH,
-    "window": lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
-}
-
-
-def _chunk_rows(group: GroupAction, n_templates: int, widths: dict = _PAIR_WIDTH) -> int:
-    width = widths.get(group.kind, lambda group: group.dim)(group)
-    return max(1, _BULK // (n_templates * width))
+def _chunk_rows(group: GroupAction, n_templates: int, width) -> int:
+    """Rows per chunk when each (row, template) pair holds ``width(group)``
+    elements (a width of the kind's record)."""
+    return max(1, _BULK // (n_templates * width(group)))
 
 
 def _concat(parts: list):
@@ -487,10 +444,6 @@ def _concat(parts: list):
 
 
 def _bank(group: GroupAction, bank, xs, witnesses: bool) -> tuple:
-    from . import groups
-
-    if getattr(group, "kind", None) not in groups.BANK_KERNELS:
-        raise ValidationError(f"unsupported group action: {group!r}")
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
     return _evaluate(group, Z, X, _row_norms(X) if witnesses else None)
@@ -502,11 +455,10 @@ def _evaluate(group: GroupAction, Z: np.ndarray, X: np.ndarray, nx) -> tuple:
     the tie tolerances; ``None`` asks for values only (witnesses ``None``).
     Row norms do not depend on the chunking, so callers that evaluate the
     same inputs again take them once."""
-    from . import groups
-
-    evaluate = groups.BANK_KERNELS[group.kind](group, Z)
+    kind = groups.kind_of(group)
+    evaluate = kind.bank(group, Z)
     nz = _row_norms(Z)
-    step = _chunk_rows(group, len(Z))
+    step = _chunk_rows(group, len(Z), kind.width)
     values, wits = [], []
     for s in range(0, max(len(X), 1), step):
         tol = None if nx is None else _tie_tolerance(nz[None, :], nx[s:s + step, None])
@@ -546,8 +498,6 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
 def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
                  coef: np.ndarray) -> np.ndarray:
     """:func:`bank_subgradient` on validated operands."""
-    from . import groups
-
     out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
     used = np.flatnonzero(np.any(coef != 0, axis=1))
     if isinstance(group, SlidingWindowShift):
@@ -556,11 +506,12 @@ def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
         slices = X[used[:, None], :, :, pos]                       # (used, K, c, w)
         out[np.arange(len(Z)), :, :, t0] = np.einsum("nk,nkcw->kcw", coef[used], slices)
         return out
-    step = _chunk_rows(group, len(Z))
+    kind = groups.kind_of(group)
+    step = _chunk_rows(group, len(Z), kind.width)
     for s in range(0, len(used), step):
         idx = used[s:s + step]
         w = tuple(c[idx] for c in witnesses) if isinstance(witnesses, tuple) else witnesses[idx]
-        images = groups.witness_images(group, w, X[idx])
+        images = kind.images(group, w, X[idx])
         out += np.einsum("nk,nk...->k...", coef[idx], images)
     return out
 
@@ -588,22 +539,18 @@ def quotient_distances(group: GroupAction, X, Y) -> np.ndarray:
     cancellation.  Each chunk of rows goes through the kind's paired form in
     one call (see :mod:`maxfilt.groups`).
     """
-    from . import groups
-
-    paired = groups.PAIR_KERNELS.get(getattr(group, "kind", None))
-    if paired is None:
-        raise ValidationError(f"unsupported group action: {group!r}")
+    kind = groups.kind_of(group)
     X = as_operands(group, X)
     Y = as_operands(group, Y)
     if len(X) != len(Y):
         raise DimensionMismatch(f"{len(X)} operands paired with {len(Y)}")
     out = np.empty(len(X))
-    step = _chunk_rows(group, 1, _PAIRED_WIDTH)
+    step = _chunk_rows(group, 1, kind.paired_width or kind.width)
     for s in range(0, len(X), step):
         x, y = X[s:s + step], Y[s:s + step]
-        w = paired(group, x, y, _tie_tolerance(_vector_norms(x), _vector_norms(y)))
+        w = kind.pairs(group, x, y, _tie_tolerance(_vector_norms(x), _vector_norms(y)))
         w = tuple(c[:, None] for c in w) if isinstance(w, tuple) else w[:, None]
-        out[s:s + step] = _vector_norms(x - groups.witness_images(group, w, y)[:, 0])
+        out[s:s + step] = _vector_norms(x - kind.images(group, w, y)[:, 0])
     return out
 
 
@@ -618,50 +565,17 @@ def quotient_distance(group: GroupAction, x, y) -> float:
 
 def apply_witness(group: GroupAction, witness, x) -> np.ndarray:
     """Materialize ``g x`` for a per-kind witness encoding ``g``."""
-    from . import groups
-
     x = as_operand(group, x)
     if isinstance(witness, tuple):
         stacked = tuple(np.asarray(w)[None, None] for w in witness)
     else:
         stacked = np.asarray(witness)[None, None]
-    return groups.witness_images(group, stacked, x[None])[0, 0]
+    return groups.kind_of(group).images(group, stacked, x[None])[0, 0]
 
 
 def random_element(group: GroupAction, rng: np.random.Generator):
     """Draw a random group element in witness encoding (Haar for continuous kinds)."""
-    if isinstance(group, Enumerated):
-        return int(rng.integers(group.order))
-    if isinstance(group, CyclicShift):
-        return int(rng.integers(group.n))
-    if isinstance(group, FullPermutation):
-        return rng.permutation(group.d)
-    if isinstance(group, SignedPermutation):
-        return (rng.permutation(group.d), rng.choice([-1.0, 1.0], size=group.d))
-    if isinstance(group, SignFlips):
-        return rng.choice([-1.0, 1.0], size=group.d)
-    if isinstance(group, FullOrthogonal):
-        return _haar_orthogonal(group.d, rng)
-    if isinstance(group, LeftOrthogonal):
-        return _haar_orthogonal(group.k, rng)
-    if isinstance(group, ColumnPermutation):
-        return rng.permutation(group.n)
-    if isinstance(group, PhaseCircle):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        return complex(math.cos(theta), math.sin(theta))
-    if isinstance(group, ShiftAndConjugate):
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        return (int(rng.integers(group.n)), bool(rng.integers(2)),
-                complex(math.cos(theta), math.sin(theta)))
-    if isinstance(group, PatchPermutation):
-        perm = np.arange(group.dim)
-        for p in group.patches:
-            idx = np.asarray(p)
-            perm[idx] = idx[rng.permutation(len(p))]
-        return perm
-    if isinstance(group, SlidingWindowShift):
-        return int(rng.integers(group.t))
-    raise ValidationError(f"unsupported group action: {group!r}")
+    return groups.kind_of(group).element(group, rng)
 
 
 def _haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -672,26 +586,7 @@ def _haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def group_order(group: GroupAction) -> Optional[int]:
     """Number of elements for finite kinds; None for continuous groups."""
-    if isinstance(group, Enumerated):
-        return group.order
-    if isinstance(group, CyclicShift):
-        return group.n
-    if isinstance(group, FullPermutation):
-        return math.factorial(group.d)
-    if isinstance(group, SignedPermutation):
-        return math.factorial(group.d) * 2 ** group.d
-    if isinstance(group, SignFlips):
-        return 2 ** group.d
-    if isinstance(group, ColumnPermutation):
-        return math.factorial(group.n)
-    if isinstance(group, PatchPermutation):
-        order = 1
-        for p in group.patches:
-            order *= math.factorial(len(p))
-        return order
-    if isinstance(group, SlidingWindowShift):
-        return group.t
-    return None
+    return groups.kind_of(group).order(group)
 
 
 # ---------------------------------------------------------------------------
@@ -852,3 +747,7 @@ def _orthogonal_search(d: int, score, resolution: int) -> FilterResult:
             if v > best:
                 best, wit = v, cand
     return FilterResult(value=best, witnesses=[wit], approximate=True)
+
+
+# The kind records in ``groups`` are built from the descriptors above.
+from . import groups  # noqa: E402

@@ -1,53 +1,44 @@
-"""Specialized max filtering algorithms, one per group kind.
+"""Specialized max filtering algorithms, and one record per group kind.
 
-Each kind has a bulk form ``*_bank(group, Z)`` that evaluates a whole bank
-of K templates ``Z`` against many inputs at once, in the best known
-complexity for its group: FFT cross-correlation for circular shifts, sorting
-for (signed/patch) permutations, SVD for one-sided orthogonal actions,
-linear assignment (solved in lockstep over the whole stack of profit
-matrices) for column permutations.  It does the bank's share of the
-work once and returns ``evaluate(X, tol)`` for chunks of N inputs; ``tol``
-holds the (N, K) tie tolerances, or is None when only values are wanted.
-``evaluate`` returns the (N, K) values and, unless ``tol`` is None, the
-first witness of every pair stacked over leading (N, K) axes (a tuple of
-such arrays for tuple witnesses); :func:`witness_images` maps stacked
-witnesses back to ``g x``.  They are reached through
-:func:`maxfilt.core.bank_values` and :func:`maxfilt.core.bank_argmax`.
+Every kind is defined once, by a :class:`Kind` record in :data:`KINDS`
+keyed by the descriptor's ``kind``; the engine in :mod:`maxfilt.core`
+reaches the kinds only through it.
 
-Each kind also has a paired form ``*_pairs(group, Z, X, tol)`` that matches
-row i of Z against row i of X only and returns, stacked over a leading (N,)
-axis, the first witness of every pair; ``tol`` holds the (N,) tie
-tolerances.  It is built from the helpers of the kind's bulk form and is
-reached through :func:`maxfilt.core.quotient_distances`.
+A record's bulk form ``bank(group, Z)`` evaluates a whole bank of K
+templates ``Z`` against many inputs at once, in the best known complexity
+for its group: FFT cross-correlation for circular shifts, sorting for
+(signed/patch) permutations, SVD for one-sided orthogonal actions, linear
+assignment (solved in lockstep over the whole stack of profit matrices) for
+column permutations.  It does the bank's share of the work once and returns
+``evaluate(X, tol)`` for chunks of N inputs; ``tol`` holds the (N, K) tie
+tolerances, or is None when only values are wanted.  ``evaluate`` returns
+the (N, K) values and, unless ``tol`` is None, the first witness of every
+pair stacked over leading (N, K) axes (a tuple of such arrays for tuple
+witnesses); ``images(group, W, X)`` maps stacked witnesses back to ``g x``.
+:func:`maxfilt.core.max_filter` is the bulk form at N = K = 1, or the
+record's ``ties`` for kinds that list every witness within the tolerance.
 
-The single-pair functions ``mf_*`` (reached through
-:func:`maxfilt.core.max_filter`) run the same kernels at N = K = 1 and, for
-kinds with tie sets, list every witness within the tie tolerance.
+The paired form ``pairs(group, Z, X, tol)`` matches row i of Z against row
+i of X only and returns, stacked over a leading (N,) axis, the first
+witness of every pair; ``tol`` holds the (N,) tie tolerances.  It is built
+from the helpers of the kind's bulk form and is reached through
+:func:`maxfilt.core.quotient_distances`.
+
+Adding a kind takes a descriptor in :mod:`maxfilt.core` (a member of
+``GroupAction``), one ``KINDS`` entry here and one branch of the
+brute-force oracle, which stays an independent reference.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 
 from ._assignment import max_profit_assignments
-from .core import (DimensionMismatch, FilterResult, NumericFailure, PatchPermutation,
-                   ValidationError, _row_norms, tie_tolerance)
-
-
-def _pair(z, x, dtype=float) -> tuple:
-    z = np.asarray(z, dtype=dtype)
-    x = np.asarray(x, dtype=dtype)
-    if z.shape != x.shape:
-        raise DimensionMismatch(f"operand shapes differ: {z.shape} vs {x.shape}")
-    return z, x
-
-
-def _single(kernel, group, z, x) -> tuple:
-    """(value, witness) of one pair through a bulk kernel of a kind with a
-    single witness per pair, whose tolerance argument only asks for it."""
-    values, wit = kernel(group, z[None])(x[None], np.zeros((1, 1)))
-    first = tuple(w[0, 0] for w in wit) if isinstance(wit, tuple) else wit[0, 0]
-    return float(values[0, 0]), first
+from .core import NumericFailure, ValidationError, _haar_orthogonal, _row_norms
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -56,6 +47,12 @@ def _first_within(scores: np.ndarray, tol) -> tuple:
     if tol is None:
         return best, None
     return best, np.argmax(scores >= (best - tol)[..., None], axis=-1)
+
+
+def _all_within(scores: np.ndarray, tol: float) -> tuple:
+    """Max of one pair's scores and, in index order, every index within tol of it."""
+    best = float(scores.max())
+    return best, np.flatnonzero(scores >= best - tol)
 
 
 def _unit_phase(w: np.ndarray) -> np.ndarray:
@@ -79,16 +76,6 @@ def cyclic_scorer(Z: np.ndarray):
     return lambda X: np.fft.irfft(fz * np.conj(np.fft.rfft(X)), n=n)
 
 
-def mf_cyclic(z, x) -> FilterResult:
-    """Max over all circular shifts of the cross-correlation, O(n log n)."""
-    z, x = _pair(z, x)
-    corr = cyclic_scorer(z)(x)
-    best = float(corr.max())
-    tol = tie_tolerance(z, x)
-    witnesses = [int(a) for a in np.flatnonzero(corr >= best - tol)]
-    return FilterResult(value=best, witnesses=witnesses)
-
-
 def cyclic_bank(group, Z):
     scores = cyclic_scorer(Z)
     return lambda X, tol: _first_within(scores(X[:, None]), tol)
@@ -96,6 +83,11 @@ def cyclic_bank(group, Z):
 
 def cyclic_pairs(group, Z, X, tol):
     return _first_within(cyclic_scorer(Z)(X), tol)[1]
+
+
+def cyclic_ties(group, z, x, tol):
+    best, shifts = _all_within(cyclic_scorer(z)(x), tol)
+    return best, [int(a) for a in shifts]
 
 
 # ---------------------------------------------------------------------------
@@ -140,17 +132,6 @@ def sort_pairs(group, Z, X, tol):
     return np.take_along_axis(_descending_order(X, patches), rank, axis=-1)
 
 
-def mf_sort_permutation(z, x) -> FilterResult:
-    """<sort(z), sort(x)> with both sorted descending; O(d log d).
-
-    Witness is the permutation aligning the sorted orders (ties broken by
-    original index), encoded as ``p`` with ``g x = x[p]``.
-    """
-    z, x = _pair(z, x)
-    value, perm = _single(sort_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[perm])
-
-
 def signed_sort_bank(group, Z):
     """<sort(|z|), sort(|x|)>; each matched pair signed to contribute |z_i||x_j|."""
     match = _rank_matcher(np.abs(Z), None)
@@ -176,13 +157,6 @@ def signed_sort_pairs(group, Z, X, tol):
     return perm, _matched_signs(np.sign(Z), np.take_along_axis(X, perm, -1))
 
 
-def mf_signed_permutation(z, x) -> FilterResult:
-    """<sort(|z|), sort(|x|)> descending; witness = (perm, signs)."""
-    z, x = _pair(z, x)
-    value, witness = _single(signed_sort_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[witness])
-
-
 def sign_flips_bank(group, Z):
     """sum |z_i x_i| by a matmul of absolute values; witness = sign vector."""
     abs_z = np.abs(Z).T
@@ -196,23 +170,6 @@ def sign_flips_bank(group, Z):
 def sign_flips_pairs(group, Z, X, tol):
     """The sign vector aligning X with Z entry by entry (+1 where either is 0)."""
     return np.where(Z * X >= 0, 1.0, -1.0)
-
-
-def mf_sign_flips(z, x) -> FilterResult:
-    """sum |z_i x_i| over diagonal +-1 matrices; witness = sign vector."""
-    z, x = _pair(z, x)
-    value, signs = _single(sign_flips_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[signs])
-
-
-def mf_patch_permutation(z, x, patches) -> FilterResult:
-    """Sum over patches of the within-patch sorted inner product."""
-    z, x = _pair(z, x)
-    covered = sorted(i for p in patches for i in p)
-    if covered != list(range(len(z))):
-        raise ValidationError("patch specification does not tile the index set")
-    value, perm = _single(sort_bank, PatchPermutation(patches), z, x)
-    return FilterResult(value=value, witnesses=[perm])
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +206,6 @@ def orthogonal_pairs(group, Z, X, tol):
     return _reflections(Z, _row_norms(Z), X, _row_norms(X))
 
 
-def mf_orthogonal(z, x) -> FilterResult:
-    """|z| * |x| over the full orthogonal group; witness maps x/|x| to z/|z|."""
-    z, x = _pair(z, x)
-    value, g = _single(orthogonal_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[g])
-
-
 def left_orthogonal_bank(group, Z):
     """Nuclear norm of X[n] Z[k]^T by stacked SVDs of the k x k products;
     witness: the orthogonal polar factor R = V U^T, so that <z, R x> equals
@@ -280,13 +230,6 @@ def left_orthogonal_pairs(group, Z, X, tol):
     return _polar(np.matmul(X, np.swapaxes(Z, -1, -2)), True)[1]
 
 
-def mf_left_orthogonal(z, x) -> FilterResult:
-    """Nuclear norm of x z^T over O(k) acting on the left of (k, n) matrices."""
-    z, x = _pair(z, x)
-    value, r = _single(left_orthogonal_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[r])
-
-
 def column_permutation_bank(group, Z):
     """Maximum-profit linear assignment for every pair, profit[j, i] =
     <z_col_j, x_col_i>: the chunk's (N, K) profit matrices are formed by one
@@ -308,13 +251,6 @@ def column_permutation_pairs(group, Z, X, tol):
     return max_profit_assignments(np.matmul(np.swapaxes(Z, -1, -2), X))[1]
 
 
-def mf_column_permutation(z, x) -> FilterResult:
-    """Maximum-profit linear assignment over column permutations, O(n^3)."""
-    z, x = _pair(z, x)
-    value, col = _single(column_permutation_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[col])
-
-
 # ---------------------------------------------------------------------------
 # Complex kinds
 # ---------------------------------------------------------------------------
@@ -333,13 +269,6 @@ def phase_bank(group, Z):
 def phase_pairs(group, Z, X, tol):
     """z^* x row against row, by the same dot product as ``X @ conj_z``."""
     return _unit_phase(np.matmul(X[:, None, :], np.conj(Z)[:, :, None])[:, 0, 0])
-
-
-def mf_phase(z, x) -> FilterResult:
-    """|z^* x| over the unit phase circle; witness is the optimal phase c."""
-    z, x = _pair(z, x, complex)
-    value, phase = _single(phase_bank, None, z, x)
-    return FilterResult(value=value, witnesses=[complex(phase)])
 
 
 def shift_conjugate_scorer(Z: np.ndarray):
@@ -372,24 +301,12 @@ def shift_conjugate_pairs(group, Z, X, tol):
     return _shift_conjugate_first(shift_conjugate_scorer(Z)(X), tol)[1]
 
 
-def mf_shift_conjugate(z, x) -> FilterResult:
-    """Max over shifts x phases x conjugation of Re(z^* g x).
-
-    Both FFT cross-correlations (with x and conj(x)) are scanned; witness =
-    (shift, conjugation flag, unit phase).  Realizes O(2) x C_n on closed
-    planar curves encoded as complex signals.
-    """
-    z, x = _pair(z, x, complex)
-    corr = shift_conjugate_scorer(z)(x)
-    mag = np.abs(corr)
-    tol = tie_tolerance(z, x)
-    best = float(mag.max())
-    witnesses = []
-    for conj_flag in (False, True):
-        for a in np.flatnonzero(mag[int(conj_flag)] >= best - tol):
-            phase = complex(_unit_phase(corr[int(conj_flag), a]))
-            witnesses.append((int(a), conj_flag, phase))
-    return FilterResult(value=best, witnesses=witnesses)
+def shift_conjugate_ties(group, z, x, tol):
+    """Witnesses (shift, conjugation flag, unit phase) in order of (flag, shift)."""
+    corr = shift_conjugate_scorer(z)(x).ravel()
+    best, idx = _all_within(np.abs(corr), tol)
+    n = group.n
+    return best, [(int(i % n), bool(i >= n), complex(_unit_phase(corr[i]))) for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +392,12 @@ def sliding_window_pairs(group, Z, X, tol):
     return (t0 - _first_within(scores, tol)[1]) % t
 
 
-def mf_sliding_window(z, x) -> FilterResult:
-    """Max over slice positions of <z, roll(x, a)> for (c, w, T) tensors.
-
-    Witnesses are cyclic slice shifts a, listed in order of the position
-    ``p = (t0 - a) mod T`` that the template's first occupied slice t0 is
-    matched with; for a single-slice template, p is the best-aligned slice
-    of x.
-    """
-    z, x = _pair(z, x)
-    score, t0 = window_scorer(z[None])
-    scores = score(x[None])[0, 0]
-    T = x.shape[2]
-    best = float(scores.max())
-    tol = tie_tolerance(z, x)
-    witnesses = [int((t0[0] - p) % T) for p in np.flatnonzero(scores >= best - tol)]
-    return FilterResult(value=best, witnesses=witnesses)
+def sliding_window_ties(group, z, x, tol):
+    """Cyclic slice shifts a, in order of the position ``p = (t0 - a) mod T``
+    that the template's first occupied slice t0 is matched with."""
+    scores, t0 = window_scorer(z[None])
+    best, positions = _all_within(scores(x[None])[0, 0], tol)
+    return best, [int((t0[0] - p) % group.t) for p in positions]
 
 
 # ---------------------------------------------------------------------------
@@ -519,41 +426,15 @@ def enumerated_pairs(group, Z, X, tol):
     return _first_within(scores, tol)[1]
 
 
+def enumerated_ties(group, z, x, tol):
+    scores = enumerated_scorer(np.stack(group.matrices), z[None])(x[None])[0, 0]
+    best, idx = _all_within(scores, tol)
+    return best, [int(i) for i in idx]
+
+
 # ---------------------------------------------------------------------------
-# Bulk dispatch and witness images
+# Witness images, element samplers and the kind records
 # ---------------------------------------------------------------------------
-
-BANK_KERNELS = {
-    "enumerated": enumerated_bank,
-    "cyclic": cyclic_bank,
-    "perm": sort_bank,
-    "signedperm": signed_sort_bank,
-    "signflips": sign_flips_bank,
-    "orth": orthogonal_bank,
-    "leftorth": left_orthogonal_bank,
-    "colperm": column_permutation_bank,
-    "phase": phase_bank,
-    "shiftconj": shift_conjugate_bank,
-    "patchperm": sort_bank,
-    "window": sliding_window_bank,
-}
-
-
-PAIR_KERNELS = {
-    "enumerated": enumerated_pairs,
-    "cyclic": cyclic_pairs,
-    "perm": sort_pairs,
-    "signedperm": signed_sort_pairs,
-    "signflips": sign_flips_pairs,
-    "orth": orthogonal_pairs,
-    "leftorth": left_orthogonal_pairs,
-    "colperm": column_permutation_pairs,
-    "phase": phase_pairs,
-    "shiftconj": shift_conjugate_pairs,
-    "patchperm": sort_pairs,
-    "window": sliding_window_pairs,
-}
-
 
 def _gather_last(X: np.ndarray, idx) -> np.ndarray:
     """X[n][..., idx[n, k]] for every pair: (N, K) + X.shape[1:]."""
@@ -576,27 +457,137 @@ def _shift_conjugate_images(group, W, X):
     return np.asarray(phase, dtype=complex)[..., None] * rolled
 
 
-_IMAGES = {
-    "enumerated": lambda group, W, X: np.matmul(
-        np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
-    "cyclic": lambda group, W, X: _roll_last(X, W),
-    "perm": lambda group, W, X: _gather_last(X, W),
-    "signedperm": lambda group, W, X: np.asarray(W[1], dtype=float) * _gather_last(X, W[0]),
-    "signflips": lambda group, W, X: np.asarray(W, dtype=float) * X[:, None],
-    "orth": lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
-    "leftorth": lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
-    "colperm": lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
-    "phase": lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
-    "shiftconj": _shift_conjugate_images,
-    "patchperm": lambda group, W, X: _gather_last(X, W),
-    "window": lambda group, W, X: _roll_last(X, W),
+def _unit_complex(rng: np.random.Generator) -> complex:
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return complex(math.cos(theta), math.sin(theta))
+
+
+def _shift_conjugate_element(group, rng):
+    """(shift, conjugation flag, unit phase), the phase drawn first."""
+    phase = _unit_complex(rng)
+    return int(rng.integers(group.n)), bool(rng.integers(2)), phase
+
+
+def _patch_element(group, rng):
+    perm = np.arange(group.dim)
+    for p in group.patches:
+        idx = np.asarray(p)
+        perm[idx] = idx[rng.permutation(len(p))]
+    return perm
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One group kind, defined once; :data:`KINDS` maps each descriptor's
+    ``kind`` to its record.
+
+    * ``bank``, ``pairs`` and ``images``: the bulk form, the paired form and
+      the witness images (see the module docstring).
+    * ``ties(group, z, x, tol)``: for kinds whose ``max_filter`` lists every
+      witness within the tie tolerance, ``(value, witnesses)`` of one pair,
+      scored as by the bulk form; other kinds have one witness per pair.
+    * ``element(group, rng)``: a random element in witness encoding (Haar
+      for continuous kinds); ``order(group)``: the number of elements, None
+      for continuous kinds.
+    * ``dtype`` and ``shape(group)``: the layout of one operand.
+    * ``width(group)``: elements the bulk form's arrays hold per (input,
+      template) pair; ``paired_width`` the same per pair of the paired form,
+      where that differs.
+    * ``witness_keys``: JSON names of the parts of a tuple witness.
+    """
+
+    bank: Callable
+    pairs: Callable
+    images: Callable
+    element: Callable
+    order: Callable = lambda group: None
+    ties: Optional[Callable] = None
+    dtype: type = float
+    shape: Callable = lambda group: (group.dim,)
+    width: Callable = lambda group: group.dim
+    paired_width: Optional[Callable] = None
+    witness_keys: tuple = ()
+
+    def layout(self, group) -> tuple:
+        """(dtype, shape) of one operand of the group's ambient space."""
+        return self.dtype, self.shape(group)
+
+
+def _matrix_shape(group) -> tuple:
+    return group.shape
+
+
+def _permutations(group) -> int:
+    return math.factorial(group.d)
+
+
+KINDS = {
+    "enumerated": Kind(
+        enumerated_bank, enumerated_pairs,
+        lambda group, W, X: np.matmul(
+            np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
+        lambda group, rng: int(rng.integers(group.order)),
+        order=lambda group: group.order, ties=enumerated_ties,
+        width=lambda group: group.dim * (1 + group.order)),
+    "cyclic": Kind(
+        cyclic_bank, cyclic_pairs, lambda group, W, X: _roll_last(X, W),
+        lambda group, rng: int(rng.integers(group.n)),
+        order=lambda group: group.n, ties=cyclic_ties),
+    "perm": Kind(
+        sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
+        lambda group, rng: rng.permutation(group.d), order=_permutations),
+    "signedperm": Kind(
+        signed_sort_bank, signed_sort_pairs,
+        lambda group, W, X: np.asarray(W[1], dtype=float) * _gather_last(X, W[0]),
+        lambda group, rng: (rng.permutation(group.d), rng.choice([-1.0, 1.0], size=group.d)),
+        order=lambda group: _permutations(group) * 2 ** group.d,
+        witness_keys=("perm", "signs")),
+    "signflips": Kind(
+        sign_flips_bank, sign_flips_pairs,
+        lambda group, W, X: np.asarray(W, dtype=float) * X[:, None],
+        lambda group, rng: rng.choice([-1.0, 1.0], size=group.d),
+        order=lambda group: 2 ** group.d),
+    "orth": Kind(
+        orthogonal_bank, orthogonal_pairs,
+        lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
+        lambda group, rng: _haar_orthogonal(group.d, rng)),
+    "leftorth": Kind(
+        left_orthogonal_bank, left_orthogonal_pairs,
+        lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
+        lambda group, rng: _haar_orthogonal(group.k, rng), shape=_matrix_shape),
+    "colperm": Kind(
+        column_permutation_bank, column_permutation_pairs,
+        lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
+        lambda group, rng: rng.permutation(group.n),
+        order=lambda group: math.factorial(group.n), shape=_matrix_shape,
+        width=lambda group: group.n * group.n),                # its profit matrices
+    "phase": Kind(
+        phase_bank, phase_pairs,
+        lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
+        lambda group, rng: _unit_complex(rng), dtype=complex, shape=lambda group: (group.r,)),
+    "shiftconj": Kind(
+        shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
+        _shift_conjugate_element, ties=shift_conjugate_ties,
+        dtype=complex, shape=lambda group: (group.n,),
+        witness_keys=("shift", "conjugate", "phase")),
+    "patchperm": Kind(
+        sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W), _patch_element,
+        order=lambda group: math.prod(math.factorial(len(p)) for p in group.patches)),
+    # The bulk form holds a pair's scores (input chunks are views); the paired
+    # form correlates whole operands along the slice axis, so a pair holds
+    # its operands and their c*w*(T/2+1) complex FFT entries (two float64 each).
+    "window": Kind(
+        sliding_window_bank, sliding_window_pairs, lambda group, W, X: _roll_last(X, W),
+        lambda group, rng: int(rng.integers(group.t)),
+        order=lambda group: group.t, ties=sliding_window_ties, shape=_matrix_shape,
+        width=lambda group: group.t,
+        paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1)),
 }
 
 
-def witness_images(group, W, X: np.ndarray) -> np.ndarray:
-    """g X[n] for the stacked witnesses W[n, k] (per-kind encoding, leading
-    (N, K) axes): an array of shape (N, K) + operand shape."""
-    images = _IMAGES.get(getattr(group, "kind", None))
-    if images is None:
+def kind_of(group) -> Kind:
+    """The record of the group's kind; ValidationError for anything else."""
+    kind = KINDS.get(getattr(group, "kind", None))
+    if kind is None:
         raise ValidationError(f"unsupported group action: {group!r}")
-    return images(group, W, X)
+    return kind

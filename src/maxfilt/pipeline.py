@@ -8,19 +8,19 @@ templates with a linear hinge classifier, and a versioned JSON model format.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import groups
 from .analysis import random_template
-from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
-                   FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
-                   PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
-                   SignedPermutation, SlidingWindowShift, ValidationError,
+from .core import (GroupAction, NumericFailure, ValidationError,
                    _bank_operands, _evaluate, _row_norms, _subgradient, as_operands,
                    filter_bank_apply)
 from .templates import HermiteSpec, Template, _hermite_grid
@@ -513,57 +513,34 @@ class PipelineModel:
     config: dict
 
 
+# Descriptor class per kind, from the members of ``GroupAction``.
+_DESCRIPTORS = {cls.kind: cls for cls in typing.get_args(GroupAction)}
+
+
+def _field_jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_field_jsonable(v) for v in value]
+    return value
+
+
 def group_to_jsonable(group: Optional[GroupAction]) -> Optional[dict]:
+    """``{"kind": ..., field: value, ...}`` over the descriptor's fields."""
     if group is None:
         return None
-    if isinstance(group, Enumerated):
-        return {"kind": group.kind, "matrices": [m.tolist() for m in group.matrices]}
-    if isinstance(group, CyclicShift):
-        return {"kind": group.kind, "n": group.n}
-    if isinstance(group, (FullPermutation, SignedPermutation, SignFlips, FullOrthogonal)):
-        return {"kind": group.kind, "d": group.d}
-    if isinstance(group, (LeftOrthogonal, ColumnPermutation)):
-        return {"kind": group.kind, "k": group.k, "n": group.n}
-    if isinstance(group, PhaseCircle):
-        return {"kind": group.kind, "r": group.r}
-    if isinstance(group, ShiftAndConjugate):
-        return {"kind": group.kind, "n": group.n}
-    if isinstance(group, PatchPermutation):
-        return {"kind": group.kind, "patches": [list(p) for p in group.patches]}
-    if isinstance(group, SlidingWindowShift):
-        return {"kind": group.kind, "c": group.c, "w": group.w, "t": group.t}
-    raise ValidationError(f"unsupported group action: {group!r}")
+    groups.kind_of(group)                        # unsupported kinds raise
+    return {"kind": group.kind, **{f.name: _field_jsonable(getattr(group, f.name))
+                                   for f in dataclasses.fields(group)}}
 
 
 def group_from_jsonable(data: Optional[dict]) -> Optional[GroupAction]:
     if data is None:
         return None
-    kind = data["kind"]
-    if kind == "enumerated":
-        return Enumerated(tuple(np.asarray(m) for m in data["matrices"]))
-    if kind == "cyclic":
-        return CyclicShift(data["n"])
-    if kind == "perm":
-        return FullPermutation(data["d"])
-    if kind == "signedperm":
-        return SignedPermutation(data["d"])
-    if kind == "signflips":
-        return SignFlips(data["d"])
-    if kind == "orth":
-        return FullOrthogonal(data["d"])
-    if kind == "leftorth":
-        return LeftOrthogonal(data["k"], data["n"])
-    if kind == "colperm":
-        return ColumnPermutation(data["k"], data["n"])
-    if kind == "phase":
-        return PhaseCircle(data["r"])
-    if kind == "shiftconj":
-        return ShiftAndConjugate(data["n"])
-    if kind == "patchperm":
-        return PatchPermutation(tuple(tuple(p) for p in data["patches"]))
-    if kind == "window":
-        return SlidingWindowShift(data["c"], data["w"], data["t"])
-    raise ValidationError(f"unknown group kind {kind!r}")
+    cls = _DESCRIPTORS.get(data["kind"])
+    if cls is None:
+        raise ValidationError(f"unknown group kind {data['kind']!r}")
+    return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
 
 
 def _array_to_jsonable(arr):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,3 +136,34 @@ class TestEnumeratedValidation:
     def test_valid_group_accepted(self):
         g = mf.Enumerated(tuple(permutation_matrices(3)))
         assert g.order == 6
+
+
+class TestOperandValidation:
+    @pytest.mark.parametrize("group", [mf.CyclicShift(1000), mf.PhaseCircle(1000)],
+                             ids=lambda g: g.kind)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_last_block_rejected(self, group, bad):
+        # Finiteness is checked a block of rows at a time; the stack spans
+        # three blocks and only its last entry is bad.
+        rows = 2 * mf.core._BULK // 1000 + 1
+        stack = np.ones((rows, 1000), dtype=complex if group.kind == "phase" else float)
+        assert np.array_equal(mf.core.as_operands(group, stack), stack)
+        stack[-1, -1] = bad
+        with pytest.raises(mf.ValidationError, match="NaN or infinity"):
+            mf.core.as_operands(group, stack)
+        if group.kind == "phase":
+            stack[-1, -1] = complex(1.0, bad)
+            with pytest.raises(mf.ValidationError, match="NaN or infinity"):
+                mf.core.as_operands(group, stack)
+
+    def test_check_holds_one_block_at_a_time(self):
+        # One bool per entry of a block, not of the whole 8-block stack.
+        group = mf.CyclicShift(1000)
+        stack = np.ones((8 * mf.core._BULK // 1000, 1000))
+        tracemalloc.start()
+        try:
+            mf.core.as_operands(group, stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * mf.core._BULK

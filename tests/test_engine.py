@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maxfilt as mf
-from maxfilt import calculus, groups
+from maxfilt import calculus
 from maxfilt.analysis import random_bank, random_template, sample_point
-from maxfilt.groups import mf_sort_permutation, template_slice_index
+from maxfilt.groups import KINDS, template_slice_index
 from maxfilt.pipeline import (LabeledDataset, TrainConfig, _hinge_loss,
                               make_planted_window_dataset, train_svm_templates)
 from maxfilt.templates import unit_sphere_vectors
@@ -111,7 +111,7 @@ def per_patch_reference(z, x, patches):
     value, perm = 0.0, np.empty(len(z), dtype=int)
     for p in patches:
         idx = np.asarray(p)
-        sub = mf_sort_permutation(z[idx], x[idx])
+        sub = mf.max_filter(mf.FullPermutation(len(idx)), z[idx], x[idx])
         value += sub.value
         perm[idx] = idx[sub.witnesses[0]]
     return value, perm
@@ -439,7 +439,7 @@ def per_pair_distances(group, X, Y):
 
 def paired_witnesses(group, X, Y):
     tol = np.array([mf.core.tie_tolerance(x, y) for x, y in zip(X, Y)])
-    return groups.PAIR_KERNELS[group.kind](group, X, Y, tol)
+    return KINDS[group.kind].pairs(group, X, Y, tol)
 
 
 def assert_paired_matches_per_pair(group, X, Y):
@@ -515,12 +515,12 @@ def test_quotient_distances_chunk_and_empty(kind, monkeypatch):
     assert mf.quotient_distances(group, X[:0], Y[:0]).shape == (0,)
     assert mf.quotient_distances(group, [], []).shape == (0,)
     assert mf.quotient_distance(group, X[0], Y[0]) == whole[0]
-    widths = mf.core._PAIRED_WIDTH
+    width = KINDS[kind].paired_width or KINDS[kind].width
     monkeypatch.setattr(mf.core, "_BULK", 1)
-    assert mf.core._chunk_rows(group, 1, widths) == 1
+    assert mf.core._chunk_rows(group, 1, width) == 1
     np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
-    monkeypatch.setattr(mf.core, "_BULK", 4 * widths.get(kind, lambda group: group.dim)(group))
-    assert mf.core._chunk_rows(group, 1, widths) == 4
+    monkeypatch.setattr(mf.core, "_BULK", 4 * width(group))
+    assert mf.core._chunk_rows(group, 1, width) == 4
     np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), whole)
 
 
@@ -528,7 +528,7 @@ def test_window_quotient_distances_size_chunks_by_their_ffts(monkeypatch):
     # The paired window form takes real FFTs of whole operands, so its chunks
     # are sized by those and not by the bank's score width (which let these
     # 700 pairs peak at 96 MB).  Validating the operands takes one bool per
-    # entry (4.2 MB here) beside the chunks' 1.6 MB.
+    # entry of a block of rows, within the chunks' 1.6 MB.
     group = mf.SlidingWindowShift(3, 10, 200)
     rng = np.random.default_rng(30)
     X = rng.standard_normal((700,) + group.shape)
@@ -540,8 +540,8 @@ def test_window_quotient_distances_size_chunks_by_their_ffts(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 8 * mf.core._BULK
-    monkeypatch.setattr(mf.core, "_BULK", len(X) * mf.core._PAIRED_WIDTH["window"](group))
-    assert mf.core._chunk_rows(group, 1, mf.core._PAIRED_WIDTH) == len(X)
+    monkeypatch.setattr(mf.core, "_BULK", len(X) * KINDS["window"].paired_width(group))
+    assert mf.core._chunk_rows(group, 1, KINDS["window"].paired_width) == len(X)
     np.testing.assert_array_equal(mf.quotient_distances(group, X, Y), chunked)
 
 

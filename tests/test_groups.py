@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import maxfilt as mf
-from maxfilt import groups
 
 
 class TestCyclic:
@@ -14,12 +13,12 @@ class TestCyclic:
         x = np.array([0.0, 0.0, 0.0, 7.0])
         expected = max(float(z @ np.roll(x, a)) for a in range(4))
         assert expected == 7.0
-        assert groups.mf_cyclic(z, x).value == pytest.approx(expected, abs=1e-12)
+        assert mf.max_filter(mf.CyclicShift(4), z, x).value == pytest.approx(expected, abs=1e-12)
 
     def test_self_filter_is_norm_squared_with_zero_shift_witness(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(16)
-        res = groups.mf_cyclic(x, x)
+        res = mf.max_filter(mf.CyclicShift(16), x, x)
         assert res.value == pytest.approx(float(x @ x), rel=1e-12)
         assert 0 in res.witnesses
 
@@ -28,7 +27,7 @@ class TestCyclic:
         # The oracle forms every shift's inner product directly.
         rng = np.random.default_rng(n)
         z, x = rng.standard_normal(n), rng.standard_normal(n)
-        fast = groups.mf_cyclic(z, x)
+        fast = mf.max_filter(mf.CyclicShift(n), z, x)
         slow = mf.brute_force_max_filter(mf.CyclicShift(n), z, x)
         assert fast.value == pytest.approx(slow.value, abs=1e-9)
         assert fast.witnesses == slow.witnesses
@@ -44,7 +43,7 @@ class TestCyclic:
         # is Re(e^{2 pi i k a / n} X_k)
         xk = np.sum(x * np.exp(-2j * np.pi * k * t / n))
         expected = max(np.real(np.exp(2j * np.pi * k * a / n) * xk) for a in range(n))
-        assert groups.mf_cyclic(z, x).value == pytest.approx(expected, abs=1e-8)
+        assert mf.max_filter(mf.CyclicShift(n), z, x).value == pytest.approx(expected, abs=1e-8)
 
     def test_cosine_template_on_shifted_cosine_gives_half_n_scale(self):
         n, k = 32, 3
@@ -53,16 +52,16 @@ class TestCyclic:
         x = 2.5 * np.cos(2 * np.pi * k * (t - 4) / n)
         xk = abs(np.sum(x * np.exp(-2j * np.pi * k * t / n)))
         assert xk == pytest.approx(2.5 * n / 2, rel=1e-12)
-        assert groups.mf_cyclic(z, x).value == pytest.approx(xk, abs=1e-8)
+        assert mf.max_filter(mf.CyclicShift(n), z, x).value == pytest.approx(xk, abs=1e-8)
 
     def test_length_mismatch(self):
         with pytest.raises(mf.DimensionMismatch):
-            groups.mf_cyclic(np.zeros(4), np.zeros(5))
+            mf.max_filter(mf.CyclicShift(4), np.zeros(4), np.zeros(5))
 
 
 class TestSortPermutation:
     def test_top_entry(self):
-        res = groups.mf_sort_permutation([1.0, 0.0, 0.0], [3.0, 1.0, 2.0])
+        res = mf.max_filter(mf.FullPermutation(3), [1.0, 0.0, 0.0], [3.0, 1.0, 2.0])
         expected = max(sum(np.array([1.0, 0, 0]) * np.array([3.0, 1, 2])[list(p)])
                        for p in itertools.permutations(range(3)))
         assert res.value == pytest.approx(expected) == 3.0
@@ -70,7 +69,7 @@ class TestSortPermutation:
     def test_all_ones_gives_sum(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(9)
-        res = groups.mf_sort_permutation(np.ones(9), x)
+        res = mf.max_filter(mf.FullPermutation(9), np.ones(9), x)
         assert res.value == pytest.approx(float(x.sum()), rel=1e-12)
 
     def test_prefix_template_gives_top_two_sum(self):
@@ -79,12 +78,12 @@ class TestSortPermutation:
         expected = max(sum(z[i] * x[p[i]] for i in range(3))
                        for p in itertools.permutations(range(3)))
         assert expected == 7.0
-        assert groups.mf_sort_permutation(z, x).value == pytest.approx(expected)
+        assert mf.max_filter(mf.FullPermutation(3), z, x).value == pytest.approx(expected)
 
     def test_witness_realizes_value(self):
         rng = np.random.default_rng(2)
         z, x = rng.standard_normal(7), rng.standard_normal(7)
-        res = groups.mf_sort_permutation(z, x)
+        res = mf.max_filter(mf.FullPermutation(7), z, x)
         perm = res.witnesses[0]
         assert float(z @ x[perm]) == pytest.approx(res.value, rel=1e-12)
         assert sorted(perm) == list(range(7))
@@ -92,11 +91,11 @@ class TestSortPermutation:
 
 class TestSignedPermutation:
     def test_basis_template_gives_sup_norm(self):
-        res = groups.mf_signed_permutation([1.0, 0.0, 0.0], [-3.0, 1.0, 2.0])
+        res = mf.max_filter(mf.SignedPermutation(3), [1.0, 0.0, 0.0], [-3.0, 1.0, 2.0])
         assert res.value == pytest.approx(3.0)
 
     def test_sign_flips_give_one_norm(self):
-        res = groups.mf_sign_flips(np.ones(3), [-1.0, 2.0, -3.0])
+        res = mf.max_filter(mf.SignFlips(3), np.ones(3), [-1.0, 2.0, -3.0])
         assert res.value == pytest.approx(6.0)
 
     def test_dim_two_enumeration(self):
@@ -107,31 +106,32 @@ class TestSignedPermutation:
             for s in itertools.product([-1.0, 1.0], repeat=2):
                 best = max(best, sum(z[i] * s[i] * x[p[i]] for i in range(2)))
         assert best == 9.0
-        assert groups.mf_signed_permutation(z, x).value == pytest.approx(best)
+        assert mf.max_filter(mf.SignedPermutation(2), z, x).value == pytest.approx(best)
 
     def test_witness_realizes_value(self):
         rng = np.random.default_rng(4)
         z, x = rng.standard_normal(6), rng.standard_normal(6)
-        res = groups.mf_signed_permutation(z, x)
+        res = mf.max_filter(mf.SignedPermutation(6), z, x)
         perm, signs = res.witnesses[0]
         assert float(z @ (signs * x[perm])) == pytest.approx(res.value, rel=1e-12)
 
 
 class TestOrthogonal:
     def test_unit_template(self):
-        res = groups.mf_orthogonal([1.0, 0.0, 0.0], [1.0, 2.0, 2.0])
+        res = mf.max_filter(mf.FullOrthogonal(3), [1.0, 0.0, 0.0], [1.0, 2.0, 2.0])
         assert res.value == pytest.approx(3.0)
 
     def test_zero_template(self):
-        assert groups.mf_orthogonal(np.zeros(3), [1.0, 2.0, 2.0]).value == 0.0
+        assert mf.max_filter(mf.FullOrthogonal(3), np.zeros(3), [1.0, 2.0, 2.0]).value == 0.0
 
     def test_norm_product(self):
-        assert groups.mf_orthogonal([2.0, 0.0], [0.0, 5.0]).value == pytest.approx(10.0)
+        res = mf.max_filter(mf.FullOrthogonal(2), [2.0, 0.0], [0.0, 5.0])
+        assert res.value == pytest.approx(10.0)
 
     def test_witness_is_orthogonal_and_achieves_value(self):
         rng = np.random.default_rng(6)
         z, x = rng.standard_normal(4), rng.standard_normal(4)
-        res = groups.mf_orthogonal(z, x)
+        res = mf.max_filter(mf.FullOrthogonal(4), z, x)
         g = res.witnesses[0]
         np.testing.assert_allclose(g.T @ g, np.eye(4), atol=1e-12)
         assert float(z @ (g @ x)) == pytest.approx(res.value, rel=1e-12)
@@ -139,19 +139,19 @@ class TestOrthogonal:
 
 class TestLeftOrthogonal:
     def test_identity_pair(self):
-        res = groups.mf_left_orthogonal(np.eye(2), np.eye(2))
+        res = mf.max_filter(mf.LeftOrthogonal(2, 2), np.eye(2), np.eye(2))
         assert res.value == pytest.approx(2.0)
 
     def test_self_pair_gives_frobenius_squared(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 6))
-        res = groups.mf_left_orthogonal(x, x)
+        res = mf.max_filter(mf.LeftOrthogonal(2, 6), x, x)
         assert res.value == pytest.approx(float(np.sum(x * x)), rel=1e-12)
 
     def test_nilpotent_product(self):
         z = np.array([[1.0, 0.0], [0.0, 0.0]])
         x = np.array([[0.0, 0.0], [1.0, 0.0]])
-        res = groups.mf_left_orthogonal(z, x)
+        res = mf.max_filter(mf.LeftOrthogonal(2, 2), z, x)
         oracle = mf.brute_force_max_filter(mf.LeftOrthogonal(2, 2), z, x,
                                            resolution=10_000)
         assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -160,7 +160,7 @@ class TestLeftOrthogonal:
     def test_witness_is_orthogonal_and_achieves_value(self):
         rng = np.random.default_rng(9)
         z, x = rng.standard_normal((3, 5)), rng.standard_normal((3, 5))
-        res = groups.mf_left_orthogonal(z, x)
+        res = mf.max_filter(mf.LeftOrthogonal(3, 5), z, x)
         r = res.witnesses[0]
         np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-10)
         assert float(np.sum(z * (r @ x))) == pytest.approx(res.value, rel=1e-10)
@@ -172,7 +172,7 @@ class TestColumnPermutation:
         x = rng.standard_normal((3, 6))
         shuffle = rng.permutation(6)
         z = x[:, shuffle]
-        res = groups.mf_column_permutation(z, x)
+        res = mf.max_filter(mf.ColumnPermutation(3, 6), z, x)
         assert res.value == pytest.approx(float(np.sum(x * x)), rel=1e-10)
         # applying the witness to x undoes the shuffle
         np.testing.assert_array_equal(x[:, res.witnesses[0]], z)
@@ -185,7 +185,8 @@ class TestColumnPermutation:
             x = rng.standard_normal((3, n))
             best = max(sum(float(z[:, j] @ x[:, p[j]]) for j in range(n))
                        for p in itertools.permutations(range(n)))
-            assert groups.mf_column_permutation(z, x).value == pytest.approx(best, abs=1e-9)
+            res = mf.max_filter(mf.ColumnPermutation(3, n), z, x)
+            assert res.value == pytest.approx(best, abs=1e-9)
 
     def test_assignment_solver_matches_scipy_at_scale(self):
         from scipy.optimize import linear_sum_assignment
@@ -206,8 +207,8 @@ class TestColumnPermutation:
         for _ in range(25):
             z = rng.standard_normal((1, 7))
             x = rng.standard_normal((1, 7))
-            a = groups.mf_column_permutation(z, x).value
-            b = groups.mf_sort_permutation(z[0], x[0]).value
+            a = mf.max_filter(mf.ColumnPermutation(1, 7), z, x).value
+            b = mf.max_filter(mf.FullPermutation(7), z[0], x[0]).value
             assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -382,19 +383,19 @@ class TestBatchedAssignment:
 
 class TestPhase:
     def test_unit_example(self):
-        res = groups.mf_phase([1.0 + 0j, 0j], [1j, 0j])
+        res = mf.max_filter(mf.PhaseCircle(2), [1.0 + 0j, 0j], [1j, 0j])
         assert res.value == pytest.approx(1.0)
         assert res.witnesses[0] == pytest.approx(-1j)
 
     def test_zero_input(self):
-        assert groups.mf_phase([1.0 + 1j, 2j], [0j, 0j]).value == 0.0
+        assert mf.max_filter(mf.PhaseCircle(2), [1.0 + 1j, 2j], [0j, 0j]).value == 0.0
 
     def test_random_matches_grid(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-            res = groups.mf_phase(z, x)
+            res = mf.max_filter(mf.PhaseCircle(3), z, x)
             oracle = mf.brute_force_max_filter(mf.PhaseCircle(3), z, x, resolution=10_000)
             assert res.value == pytest.approx(oracle.value, abs=1e-6)
             assert res.value >= oracle.value - 1e-12
@@ -405,13 +406,13 @@ class TestShiftConjugate:
         rng = np.random.default_rng(14)
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         x = np.exp(0.7j) * np.roll(z, 3)
-        res = groups.mf_shift_conjugate(z, x)
+        res = mf.max_filter(mf.ShiftAndConjugate(8), z, x)
         assert res.value == pytest.approx(float(np.real(np.vdot(z, z))), rel=1e-10)
 
     def test_reflected_copy(self):
         rng = np.random.default_rng(15)
         z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        res = groups.mf_shift_conjugate(z, np.conj(z))
+        res = mf.max_filter(mf.ShiftAndConjugate(8), z, np.conj(z))
         assert res.value == pytest.approx(float(np.real(np.vdot(z, z))), rel=1e-10)
 
     def test_random_matches_enumeration(self):
@@ -426,14 +427,14 @@ class TestShiftConjugate:
                 for a in range(6):
                     w = np.vdot(z, np.roll(base, a))
                     best = max(best, np.max(np.real(np.exp(1j * thetas) * w)))
-            res = groups.mf_shift_conjugate(z, x)
+            res = mf.max_filter(mf.ShiftAndConjugate(6), z, x)
             assert res.value == pytest.approx(best, abs=1e-5)
 
     def test_witness_realizes_value(self):
         rng = np.random.default_rng(17)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        res = groups.mf_shift_conjugate(z, x)
+        res = mf.max_filter(mf.ShiftAndConjugate(6), z, x)
         g = mf.ShiftAndConjugate(6)
         for w in res.witnesses:
             val = float(np.real(np.vdot(z, mf.apply_witness(g, w, x))))
@@ -445,8 +446,8 @@ class TestPatchPermutation:
         rng = np.random.default_rng(18)
         z, x = rng.standard_normal(6), rng.standard_normal(6)
         whole = (tuple(range(6)),)
-        assert groups.mf_patch_permutation(z, x, whole).value == pytest.approx(
-            groups.mf_sort_permutation(z, x).value, rel=1e-12)
+        assert mf.max_filter(mf.PatchPermutation(whole), z, x).value == pytest.approx(
+            mf.max_filter(mf.FullPermutation(6), z, x).value, rel=1e-12)
 
     def test_two_patch_example(self):
         z = np.array([1.0, 0.0, 1.0, 0.0])
@@ -459,7 +460,7 @@ class TestPatchPermutation:
                     + z[2] * x[2 + p2[0]] + z[3] * x[2 + p2[1]]
                 best = max(best, val)
         assert best == 4.0
-        assert groups.mf_patch_permutation(z, x, patches).value == pytest.approx(best)
+        assert mf.max_filter(mf.PatchPermutation(patches), z, x).value == pytest.approx(best)
 
     def test_within_patch_shuffle_is_same_orbit(self):
         rng = np.random.default_rng(19)
@@ -468,12 +469,12 @@ class TestPatchPermutation:
         x[0:4] = z[rng.permutation(4)]
         x[4:8] = z[4 + rng.permutation(4)]
         patches = (tuple(range(4)), tuple(range(4, 8)))
-        res = groups.mf_patch_permutation(z, x, patches)
+        res = mf.max_filter(mf.PatchPermutation(patches), z, x)
         assert res.value == pytest.approx(float(z @ z), rel=1e-12)
 
     def test_bad_tiling_rejected(self):
         with pytest.raises(mf.ValidationError):
-            groups.mf_patch_permutation(np.zeros(4), np.zeros(4), ((0, 1), (1, 2, 3)))
+            mf.max_filter(mf.PatchPermutation(((0, 1), (1, 2, 3))), np.zeros(4), np.zeros(4))
 
 
 class TestSlidingWindow:
@@ -485,7 +486,7 @@ class TestSlidingWindow:
         z[:, :, 1] = motif
         x = np.zeros((c, w, t))
         x[:, :, 4] = motif
-        res = groups.mf_sliding_window(z, x)
+        res = mf.max_filter(mf.SlidingWindowShift(c, w, t), z, x)
         assert res.value == pytest.approx(float(np.sum(motif ** 2)), rel=1e-12)
         shift = res.witnesses[0]
         assert (1 - shift) % t == 4
@@ -497,10 +498,12 @@ class TestSlidingWindow:
         z[:, :, 0] = rng.standard_normal((c, w))
         x = rng.standard_normal((c, w, t))
         expected = max(float(np.sum(z * np.roll(x, a, axis=2))) for a in range(t))
-        assert groups.mf_sliding_window(z, x).value == pytest.approx(expected, rel=1e-12)
+        res = mf.max_filter(mf.SlidingWindowShift(c, w, t), z, x)
+        assert res.value == pytest.approx(expected, rel=1e-12)
 
     def test_zero_template(self):
-        assert groups.mf_sliding_window(np.zeros((1, 2, 3)), np.ones((1, 2, 3))).value == 0.0
+        res = mf.max_filter(mf.SlidingWindowShift(1, 2, 3), np.zeros((1, 2, 3)), np.ones((1, 2, 3)))
+        assert res.value == 0.0
 
     def test_multi_slice_template_matches_oracle(self):
         # Full-tensor templates (as quotient_distance passes them): real,
@@ -517,7 +520,7 @@ class TestSlidingWindow:
                  (np.zeros(group.shape), rng.standard_normal(group.shape)),
                  (1e4 * rng.standard_normal(group.shape), rng.standard_normal(group.shape))]
         for z, x in cases:
-            res = groups.mf_sliding_window(z, x)
+            res = mf.max_filter(group, z, x)
             oracle = mf.brute_force_max_filter(group, z, x)
             assert res.value == pytest.approx(oracle.value, rel=1e-12, abs=1e-12)
             assert sorted(res.witnesses) == oracle.witnesses
@@ -544,3 +547,39 @@ class TestSlidingWindow:
         with pytest.raises(mf.ValidationError):
             mf.bank_subgradient(group, [np.ones((1, 2, 3))], [np.ones((1, 2, 3))],
                                 np.zeros((1, 1), dtype=int), np.ones((1, 1)))
+
+
+def shift_matrices(n):
+    return tuple(np.roll(np.eye(n), a, axis=0) for a in range(n))
+
+
+class TestTiesAgainstOracle:
+    # Integer operands of period 4 along the shift axis tie exactly at every
+    # fourth shift: every witness the oracle lists, max_filter lists too.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cyclic_and_enumerated_in_oracle_order(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        for group in (mf.CyclicShift(12), mf.Enumerated(shift_matrices(12))):
+            z = np.tile(rng.integers(-3, 4, 4), 3).astype(float)
+            x = np.tile(rng.integers(-3, 4, 4), 3).astype(float)
+            for zz, xx in ((z, x), (z, z), (np.zeros(12), x)):
+                res = mf.max_filter(group, zz, xx)
+                oracle = mf.brute_force_max_filter(group, zz, xx)
+                assert res.value == pytest.approx(oracle.value, abs=1e-9)
+                assert res.witnesses == oracle.witnesses
+                assert len(res.witnesses) >= 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_window_as_a_set(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        group = mf.SlidingWindowShift(2, 2, 12)
+        slab = rng.integers(-2, 3, (2, 2, 4)).astype(float)
+        single = np.zeros(group.shape)
+        single[:, :, 5] = slab[:, :, 0]
+        for z in (np.tile(slab, 3), single):
+            x = np.tile(rng.integers(-2, 3, (2, 2, 4)), 3).astype(float)
+            res = mf.max_filter(group, z, x)
+            oracle = mf.brute_force_max_filter(group, z, x)
+            assert res.value == pytest.approx(oracle.value, abs=1e-9)
+            assert sorted(res.witnesses) == oracle.witnesses
+            assert len(res.witnesses) >= 3

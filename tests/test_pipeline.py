@@ -12,7 +12,6 @@ from maxfilt.pipeline import (LabeledDataset, TrainConfig, district_embed, ecg_l
                               load_model, make_planted_window_dataset, model_predict,
                               parse_pgm, pca_fit, pca_transform, save_model,
                               texture_features, train_svm_templates, write_pgm)
-from maxfilt.groups import mf_sort_permutation
 from conftest import sign_group
 
 
@@ -198,8 +197,9 @@ class TestTextureFeatures:
         v1 = mf.hermite_template(mf.HermiteSpec(1, 16)).vector
         pixels = img.ravel()
         # the sorted inner product is the full-patch permutation max filter
-        assert feats[0] == pytest.approx(mf_sort_permutation(v0, pixels).value, rel=1e-12)
-        assert feats[1] == pytest.approx(mf_sort_permutation(v1, pixels).value, rel=1e-12)
+        perm = mf.FullPermutation(len(pixels))
+        assert feats[0] == pytest.approx(mf.max_filter(perm, v0, pixels).value, rel=1e-12)
+        assert feats[1] == pytest.approx(mf.max_filter(perm, v1, pixels).value, rel=1e-12)
 
     def test_feature_length(self):
         img = np.zeros((16, 16))

@@ -11,7 +11,6 @@ from maxfilt.templates import (_P_LOW, _QA, _QB, _QC, _QD, _half_grid_quantiles,
                                hermite_value, indicator_signal, normal_quantile,
                                sorted_gaussian_kernel, thompson_distance,
                                unit_sphere_vectors)
-from maxfilt.groups import mf_cyclic
 
 
 def scalar_quantile_core(p):
@@ -357,7 +356,7 @@ class TestIndicatorTemplates:
         bank = mf.indicator_templates(sets, grid=32)
         for s, t in zip(sets, bank):
             x = indicator_signal(s, 32)
-            value = mf_cyclic(t.vector, x).value
+            value = mf.max_filter(mf.CyclicShift(32), t.vector, x).value
             # exhaustive shift oracle
             oracle = max(float(t.vector @ np.roll(x, a)) for a in range(32))
             assert value == pytest.approx(oracle, abs=1e-12)
@@ -370,7 +369,7 @@ class TestIndicatorTemplates:
             for j, s in enumerate(sets):
                 if i == j:
                     continue
-                cross = mf_cyclic(t.vector, indicator_signal(s, 32)).value
+                cross = mf.max_filter(mf.CyclicShift(32), t.vector, indicator_signal(s, 32)).value
                 assert cross < len(sets[i]) - 1e-9
 
     def test_single_cell_structure(self):

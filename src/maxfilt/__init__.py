@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .core import (ColumnPermutation, CyclicShift, DimensionMismatch, Enumerated,
-                   EnumerationCapExceeded, FilterResult, FullOrthogonal,
+                   EnumerationCapExceeded, FilterBank, FilterResult, FullOrthogonal,
                    FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
                    PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
                    SignedPermutation, SlidingWindowShift, ValidationError,

@@ -376,13 +376,15 @@ def cmd_texture(args) -> int:
         emit(args, make_report(args, {"features": feats.tolist()}))
         return 0
     dataset = pipeline.ingest(args.manifest, "pgm")
-    model = pipeline.fit_texture_model(dataset.raws, dataset.labels, levels, degrees,
-                                       pca_k=args.pca,
-                                       hermite=not args.random_templates,
-                                       rng_seed=args.seed)
+    hermite = not args.random_templates
+    feats = np.stack([pipeline.texture_features(img, levels, degrees, hermite=hermite,
+                                                rng_seed=args.seed) for img in dataset.raws])
+    model = pipeline.fit_texture_features(feats, dataset.labels, levels, degrees,
+                                          pca_k=args.pca, hermite=hermite, rng_seed=args.seed)
     pipeline.save_model(model, args.output)
-    train_acc = np.mean([pipeline.model_predict(model, img) == lab
-                         for img, lab in dataset.samples])
+    # Each image's features classified on their own, as ``predict`` would.
+    train_acc = np.mean([pipeline.lda_predict(model.classifier, pipeline.pca_transform(
+        f, model.pca_mean, model.pca_basis))[0] == lab for f, lab in zip(feats, dataset.labels)])
     doc = make_report(args, {"model": args.output, "classes": model.classifier["classes"],
                              "train_accuracy": float(train_acc)}, stochastic=True)
     emit(args, doc, to_stdout=True)          # --output holds the model path

@@ -443,35 +443,48 @@ def _concat(parts: list):
     return np.concatenate(parts)
 
 
-def _bank(group: GroupAction, bank, xs, witnesses: bool) -> tuple:
-    Z = _bank_operands(group, bank)
-    X = as_operands(group, xs)
-    return _evaluate(group, Z, X, _row_norms(X) if witnesses else None)
+class FilterBank:
+    """A filter bank prepared once for any number of inputs: the templates
+    are validated, the kind's bulk form is built and the (K,) template norms
+    are taken here.  It keeps only what the bulk form holds (FFTs, sorted
+    rows, window slices; the templates where the form uses them whole).
+    Inputs are validated per call; their norms only when witnesses are asked."""
 
+    def __init__(self, group: GroupAction, bank):
+        Z = _bank_operands(group, bank)
+        kind = groups.kind_of(group)
+        self.group = group
+        self._bulk = kind.bank(group, Z)
+        self._norms = _row_norms(Z)
+        self._step = _chunk_rows(group, len(Z), kind.width)
 
-def _evaluate(group: GroupAction, Z: np.ndarray, X: np.ndarray, nx) -> tuple:
-    """The engine on validated operands: ``(values, witnesses)`` of the bank
-    Z on the inputs X, chunk by chunk.  ``nx`` holds the row norms of X for
-    the tie tolerances; ``None`` asks for values only (witnesses ``None``).
-    Row norms do not depend on the chunking, so callers that evaluate the
-    same inputs again take them once."""
-    kind = groups.kind_of(group)
-    evaluate = kind.bank(group, Z)
-    nz = _row_norms(Z)
-    step = _chunk_rows(group, len(Z), kind.width)
-    values, wits = [], []
-    for s in range(0, max(len(X), 1), step):
-        tol = None if nx is None else _tie_tolerance(nz[None, :], nx[s:s + step, None])
-        v, w = evaluate(X[s:s + step], tol)
-        values.append(v)
-        wits.append(w)
-    return np.concatenate(values), None if nx is None else _concat(wits)
+    def values(self, xs) -> np.ndarray:
+        """See :func:`bank_values`."""
+        return self.evaluate(as_operands(self.group, xs), None)[0]
+
+    def argmax(self, xs) -> tuple:
+        """See :func:`bank_argmax`."""
+        X = as_operands(self.group, xs)
+        return self.evaluate(X, _row_norms(X))
+
+    def evaluate(self, X: np.ndarray, nx) -> tuple:
+        """``(values, witnesses)`` on validated inputs X, chunk by chunk.  ``nx``
+        holds the row norms of X for the tie tolerances (callers that evaluate
+        the same inputs again take them once); ``None`` asks for values only."""
+        values, wits = [], []
+        for s in range(0, max(len(X), 1), self._step):
+            tol = None if nx is None else _tie_tolerance(self._norms[None, :],
+                                                         nx[s:s + self._step, None])
+            v, w = self._bulk(X[s:s + self._step], tol)
+            values.append(v)
+            wits.append(w)
+        return np.concatenate(values), None if nx is None else _concat(wits)
 
 
 def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
     """(N, K) matrix with entry [n, k] = max_filter(group, bank[k], xs[n]).value,
     evaluated in bulk (see :mod:`maxfilt.groups`)."""
-    return _bank(group, bank, xs, witnesses=False)[0]
+    return FilterBank(group, bank).values(xs)
 
 
 def bank_argmax(group: GroupAction, bank, xs) -> tuple:
@@ -479,7 +492,7 @@ def bank_argmax(group: GroupAction, bank, xs) -> tuple:
     the first witness ``max_filter(group, bank[k], xs[n])`` lists (same tie
     tolerance, same order).  Witnesses are stacked over leading (N, K) axes
     in the kind's encoding; tuple witnesses come as a tuple of such arrays."""
-    return _bank(group, bank, xs, witnesses=True)
+    return FilterBank(group, bank).argmax(xs)
 
 
 def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarray:
@@ -518,7 +531,7 @@ def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
 
 def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:
     """Feature vector with entry i = max_filter(group, bank[i], x).value."""
-    return bank_values(group, bank, [x])[0]
+    return FilterBank(group, bank).values([x])[0]
 
 
 def _vector_norms(v: np.ndarray) -> np.ndarray:

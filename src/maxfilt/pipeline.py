@@ -13,16 +13,15 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import groups
 from .analysis import random_template
-from .core import (GroupAction, NumericFailure, ValidationError,
-                   _bank_operands, _evaluate, _row_norms, _subgradient, as_operands,
-                   filter_bank_apply)
+from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
+                   _row_norms, _subgradient, as_operands)
 from .templates import HermiteSpec, Template, _hermite_grid
 
 MODEL_FORMAT = "maxfilt-model/1"
@@ -373,7 +372,8 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     projected subgradient descent (step eta_0 / sqrt(t), full batch).
 
     The samples are validated and their norms taken once; each epoch then
-    evaluates the whole bank on all of them in one engine call (what
+    prepares the bank of its templates (:class:`maxfilt.core.FilterBank`),
+    evaluates it on all of them in one engine call (what
     :func:`maxfilt.core.bank_argmax` runs) and forms the template
     subgradients from its witnesses.  Templates for the sliding-window group
     stay supported on their initial slice.  The returned model holds the
@@ -397,7 +397,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     b = 0.0
 
     def loss_at(zs, w, b):
-        feats = _evaluate(group, _bank_operands(group, zs), xs, None)[0]
+        feats = FilterBank(group, zs).evaluate(xs, None)[0]
         return _hinge_loss(feats, y, w, b, config.ridge)
 
     initial_loss = loss_at(templates, w, b)
@@ -407,8 +407,8 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     history = []
     n = len(xs)
     for t in range(1, config.epochs + 1):
-        Z = _bank_operands(group, templates)      # templates change every epoch
-        feats, witnesses = _evaluate(group, Z, xs, nx)
+        # The templates change every epoch, so each epoch prepares its bank.
+        feats, witnesses = FilterBank(group, templates).evaluate(xs, nx)
         loss = _hinge_loss(feats, y, w, b, config.ridge)
         if not math.isfinite(loss):
             raise NumericFailure("training diverged (non-finite loss)")
@@ -420,7 +420,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         eta = config.learning_rate / math.sqrt(t)
         if not config.freeze_templates:
             coef = -(active * y)[:, None] * w[None, :]
-            gz = _subgradient(group, Z, xs, witnesses, coef) / n
+            gz = _subgradient(group, templates, xs, witnesses, coef) / n
             templates = templates - eta * gz
         w = w - eta * gw
         b = b - eta * gb
@@ -501,9 +501,12 @@ def make_planted_window_dataset(n_per_class: int, c: int, w: int, t: int,
 # Model container and serialization
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PipelineModel:
-    """Immutable-once-fit bundle: templates, optional PCA, classifier, config."""
+    """Frozen fitted bundle: templates, optional PCA, classifier, config.  A
+    filter-bank model prepares its ``bank`` (a :class:`maxfilt.core.FilterBank`)
+    once, when it is built (at train time or by :func:`load_model`), and
+    checks there that an SVM has one weight per feature."""
 
     templates: list
     pca_mean: Optional[np.ndarray]
@@ -511,6 +514,16 @@ class PipelineModel:
     classifier: dict
     group: Optional[GroupAction]
     config: dict
+    bank: Optional[FilterBank] = field(init=False, default=None, repr=False)
+
+    def __post_init__(self):
+        if self.config.get("featurizer", "filter_bank") != "filter_bank" or self.group is None:
+            return
+        object.__setattr__(self, "bank", FilterBank(self.group, self.templates))
+        n_feats = len(self.templates) if self.pca_basis is None else self.pca_basis.shape[1]
+        weights = np.shape(self.classifier.get("weights"))
+        if self.classifier.get("type") == "svm" and weights != (n_feats,):
+            raise ValidationError(f"SVM weights of shape {weights} for {n_feats} features")
 
 
 # Descriptor class per kind, from the members of ``GroupAction``.
@@ -632,6 +645,14 @@ def fit_texture_model(images: Sequence[np.ndarray], labels: Sequence[str],
     feasible rank), then pooled-covariance LDA."""
     feats = np.stack([texture_features(img, levels, degrees, hermite=hermite,
                                        rng_seed=rng_seed) for img in images])
+    return fit_texture_features(feats, labels, levels, degrees, pca_k, hermite, rng_seed)
+
+
+def fit_texture_features(feats: np.ndarray, labels: Sequence[str], levels: Sequence[int],
+                         degrees: Sequence[int], pca_k: int = 25, hermite: bool = True,
+                         rng_seed: int = 0) -> PipelineModel:
+    """:func:`fit_texture_model` on features already extracted: row i holds
+    the :func:`texture_features` of image i, taken with these arguments."""
     n, f = feats.shape
     k_eff = min(pca_k, n - 1, f)
     mean, basis = pca_fit(feats, k_eff)
@@ -653,7 +674,7 @@ def model_features(model: PipelineModel, raw) -> np.ndarray:
     elif kind == "filter_bank":
         if model.group is None:
             raise ValidationError("model lacks a group binding")
-        feats = filter_bank_apply(model.group, model.templates, raw)
+        feats = model.bank.values([raw])[0]
     else:
         raise ValidationError(f"unknown featurizer {kind!r}")
     if model.pca_mean is not None:

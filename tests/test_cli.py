@@ -309,6 +309,39 @@ class TestTrainPredict:
         assert "NaN" in err
         assert not (tmp_path / "model.json").exists()
 
+    # A model is checked when it is loaded: exit 3, never a numpy error.
+    def _model(self, tmp_path, capsys):
+        rng = np.random.default_rng(11)
+        motif = rng.standard_normal((2, 6))
+        entries = [self._write_ecg(tmp_path, rng, ("mi", "ok")[i % 2], f"s{i}.csv",
+                                   motif * (i % 2)) for i in range(6)]
+        manifest = write_json(tmp_path / "manifest.json", {"samples": entries})
+        path = tmp_path / "model.json"
+        code, _, err = run_cli(capsys, "train", "--data", manifest, "--group", "window:6x19",
+                               "--templates", "3", "--epochs", "3", "--seed", "0",
+                               "--output", str(path))
+        assert code == 0, err
+        return path, json.loads(path.read_text())
+
+    def _predict(self, tmp_path, capsys, path, doc):
+        path.write_text(json.dumps(doc))
+        return run_cli(capsys, "predict", "--model", str(path),
+                       "--input", str(tmp_path / "s0.csv"))
+
+    def test_weights_that_do_not_match_the_templates_exit_3(self, tmp_path, capsys):
+        path, doc = self._model(tmp_path, capsys)
+        doc["classifier"]["weights"] = doc["classifier"]["weights"][:2]
+        code, _, err = self._predict(tmp_path, capsys, path, doc)
+        assert code == 3
+        assert "weights" in err
+
+    def test_non_finite_template_exits_3(self, tmp_path, capsys):
+        path, doc = self._model(tmp_path, capsys)
+        doc["templates"][1]["vector"][0][0][0] = float("nan")
+        code, _, err = self._predict(tmp_path, capsys, path, doc)
+        assert code == 3
+        assert "NaN" in err
+
 
 class TestDistrictCommand:
     def test_csv_emission(self, tmp_path, capsys):
@@ -357,6 +390,27 @@ class TestTextureCommand:
                                "--input", str(tmp_path / "smooth1.pgm"))
         assert code == 0
         assert json.loads(out)["label"] in ("rough", "smooth")
+
+
+    def test_training_featurizes_each_image_once(self, tmp_path, capsys, monkeypatch):
+        sys.path.insert(0, "tests")
+        from test_pipeline import make_texture_field
+        rng = np.random.default_rng(12)
+        entries = []
+        for i in range(6):
+            name = f"t{i}.pgm"
+            write_pgm(str(tmp_path / name), make_texture_field(16, 1.5 * (i % 2), rng))
+            entries.append({"path": name, "label": "rs"[i % 2]})
+        manifest = write_json(tmp_path / "m.json", {"samples": entries})
+        calls = []
+        featurize = mf.pipeline.texture_features
+        monkeypatch.setattr(mf.pipeline, "texture_features",
+                            lambda *a, **k: calls.append(1) or featurize(*a, **k))
+        code, _, err = run_cli(capsys, "texture", "--manifest", manifest, "--levels", "1:3",
+                               "--degrees", "0:2", "--pca", "3", "--seed", "1",
+                               "--output", str(tmp_path / "model.json"))
+        assert code == 0, err
+        assert len(calls) == 6
 
 
 class TestConsoleScript:

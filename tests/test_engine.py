@@ -234,6 +234,53 @@ def test_engine_validates_operands():
         mf.bank_subgradient(group, bad, X, witnesses, coef)
 
 
+def prepared_case(kind):
+    """A bank of 3 templates and 9 inputs with dyadic entries (exact ties)."""
+    group = GROUPS[kind]
+    rng = np.random.default_rng(40)
+    bank = random_bank(group, 3, rng_seed=41)
+    X = np.stack([np.round(2.0 * sample_point(group, rng)) / 2.0 for _ in range(9)])
+    return group, bank, X
+
+
+def assert_same_argmax(got, want):
+    assert np.array_equal(got[0], want[0])
+    for g, w in zip(*(v if isinstance(v, tuple) else (v,) for v in (got[1], want[1]))):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("bulk", [None, 1])
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_prepared_bank_equals_the_engine_calls(kind, bulk, monkeypatch):
+    if bulk is not None:                    # chunks of a single input row
+        monkeypatch.setattr(mf.core, "_BULK", bulk)
+    group, bank, X = prepared_case(kind)
+    prepared = mf.FilterBank(group, bank)
+    # The same prepared bank, asked again and in either order, gives the same.
+    for _ in range(2):
+        assert np.array_equal(prepared.values(X), mf.bank_values(group, bank, X))
+        assert_same_argmax(prepared.argmax(X), mf.bank_argmax(group, bank, X))
+    for xs in (X[:1], []):                  # one input, and no inputs
+        assert np.array_equal(prepared.values(xs), mf.bank_values(group, bank, xs))
+        assert_same_argmax(prepared.argmax(xs), mf.bank_argmax(group, bank, xs))
+    assert np.array_equal(prepared.values([X[0]])[0], mf.filter_bank_apply(group, bank, X[0]))
+
+
+def test_prepared_bank_validates_templates_once_and_inputs_per_call():
+    group = mf.CyclicShift(4)
+    with pytest.raises(mf.ValidationError):
+        mf.FilterBank(group, [])
+    with pytest.raises(mf.ValidationError):
+        mf.FilterBank(group, [[1.0, np.nan, 0.0, 0.0]])
+    with pytest.raises(mf.ValidationError):
+        mf.FilterBank(group, [mf.Template(np.ones(4), group_kind="perm")])
+    prepared = mf.FilterBank(group, np.eye(4))
+    with pytest.raises(mf.DimensionMismatch):
+        prepared.values(np.zeros((2, 5)))
+    with pytest.raises(mf.ValidationError):
+        prepared.argmax([[0.0, np.inf, 0.0, 0.0]])
+
+
 # ---------------------------------------------------------------------------
 # Training on the engine against the per-call loop
 # ---------------------------------------------------------------------------

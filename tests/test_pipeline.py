@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -401,6 +402,50 @@ class TestModelSerialization:
         path.write_text(json.dumps({"format": "other/9"}))
         with pytest.raises(mf.ValidationError):
             load_model(str(path))
+
+
+class TestPreparedModel:
+    """A filter-bank model prepares its bank once, at train or load time."""
+
+    @staticmethod
+    def trained(kind):
+        rng = np.random.default_rng(30)
+        group = {"window": mf.SlidingWindowShift(2, 3, 9), "cyclic": mf.CyclicShift(8),
+                 "colperm": mf.ColumnPermutation(2, 4)}[kind]
+        xs = [rng.standard_normal(getattr(group, "shape", (group.dim,))) for _ in range(10)]
+        ds = LabeledDataset(samples=[(x, "ab"[i % 2]) for i, x in enumerate(xs)])
+        model = train_svm_templates(ds, group, 3, TrainConfig(epochs=6, rng_seed=31))
+        return model, xs
+
+    @pytest.mark.parametrize("kind", ["window", "cyclic", "colperm"])
+    def test_features_equal_the_engine_before_and_after_reload(self, kind, tmp_path):
+        model, xs = self.trained(kind)
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        back = load_model(path)
+        for m in (model, back):
+            assert isinstance(m.bank, mf.FilterBank)
+            for x in xs[:4]:
+                want = mf.bank_values(m.group, m.templates, [x])[0]
+                assert np.array_equal(pipeline.model_features(m, x), want)
+
+    def test_fields_cannot_be_reassigned(self):
+        model, _ = self.trained("cyclic")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.templates = []
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.bank = None
+
+    def test_bad_models_fail_when_built(self):
+        model, _ = self.trained("cyclic")
+        fields = dict(templates=model.templates, pca_mean=None, pca_basis=None,
+                      classifier=model.classifier, group=model.group, config=model.config)
+        few = dict(model.classifier, weights=model.classifier["weights"][:2])
+        with pytest.raises(mf.ValidationError, match="weights"):
+            pipeline.PipelineModel(**dict(fields, classifier=few))
+        bad = [mf.Template(np.full(8, np.nan), group_kind="cyclic")] + model.templates[1:]
+        with pytest.raises(mf.ValidationError, match="NaN"):
+            pipeline.PipelineModel(**dict(fields, templates=bad))
 
 
 class TestTexturePipeline:

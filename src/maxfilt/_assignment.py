@@ -15,11 +15,13 @@ Two forms of the same algorithm:
 * :func:`max_profit_assignments` solves a stack of B matrices in lockstep:
   the potentials, matching and search state of every problem are rows of
   (B, n + 1) arrays, and each Dijkstra step is one set of array operations
-  over the problems still searching (finished ones drop out by index
-  compaction).  Every update is the scalar code's elementwise float
-  operation, and ``argmin`` keeps the first-column tie rule, so the columns
-  are identical to :func:`min_cost_assignment`'s.  Small batches go to the
-  list solver instead (see ``_LOCKSTEP_MIN_BATCH``).
+  over all unfinished problems.  Rows are independent: a problem whose
+  search reaches a free column augments in that step and starts its next
+  row in the next one, whatever row the others are on, and it drops out by
+  index compaction only after its last row.  Every update is the scalar
+  code's elementwise float operation, and ``argmin`` keeps the first-column
+  tie rule, so the columns are identical to :func:`min_cost_assignment`'s.
+  Small batches go to the list solver instead (see ``_LOCKSTEP_MIN_BATCH``).
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import numpy as np
 # solver.  Lockstep pays numpy's per-operation overhead (some 20 array
 # operations per Dijkstra step) whatever the batch size, so it only wins once
 # that overhead is spread over enough problems.  Measured on a 2-core Xeon VM
-# (one process, BLAS on one thread, best of 7), list vs lockstep per batch:
-# n = 8: B = 4 0.20 vs 1.2 ms, B = 40 1.6 vs 2.5 ms, B = 2048 87 vs 25 ms
-# (break-even near B = 100); n = 48: B = 4 7.9 vs 14 ms, B = 40 63 vs 39 ms
-# (break-even near B = 18).  The constant sits between the two, so single
-# calls and bank probes (B <= 16) stay on the list solver and bank chunks
-# (B in the hundreds at n = 8, about 50 at n = 48) run in lockstep.
+# (one process, BLAS on one thread, best of 7, standard normal profits), list
+# vs lockstep per batch: n = 8: B = 4 0.21 vs 1.3 ms, B = 40 2.2 vs 3.0 ms,
+# B = 2048 79 vs 18 ms (break-even near B = 55); n = 48: B = 4 5.2 vs 11 ms,
+# B = 40 48 vs 21 ms (break-even near B = 10).  The constant sits between the
+# two, so single calls and bank probes (B <= 16) stay on the list solver and
+# bank chunks (B in the hundreds at n = 8, about 50 at n = 48) run in lockstep.
 _LOCKSTEP_MIN_BATCH = 40
 
 
@@ -106,72 +108,70 @@ def _lockstep_min_cost(cost: np.ndarray) -> np.ndarray:
     """Columns of :func:`min_cost_assignment` for every matrix of a finite
     (B, n, n) stack, all solved at once.
 
-    The arrays mirror the scalar code's lists, one row per problem: ``u`` (by
-    row), ``v``, ``p``, ``way`` and ``minv`` (by column, 0 = the virtual
-    column).  ``minv`` holds +inf on the columns already in the tree, which
-    the scalar code skips, so one ``argmin`` finds the first free column of
-    least reduced cost.
+    The arrays mirror the scalar code's lists, one row per problem still
+    adding rows: ``u`` (by row), ``v``, ``p``, ``way`` and ``minv`` (by
+    column, 0 = the virtual column).  ``minv`` holds +inf on the columns
+    already in the tree, which the scalar code skips, so one ``argmin`` finds
+    the first free column of least reduced cost.  Each problem adds its rows
+    at its own pace: one that reaches a free column augments along its path
+    in that step and starts its next row in the following one, and it drops
+    out once it has added its last row.
     """
     B, n, _ = cost.shape
     m = n + 1
     rows = np.zeros((B, m, m))
     rows[:, 1:, 1:] = cost
     rows = rows.reshape(B * m, m)           # row i of problem b is rows[b * m + i]
-    u = np.zeros((B, m))
-    v = np.zeros((B, m))
-    p = np.zeros((B, m), dtype=np.intp)
-    way = np.zeros((B, m), dtype=np.intp)
-    end = np.zeros(B, dtype=np.intp)       # free column each search reached
-    for i in range(1, n + 1):
-        p[:, 0] = i
-        # Search state of the problems still looking for a free column.
-        idx = np.arange(B)
-        ar = idx.copy()
-        su, sv, sp, sway = u.copy(), v.copy(), p.copy(), way.copy()
-        minv = np.full((B, m), np.inf)
-        used = np.zeros((B, m), dtype=bool)
-        used[:, 0] = True
-        in_tree = np.zeros((B, m), dtype=bool)          # rows p[j] of used j
-        in_tree[:, i] = True
-        j0 = np.zeros(B, dtype=np.intp)
-        i0 = np.full(B, i, dtype=np.intp)
-        while True:
-            cur = rows[idx * m + i0] - su[ar, i0][:, None]
-            cur -= sv
-            np.copyto(cur, np.inf, where=used)
-            better = cur < minv
-            np.copyto(minv, cur, where=better)
-            np.copyto(sway, j0[:, None], where=better)
-            j0 = minv.argmin(axis=1)
-            delta = minv[ar, j0][:, None]
-            np.add(su, delta, out=su, where=in_tree)
-            np.subtract(sv, delta, out=sv, where=used)
-            minv -= delta
-            i0 = sp[ar, j0]
-            used[ar, j0] = True
-            minv[ar, j0] = np.inf
-            in_tree[ar, i0] = True
-            done = i0 == 0
-            if not done.any():
-                continue
-            g = idx[done]
-            u[g], v[g], p[g], way[g], end[g] = su[done], sv[done], sp[done], sway[done], j0[done]
-            if done.all():
-                break
-            keep = ~done
-            idx, j0, i0 = idx[keep], j0[keep], i0[keep]
-            su, sv, sp, sway = su[keep], sv[keep], sp[keep], sway[keep]
-            minv, used, in_tree = minv[keep], used[keep], in_tree[keep]
-            ar = np.arange(len(idx))
-        # Augment every problem along its alternating path.
-        live, j = np.arange(B), end
-        while len(live):
-            back = way[live, j]
-            p[live, j] = p[live, back]
-            keep = back != 0
-            live, j = live[keep], back[keep]
     cols = np.empty((B, n), dtype=int)
-    cols[np.arange(B)[:, None], p[:, 1:] - 1] = np.arange(n)
+    idx = np.arange(B if n else 0)          # the problems still adding rows
+    ar = idx.copy()
+    u, v, minv = (np.zeros((len(idx), m)) for _ in range(3))
+    p, way = np.zeros((2, len(idx), m), dtype=np.intp)
+    used, in_tree = np.zeros((2, len(idx), m), dtype=bool)    # in_tree: rows p[j] of used j
+    i, j0, i0 = np.zeros((3, len(idx)), dtype=np.intp)        # i: the row being added
+    done = np.ones(len(idx), dtype=bool)    # problems that start their next row
+    while len(idx):
+        g = ar[done]
+        i[g] += 1
+        p[g, 0] = i0[g] = i[g]
+        j0[g] = 0
+        minv[g] = np.inf
+        used[g] = False
+        used[g, 0] = True
+        in_tree[g] = False
+        in_tree[g, i[g]] = True
+        cur = rows[idx * m + i0] - u[ar, i0][:, None]
+        cur -= v
+        np.putmask(cur, used, np.inf)
+        better = cur < minv
+        np.putmask(minv, better, cur)
+        np.copyto(way, j0[:, None], where=better)
+        j0 = minv.argmin(axis=1)
+        delta = minv[ar, j0][:, None]
+        np.putmask(u, in_tree, u + delta)
+        np.putmask(v, used, v - delta)
+        minv -= delta
+        i0 = p[ar, j0]
+        used[ar, j0] = True
+        minv[ar, j0] = np.inf
+        in_tree[ar, i0] = True
+        done = i0 == 0
+        # Augment each problem that reached a free column along its path, on
+        # flat views of p and way; a path that has reached column 0 stays
+        # there (way[:, 0] is never written, so p[0] = p[0]).
+        base, j = ar[done] * m, j0[done]
+        flat_p, flat_way = p.ravel(), way.ravel()
+        while j.any():
+            at = base + j
+            j = flat_way[at]
+            flat_p[at] = flat_p[base + j]
+        last = done & (i == n)
+        if last.any():
+            cols[idx[last, None], p[last, 1:] - 1] = np.arange(n)
+            keep = ~last
+            idx, u, v, p, way, minv, used, in_tree, i, j0, i0, done = (
+                a[keep] for a in (idx, u, v, p, way, minv, used, in_tree, i, j0, i0, done))
+            ar = np.arange(len(idx))
     return cols
 
 

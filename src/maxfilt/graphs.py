@@ -56,11 +56,19 @@ class WeightedGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WeightedGraph":
-        n = int(data["n"])
+        """Read ``{"n": n, "edges": [[u, v, w], ...]}`` as JSON gives it: an int
+        n >= 1, int endpoints in [0, n) and int or float weights."""
+        n, edges = data["n"], data["edges"]
+        if type(n) is not int or n < 1 or not isinstance(edges, list):
+            raise ValidationError(f"graph needs an integer n >= 1 and a list of edges, got n = {n!r}")
         adj = np.zeros((n, n))
-        for u, v, w in data["edges"]:
-            adj[int(u), int(v)] = float(w)
-            adj[int(v), int(u)] = float(w)
+        for edge in edges:
+            if not (isinstance(edge, list) and len(edge) == 3 and type(edge[2]) in (int, float)
+                    and all(type(x) is int and 0 <= x < n for x in edge[:2])):
+                raise ValidationError(f"graph edge {edge!r} is not [u, v, weight] with integer "
+                                      f"u, v in [0, {n}) and a numeric weight")
+            u, v, w = edge
+            adj[u, v] = adj[v, u] = float(w)
         return cls(adj)
 
     @classmethod
@@ -191,11 +199,12 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
     colorings: every tree vertex u keeps one (N, n) table per color subset S
     with |S| = |subtree(u)|, holding the best placement of subtree(u) on
     distinct colors S with u at each graph vertex.  Vertices are processed in
-    post-order; each tree edge (u, parent) costs one dense (N, n, n) max-plus
-    step per color subset of u, whose result merges into every disjoint
-    subset of the parent's partial table by union.  Colorful placements are
-    injective, and the maximum over colorings is exact when the family is
-    rainbow on some optimal placement, a lower bound otherwise.  The returned
+    post-order; each tree edge (u, parent) costs one sparse max-plus step
+    per color subset of u (see :func:`_color_set_dp`), whose result merges
+    into every disjoint subset of the parent's partial table by union.
+    Colorful placements are injective, and the maximum over colorings is
+    exact when the family is rainbow on some optimal placement, a lower bound
+    otherwise.  The returned
     value is twice the DP optimum, converting the per-edge sum into the
     symmetric Frobenius inner product of the zero-padded template with the
     conjugated graph.  A coloring leaving a color empty contributes -inf.
@@ -204,8 +213,9 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
     optimum, traced back through the tables of the winning coloring alone.
 
     ``return_stats`` adds ``{"pairs", "colorings", "color_sets"}``: the
-    (coloring, parent vertex, child vertex) evaluations performed, the number
-    of colorings, and the number of child color subsets processed.
+    (coloring, parent vertex, child vertex) terms of the dense max-plus steps
+    (``color_sets × colorings × n²``; the sparse steps evaluate fewer), the
+    number of colorings, and the number of child color subsets processed.
     """
     a = tree.adj
     b = graph.adj
@@ -239,22 +249,42 @@ def _color_set_dp(a, b, edges, colorings, k, history=None):
     color subsets processed.
 
     Tables are dicts from a color-subset bitmask to an (N, n) array.  The
-    max-plus step ``best[i, x] = max_y child[i, y] + w[y, x]`` is taken one
-    child vertex y at a time, so no (N, n, n) array is ever built.  With
-    ``history`` a list, each edge appends (child table, parent table before
-    the merge) for the traceback.
+    max-plus step ``best[i, x] = max_y child[i, y] + w[y, x]`` keeps only the
+    terms that can decide a maximum.  A column x with no negative weight
+    keeps the y with ``w[y, x] > 0`` and the child's row maximum: a zero
+    weight gives ``child + 0.0 == child``, at most that maximum, and a
+    positive one a sum at least ``child``.  A column with a negative weight
+    keeps all n terms.  Kept terms are the dense step's float sums and
+    ``max`` is exact, so the tables equal the dense step's bit for bit (none
+    holds -0.0, as the leaves are +0.0).  The step runs on a vertex-major
+    copy of the child table, with the row maxima as row n, one slot at a
+    time: slot j holds the j-th term of each column that has one, a prefix
+    of the columns once they are ordered by term count, so no temporary
+    exceeds (n, N).  With ``history`` a list, each edge appends (child
+    table, parent table before the merge) for the traceback.
     """
-    n = colorings.shape[1]
+    big_n, n = colorings.shape
     leaf = {1 << c: np.where(colorings == c, 0.0, -np.inf) for c in range(k)}
     tables = [leaf] * k
     color_sets = 0
     for u, pu in edges:
         w = a[u, pu] * b
+        neg = (w < 0).any(axis=0)
+        keep = np.vstack([(w > 0) | neg, ~neg])     # terms (y, x); y = n: row maximum
+        order = np.argsort(-keep.sum(axis=0), kind="stable")
+        in_slot = np.arange(n + 1)[:, None] < keep.sum(axis=0)[order]
+        ys = np.argsort(~keep[:, order], axis=0, kind="stable")[in_slot]
+        ws = np.vstack([w, np.zeros(n)])[ys, np.broadcast_to(order, in_slot.shape)[in_slot]]
+        ws, ends = ws[:, None], np.unique(np.cumsum(in_slot.sum(axis=1))).tolist()
         merged = {}
         for t, child in tables[u].items():
-            best = child[:, 0, None] + w[0]
-            for y in range(1, n):
-                np.maximum(best, child[:, y, None] + w[y], out=best)
+            ext = np.empty((n + 1, big_n))
+            ext[:n] = child.T
+            ext[n] = ext[:n].max(axis=0)
+            acc = ext[ys[:n]] + ws[:n]
+            for lo, hi in zip(ends, ends[1:]):
+                np.maximum(acc[:hi - lo], ext[ys[lo:hi]] + ws[lo:hi], out=acc[:hi - lo])
+            best = acc.T[:, np.argsort(order)]
             for s, part in tables[pu].items():
                 if s & t:
                     continue

@@ -159,6 +159,32 @@ class TestGraphFilterCommand:
         assert v_two == pytest.approx(4.0)
         assert v_hex != v_two
 
+    @pytest.mark.parametrize("graph", [
+        {"n": 0, "edges": []},
+        {"n": 6, "edges": [[0, 6, 1.0]]},          # endpoint out of range
+        {"n": 6, "edges": [[-1, 2, 1.0]]},         # would index vertex 5
+        {"n": 6, "edges": [[0.7, 2, 1.0]]},        # would truncate to vertex 0
+        {"n": 6, "edges": [[0, 2, "heavy"]]},      # non-numeric weight
+    ], ids=["no-vertices", "endpoint-out-of-range", "negative-endpoint",
+            "fractional-endpoint", "non-numeric-weight"])
+    def test_malformed_graph_json_exits_3(self, tmp_path, capsys, graph):
+        from maxfilt.graphs import TreeTemplate
+        tree = write_json(tmp_path / "p4.json", TreeTemplate.path(4).to_dict())
+        bad = write_json(tmp_path / "bad.json", graph)
+        code, out, err = run_cli(capsys, "graph-filter", "--tree", tree,
+                                 "--graph", bad, "--seed", "7")
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: graph ")
+
+    def test_malformed_tree_json_exits_3(self, tmp_path, capsys):
+        from maxfilt.graphs import WeightedGraph
+        tree = write_json(tmp_path / "tree.json", {"n": 3, "edges": [[0, 1, 1.0], [1, 3, 1.0]]})
+        graph = write_json(tmp_path / "c6.json", WeightedGraph.cycle(6).to_dict())
+        code, _, err = run_cli(capsys, "graph-filter", "--tree", tree, "--graph", graph,
+                               "--seed", "7")
+        assert code == 3
+        assert err.startswith("validation error: graph edge [1, 3, 1.0]")
+
 
 class TestAnalysisCommands:
     def test_separation_zero_violations(self, capsys):

@@ -323,6 +323,114 @@ class TestColorSetDP:
             mf_tree_dp(TreeTemplate.path(2), graph, coding)
 
 
+def dense_color_set_dp(a, b, edges, colorings, k, history=None):
+    """Reference: the color-set DP with the dense max-plus step, all n terms
+    ``child[:, y] + w[y, x]`` of every column taken one child vertex at a
+    time."""
+    n = colorings.shape[1]
+    leaf = {1 << c: np.where(colorings == c, 0.0, -np.inf) for c in range(k)}
+    tables = [leaf] * k
+    color_sets = 0
+    for u, pu in edges:
+        w = a[u, pu] * b
+        merged = {}
+        for t, child in tables[u].items():
+            best = child[:, 0, None] + w[0]
+            for y in range(1, n):
+                np.maximum(best, child[:, y, None] + w[y], out=best)
+            for s, part in tables[pu].items():
+                if s & t:
+                    continue
+                r = s | t
+                if r in merged:
+                    np.maximum(merged[r], part + best, out=merged[r])
+                else:
+                    merged[r] = part + best
+        if history is not None:
+            history.append((tables[u], tables[pu]))
+        color_sets += len(tables[u])
+        tables[pu] = merged
+    return tables[k - 1][(1 << k) - 1], color_sets
+
+
+def sparse_graph(n, rng, p=0.3, negative=0, isolated=0):
+    """Weights in [0.1, 1) on edges drawn with probability ``p`` (as in the
+    benchmark's graphs), ``negative`` of the edges made negative, and the
+    last ``isolated`` vertices left without edges."""
+    upper = np.triu((rng.random((n, n)) < p) * rng.uniform(0.1, 1.0, size=(n, n)), 1)
+    upper[n - isolated:] = upper[:, n - isolated:] = 0.0
+    us, vs = np.nonzero(upper)
+    flip = rng.choice(len(us), size=min(negative, len(us)), replace=False)
+    upper[us[flip], vs[flip]] *= -1.0
+    return WeightedGraph(upper + upper.T)
+
+
+class TestSparseMaxPlusStep:
+    """The sparse max-plus step keeps only the terms that can decide a
+    maximum; root tables, values and witnesses must equal the dense step's
+    bit for bit, sign bits included."""
+
+    @staticmethod
+    def assert_same_as_dense(tree, graph, coding, monkeypatch):
+        from maxfilt import graphs
+
+        edges = validate_post_order(tree)
+        args = (tree.adj, graph.adj, edges, coding.colorings, tree.k)
+        got, sets = graphs._color_set_dp(*args)
+        want, want_sets = dense_color_set_dp(*args)
+        assert sets == want_sets
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        res = mf_tree_dp(tree, graph, coding)
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_color_set_dp", dense_color_set_dp)
+            ref = mf_tree_dp(tree, graph, coding)
+        assert res.value == ref.value
+        assert math.copysign(1.0, res.value) == math.copysign(1.0, ref.value)
+        np.testing.assert_array_equal(res.witnesses[0], ref.witnesses[0])
+
+    @pytest.mark.parametrize("k,n", [(2, 6), (3, 12), (4, 16), (5, 10)])
+    def test_sparse_non_negative_graphs(self, k, n, monkeypatch):
+        rng = np.random.default_rng(600 + 10 * k + n)
+        for trial in range(3):
+            tree = TreeTemplate(np.abs(branching_tree(k, rng).adj))
+            graph = sparse_graph(n, rng)
+            coding = make_color_coding(n, k, rng_seed=trial)
+            self.assert_same_as_dense(tree, graph, coding, monkeypatch)
+
+    @pytest.mark.parametrize("k,n", [(2, 6), (3, 12), (4, 16)])
+    def test_negative_tree_edge_on_non_negative_graph(self, k, n, monkeypatch):
+        rng = np.random.default_rng(700 + 10 * k + n)
+        for trial in range(3):
+            adj = np.abs(branching_tree(k, rng).adj)
+            adj[0, 1:] *= -1.0                  # the edge from leaf 0 to its parent
+            adj[1:, 0] *= -1.0
+            graph = sparse_graph(n, rng, isolated=trial)
+            coding = make_color_coding(n, k, rng_seed=trial)
+            self.assert_same_as_dense(TreeTemplate(adj), graph, coding, monkeypatch)
+
+    @pytest.mark.parametrize("k,n", [(3, 8), (4, 16), (5, 12)])
+    def test_graphs_with_a_few_negative_edges(self, k, n, monkeypatch):
+        # Mixed columns: those touching a negative edge keep all n terms.
+        rng = np.random.default_rng(800 + 10 * k + n)
+        for trial in range(3):
+            tree = branching_tree(k, rng, integer=trial == 1)
+            graph = sparse_graph(n, rng, p=0.5, negative=1 + trial)
+            coding = make_color_coding(n, k, rng_seed=trial)
+            self.assert_same_as_dense(tree, graph, coding, monkeypatch)
+
+    @pytest.mark.parametrize("k,n", [(2, 4), (3, 9), (4, 12)])
+    def test_isolated_vertices(self, k, n, monkeypatch):
+        # Columns with no positive weight take the child's row maximum alone;
+        # the empty graph has only such columns.
+        rng = np.random.default_rng(900 + 10 * k + n)
+        for isolated in (1, n // 2, n):
+            tree = branching_tree(k, rng)
+            graph = sparse_graph(n, rng, p=0.6, isolated=isolated)
+            coding = make_color_coding(n, k, rng_seed=isolated)
+            self.assert_same_as_dense(tree, graph, coding, monkeypatch)
+
+
 class TestIsomorphismCertificate:
     def test_conjugated_copy(self):
         rng = np.random.default_rng(19)

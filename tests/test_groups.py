@@ -343,6 +343,33 @@ class TestBatchedAssignment:
             for b in range(size if n < 48 else 5):
                 np.testing.assert_array_equal(cols[b], scalar_min_cost_assignment(-profits[b]))
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 48])
+    @pytest.mark.parametrize("size", [40, 41, 97])
+    def test_problems_finishing_rows_at_different_steps(self, n, size):
+        # Lockstep problems add their rows independently: an all-zero matrix
+        # takes one step per row, the others many more, so in one stack
+        # problems finish rows, and whole solves, at very different steps.
+        from maxfilt._assignment import max_profit_assignment, max_profit_assignments
+
+        rng = np.random.default_rng(540 + 100 * n + size)
+        kinds = [lambda: np.zeros((n, n)),
+                 lambda: rng.standard_normal((n, n)) * 1e8,
+                 lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+                 lambda: rng.integers(-2, 3, size=(n, n)).astype(float)]
+        stacks = [np.stack([kinds[k]() for k in rng.integers(0, 4, size)]),
+                  np.stack([kinds[1]()] + [kinds[0]() for _ in range(size - 1)]),
+                  np.stack([kinds[0]()] + [kinds[3]() for _ in range(size - 1)])]
+        for profits in stacks:
+            values, cols = max_profit_assignments(profits)
+            for b, profit in enumerate(profits):
+                value, col = max_profit_assignment(profit)
+                np.testing.assert_array_equal(cols[b], col)
+                assert values[b] == value
+            # The numpy-scalar reference is slow at n = 48: check the first and
+            # last problems (the odd one out of the second and third stacks).
+            for b in range(size) if n < 48 else (0, size - 1):
+                np.testing.assert_array_equal(cols[b], scalar_min_cost_assignment(-profits[b]))
+
     def test_non_finite_entry_anywhere_rejected(self):
         from maxfilt._assignment import _LOCKSTEP_MIN_BATCH, max_profit_assignments
 

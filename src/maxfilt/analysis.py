@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups
-from .core import (CyclicShift, GroupAction, SlidingWindowShift, ValidationError,
-                   bank_values, group_order, max_filter, quotient_distances)
+from .core import (CyclicShift, GroupAction, ValidationError, bank_values, group_order,
+                   max_filter, quotient_distances)
 from .templates import random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
@@ -39,16 +39,12 @@ def bank_frobenius(bank: Sequence) -> float:
 
 
 def random_template(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm random template shaped for the group's ambient space.
-
-    Sliding-window templates are constrained to slice 0, as template
-    training keeps each template on a single slice.
-    """
-    if isinstance(group, SlidingWindowShift):
-        z = np.zeros(group.shape)
-        slab = rng.standard_normal((group.c, group.w))
-        z[:, :, 0] = slab / np.linalg.norm(slab)
-        return z
+    """One unit-norm random template shaped for the group's ambient space:
+    the kind record's ``template`` where it sets one (sliding-window
+    templates start on slice 0), else a normalized :func:`sample_point`."""
+    template = groups.kind_of(group).template
+    if template is not None:
+        return template(group, rng)
     z = sample_point(group, rng)
     return z / np.linalg.norm(z)
 

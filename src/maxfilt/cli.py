@@ -22,11 +22,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, graphs, groups, pipeline, templates as tmod
-from .core import (ColumnPermutation, CyclicShift, Enumerated, FullOrthogonal,
-                   FullPermutation, GroupAction, LeftOrthogonal, NumericFailure,
-                   PatchPermutation, PhaseCircle, ShiftAndConjugate, SignFlips,
-                   SignedPermutation, SlidingWindowShift, ValidationError,
-                   bank_values, brute_force_max_filter, max_filter)
+from .core import (GroupAction, NumericFailure, ShiftAndConjugate, SlidingWindowShift,
+                   ValidationError, bank_values, brute_force_max_filter, max_filter)
 
 
 class OracleMismatch(RuntimeError):
@@ -37,55 +34,23 @@ class OracleMismatch(RuntimeError):
 # Group spec grammar
 # ---------------------------------------------------------------------------
 
+GROUP_HELP = "group spec: " + ", ".join(kind.spec for kind in groups.KINDS.values())
+
+
 def parse_group_spec(spec: str, channels: int | None = None) -> GroupAction:
-    """Compact group descriptors: cyclic:64, perm:10, signedperm:8,
-    signflips:8, orth:3, phase:4, shiftconj:50, leftorth:2x50, colperm:2x50,
-    patchperm:4@16x16, window:30x971 (channels from data) or window:15x30x971,
-    enumerated:FILE.json."""
-    if ":" not in spec:
+    """A group descriptor from its compact spec (the forms ``GROUP_HELP``
+    lists); a window spec without C takes ``channels``, the data's."""
+    name, colon, rest = spec.partition(":")
+    if not colon:
         raise ValidationError(f"malformed group spec {spec!r}")
-    kind, rest = spec.split(":", 1)
+    if name not in groups.KINDS:
+        raise ValidationError(f"unknown group kind {name!r} (known: {', '.join(groups.KINDS)})")
     try:
-        if kind == "cyclic":
-            return CyclicShift(int(rest))
-        if kind == "perm":
-            return FullPermutation(int(rest))
-        if kind == "signedperm":
-            return SignedPermutation(int(rest))
-        if kind == "signflips":
-            return SignFlips(int(rest))
-        if kind == "orth":
-            return FullOrthogonal(int(rest))
-        if kind == "phase":
-            return PhaseCircle(int(rest))
-        if kind == "shiftconj":
-            return ShiftAndConjugate(int(rest))
-        if kind in ("leftorth", "colperm"):
-            k, n = (int(p) for p in rest.split("x"))
-            return LeftOrthogonal(k, n) if kind == "leftorth" else ColumnPermutation(k, n)
-        if kind == "patchperm":
-            side, grid = rest.split("@")
-            h, w = (int(p) for p in grid.split("x"))
-            return PatchPermutation.square(int(side), (h, w))
-        if kind == "window":
-            parts = [int(p) for p in rest.split("x")]
-            if len(parts) == 3:
-                return SlidingWindowShift(*parts)
-            if len(parts) == 2:
-                if channels is None:
-                    raise ValidationError(
-                        "window spec w x T needs channel count from the input data")
-                return SlidingWindowShift(channels, parts[0], parts[1])
-            raise ValidationError("window spec must be WxT or CxWxT")
-        if kind == "enumerated":
-            with open(rest, "r", encoding="utf-8") as fh:
-                mats = json.load(fh)
-            return Enumerated(tuple(np.asarray(m, dtype=float) for m in mats))
+        return groups.from_spec(name, rest, channels)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ValidationError):
             raise
         raise ValidationError(f"malformed group spec {spec!r}: {exc}") from exc
-    raise ValidationError(f"unknown group kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +257,7 @@ def _load_training_data(args):
     if args.data_format == "ecg_csv":
         channels = dataset.raws[0].shape[0]
         group = parse_group_spec(args.group, channels=channels)
+        # The spec comes from the user: ecg_lift builds (c, w, T) windows only.
         if not isinstance(group, SlidingWindowShift):
             raise ValidationError("ecg data requires a window group")
         lifted = [(pipeline.ecg_lift(x, group.w), lab) for x, lab in dataset.samples]
@@ -411,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("filter", help="evaluate one max filter")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--template", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--oracle", action="store_true",
@@ -440,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_templates)
 
     p = sub.add_parser("lipschitz", help="estimate bilipschitz constants")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--n", type=int, required=True, help="bank size")
     p.add_argument("--samples", type=int, default=1000)
     common(p, seed=True)
     p.set_defaults(func=cmd_lipschitz)
 
     p = sub.add_parser("separation", help="orbit separation trial")
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--n", type=int, required=True, help="bank size")
     p.add_argument("--trials", type=int, default=10000)
     common(p, seed=True)
@@ -467,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset file or manifest")
     p.add_argument("--data-format", default="ecg_csv",
                    choices=("ecg_csv", "csv"))
-    p.add_argument("--group", required=True)
+    p.add_argument("--group", required=True, help=GROUP_HELP)
     p.add_argument("--templates", type=int, default=5)
     p.add_argument("--epochs", type=int, default=150)
     p.add_argument("--lr", type=float, default=0.5)

@@ -20,8 +20,10 @@ Conventions
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
 
@@ -47,6 +49,19 @@ class EnumerationCapExceeded(ValidationError):
 # ---------------------------------------------------------------------------
 # Group action descriptors
 # ---------------------------------------------------------------------------
+
+class _Sizes:
+    """Base of the descriptors whose fields are all sizes: positive integers,
+    numpy ones kept as Python ints; bools, floats and strings are rejected."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(
+                    f"{type(self).__name__}.{f.name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
+
 
 @dataclass(frozen=True, eq=False)
 class Enumerated:
@@ -88,15 +103,11 @@ class Enumerated:
 
 
 @dataclass(frozen=True)
-class CyclicShift:
+class CyclicShift(_Sizes):
     """Circular translations of a length-n real signal."""
 
     n: int
     kind: ClassVar[str] = "cyclic"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("signal length must be positive")
 
     @property
     def dim(self) -> int:
@@ -104,81 +115,61 @@ class CyclicShift:
 
 
 @dataclass(frozen=True)
-class FullPermutation:
+class FullPermutation(_Sizes):
     """All d! coordinate permutations."""
 
     d: int
     kind: ClassVar[str] = "perm"
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("dimension must be positive")
-
     @property
     def dim(self) -> int:
         return self.d
 
 
 @dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(_Sizes):
     """Permutations composed with per-coordinate sign flips."""
 
     d: int
     kind: ClassVar[str] = "signedperm"
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("dimension must be positive")
-
     @property
     def dim(self) -> int:
         return self.d
 
 
 @dataclass(frozen=True)
-class SignFlips:
+class SignFlips(_Sizes):
     """Diagonal +-1 matrices."""
 
     d: int
     kind: ClassVar[str] = "signflips"
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("dimension must be positive")
-
     @property
     def dim(self) -> int:
         return self.d
 
 
 @dataclass(frozen=True)
-class FullOrthogonal:
+class FullOrthogonal(_Sizes):
     """The whole orthogonal group O(d)."""
 
     d: int
     kind: ClassVar[str] = "orth"
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("dimension must be positive")
-
     @property
     def dim(self) -> int:
         return self.d
 
 
 @dataclass(frozen=True)
-class LeftOrthogonal:
+class LeftOrthogonal(_Sizes):
     """O(k) acting on the left of (k, n) matrices (landmark rotations/reflections)."""
 
     k: int
     n: int
     kind: ClassVar[str] = "leftorth"
 
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise ValidationError("matrix shape must be positive")
-
     @property
     def shape(self) -> tuple:
         return (self.k, self.n)
@@ -189,17 +180,13 @@ class LeftOrthogonal:
 
 
 @dataclass(frozen=True)
-class ColumnPermutation:
+class ColumnPermutation(_Sizes):
     """S_n permuting the columns of (k, n) matrices (point-cloud relabeling)."""
 
     k: int
     n: int
     kind: ClassVar[str] = "colperm"
 
-    def __post_init__(self):
-        if self.k < 1 or self.n < 1:
-            raise ValidationError("matrix shape must be positive")
-
     @property
     def shape(self) -> tuple:
         return (self.k, self.n)
@@ -210,15 +197,11 @@ class ColumnPermutation:
 
 
 @dataclass(frozen=True)
-class PhaseCircle:
+class PhaseCircle(_Sizes):
     """Global unit-modulus phase on a length-r complex vector."""
 
     r: int
     kind: ClassVar[str] = "phase"
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValidationError("dimension must be positive")
 
     @property
     def dim(self) -> int:
@@ -227,7 +210,7 @@ class PhaseCircle:
 
 
 @dataclass(frozen=True)
-class ShiftAndConjugate:
+class ShiftAndConjugate(_Sizes):
     """Cyclic shifts x unit phase x optional conjugation on complex signals.
 
     Realizes O(2) x C_n on planar closed curves encoded as complex vectors.
@@ -235,10 +218,6 @@ class ShiftAndConjugate:
 
     n: int
     kind: ClassVar[str] = "shiftconj"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("signal length must be positive")
 
     @property
     def dim(self) -> int:
@@ -269,8 +248,8 @@ class PatchPermutation:
     def square(cls, side: int, grid: tuple) -> "PatchPermutation":
         """Partition of a (h, w) pixel grid (row-major) into side x side blocks."""
         h, w = grid
-        if h % side or w % side:
-            raise ValidationError("patch side must divide both grid dimensions")
+        if side < 1 or h % side or w % side:
+            raise ValidationError("patch side must be positive and divide both grid dimensions")
         patches = []
         for bi in range(0, h, side):
             for bj in range(0, w, side):
@@ -280,17 +259,13 @@ class PatchPermutation:
 
 
 @dataclass(frozen=True)
-class SlidingWindowShift:
+class SlidingWindowShift(_Sizes):
     """Circular shifts of the T slices of a (c, w, T) windowed tensor."""
 
     c: int
     w: int
     t: int
     kind: ClassVar[str] = "window"
-
-    def __post_init__(self):
-        if self.c < 1 or self.w < 1 or self.t < 1:
-            raise ValidationError("tensor shape must be positive")
 
     @property
     def shape(self) -> tuple:
@@ -500,8 +475,9 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
     g_nk of ``bank_argmax(group, bank, xs)``: a subgradient in the templates
     of ``sum_n coef[n, k] Phi_k(xs[n])`` where ``coef >= 0``.
 
-    Sliding-window templates must stay on one slice, so for that kind only
-    each template's own slice of the sum is formed (the rest is zero).
+    A kind whose record sets ``subgradient`` forms the sum its own way:
+    sliding-window templates must stay on one slice, so only each template's
+    own slice of the sum is formed (the rest is zero).
     """
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
@@ -511,15 +487,11 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
 def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
                  coef: np.ndarray) -> np.ndarray:
     """:func:`bank_subgradient` on validated operands."""
-    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
-    used = np.flatnonzero(np.any(coef != 0, axis=1))
-    if isinstance(group, SlidingWindowShift):
-        t0 = np.array([groups.template_slice_index(z) for z in Z], dtype=int)
-        pos = (t0 - witnesses[used]) % group.t
-        slices = X[used[:, None], :, :, pos]                       # (used, K, c, w)
-        out[np.arange(len(Z)), :, :, t0] = np.einsum("nk,nkcw->kcw", coef[used], slices)
-        return out
     kind = groups.kind_of(group)
+    used = np.flatnonzero(np.any(coef != 0, axis=1))
+    if kind.subgradient is not None:
+        return kind.subgradient(group, Z, X, witnesses, coef, used)
+    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
     step = _chunk_rows(group, len(Z), kind.width)
     for s in range(0, len(used), step):
         idx = used[s:s + step]

@@ -58,6 +58,8 @@ class WeightedGraph:
     def from_dict(cls, data: dict) -> "WeightedGraph":
         """Read ``{"n": n, "edges": [[u, v, w], ...]}`` as JSON gives it: an int
         n >= 1, int endpoints in [0, n) and int or float weights."""
+        if not (isinstance(data, dict) and "n" in data and "edges" in data):
+            raise ValidationError("graph must be a JSON object with keys n and edges")
         n, edges = data["n"], data["edges"]
         if type(n) is not int or n < 1 or not isinstance(edges, list):
             raise ValidationError(f"graph needs an integer n >= 1 and a list of edges, got n = {n!r}")

@@ -24,21 +24,29 @@ witness of every pair; ``tol`` holds the (N,) tie tolerances.  It is built
 from the helpers of the kind's bulk form and is reached through
 :func:`maxfilt.core.quotient_distances`.
 
-Adding a kind takes a descriptor in :mod:`maxfilt.core` (a member of
-``GroupAction``), one ``KINDS`` entry here and one branch of the
+The record also holds the kind's tie enumeration for
+:func:`maxfilt.calculus.witness_set`, its spec grammar (``cyclic:N``, read
+by :func:`from_spec`) and, for sliding windows, the single-slice template
+convention.  Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
+member of ``GroupAction``), one ``KINDS`` entry here and one branch of the
 brute-force oracle, which stays an independent reference.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
+import typing
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from ._assignment import max_profit_assignments
-from .core import NumericFailure, ValidationError, _haar_orthogonal, _row_norms
+from .core import (Enumerated, EnumerationCapExceeded, FullPermutation, GroupAction,
+                   NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
+                   _haar_orthogonal, _row_norms, max_filter)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -172,6 +180,139 @@ def sign_flips_pairs(group, Z, X, tol):
     return np.where(Z * X >= 0, 1.0, -1.0)
 
 
+def _tie_pairings(x, y, tol, cap):
+    """All rank pairings rho with sum xs[r] * ys[rho(r)] >= max - tol, where
+    xs, ys are the descending sorts.  Future completions are bounded by the
+    rearrangement inequality, so the search is exact."""
+    ox = np.argsort(-x, kind="stable")
+    oy = np.argsort(-y, kind="stable")
+    xs, ys = x[ox], y[oy]
+    d = len(xs)
+    # Serial left-to-right sum: the in-order pairing's bound below repeats the
+    # exact same operation sequence, so the optimum survives any tol >= 0.
+    best = 0.0
+    for r in range(d):
+        best += xs[r] * ys[r]
+    pairings = []
+
+    # `remaining` holds unassigned y-ranks in descending y order, so the best
+    # completion of a partial pairing is the in-order (rearrangement) pairing.
+    # Pinning a smaller y value to the current (largest remaining) x slot can
+    # only lower the optimum, so bounds are non-increasing along `remaining`
+    # and the candidate scan may stop at the first pruned position.  Explicit
+    # stack (depth-first), so the depth is not limited by Python recursion.
+    stack = [((), list(range(d)), 0.0)]
+    while stack:
+        prefix, remaining, acc = stack.pop()
+        r = len(prefix)
+        if r == d:
+            if len(pairings) >= cap:
+                raise EnumerationCapExceeded("permutation tie set larger than cap")
+            pairings.append(list(prefix))
+            continue
+        survivors = []
+        for pos, s in enumerate(remaining):
+            rem2 = remaining[:pos] + remaining[pos + 1:]
+            bound = acc + xs[r] * ys[s]
+            for off, t in enumerate(rem2):
+                bound += xs[r + 1 + off] * ys[t]
+            if bound < best - tol:
+                break
+            survivors.append((prefix + (s,), rem2, acc + xs[r] * ys[s]))
+        stack.extend(reversed(survivors))   # keep in-order exploration first
+    return [(ox, oy, p) for p in pairings]
+
+
+def _pairing_to_perm(pairing):
+    ox, oy, rho = pairing
+    perm = np.empty(len(ox), dtype=int)
+    for r, s in enumerate(rho):
+        perm[ox[r]] = oy[s]
+    return perm
+
+
+def _capped(items, cap: int, what: str, out: list) -> list:
+    """Append items to ``out`` and return it; EnumerationCapExceeded in place
+    of an item that would make more than ``cap`` (earlier finds in ``out``
+    count)."""
+    for item in items:
+        if len(out) >= cap:
+            raise EnumerationCapExceeded(f"{what} tie set larger than cap")
+        out.append(item)
+    return out
+
+
+def _sign_flips_within(contrib: np.ndarray, budget: float):
+    """Sign vectors aligning each product contrib[i] (+1 at zero) except on
+    a set of flipped entries whose costs 2|contrib[i]| sum to at most
+    ``budget``: depth-first from the unflipped vector, cheapest flips first."""
+    base = np.where(contrib >= 0, 1.0, -1.0)
+    costs = 2.0 * np.abs(contrib)
+    order = np.argsort(costs, kind="stable")
+
+    def rec(idx, budget, flips):
+        signs = base.copy()
+        signs[flips] *= -1.0
+        yield signs
+        for j in range(idx, len(order)):
+            c = costs[order[j]]
+            if c > budget:
+                break
+            yield from rec(j + 1, budget - c, flips + [order[j]])
+    return rec(0, budget, [])
+
+
+def sort_witnesses(group, x, y, tol, cap):
+    """Every permutation within tol of the optimum, from the tie pairings."""
+    return [_pairing_to_perm(pairing) for pairing in _tie_pairings(x, y, tol, cap)]
+
+
+def _signed_perm_witnesses(group, x, y, tol, cap):
+    """(perm, signs) within tol: each tie pairing of |x| and |y| with the
+    sign flips its deficit leaves room for.  Distinct pairings give distinct
+    perms and distinct flip sets distinct signs, so no witness repeats."""
+    ax, ay = np.abs(x), np.abs(y)
+    best = float(np.sort(ax) @ np.sort(ay))
+    out = []
+    for perm in sort_witnesses(group, ax, ay, tol, cap):
+        deficit = best - float(ax @ ay[perm])
+        flips = _sign_flips_within(x * y[perm], max(0.0, tol - deficit))
+        _capped(((perm.copy(), signs) for signs in flips), cap, "signed permutation", out)
+    return out
+
+
+def _sign_flip_witnesses(group, x, y, tol, cap):
+    return _capped(_sign_flips_within(x * y, tol), cap, "sign-flip", [])
+
+
+def _patch_witnesses(group, x, y, tol, cap):
+    """Products of per-patch tie permutations whose deficits sum to at most tol."""
+    per_patch = []
+    for p in group.patches:
+        idx = np.asarray(p)
+        best = max_filter(FullPermutation(len(idx)), x[idx], y[idx]).value
+        per_patch.append((idx, [(perm, best - float(x[idx] @ y[idx][perm]))
+                                for perm in sort_witnesses(group, x[idx], y[idx], tol, cap)]))
+    out = []
+
+    def rec(pi, budget, acc):
+        if len(out) >= cap:
+            raise EnumerationCapExceeded("patch permutation tie set larger than cap")
+        if pi == len(per_patch):
+            perm = np.empty(len(x), dtype=int)
+            for idx, local_perm in acc:
+                perm[idx] = idx[local_perm]
+            out.append(perm)
+            return
+        idx, options = per_patch[pi]
+        for perm, deficit in options:
+            if deficit <= budget:
+                rec(pi + 1, budget - deficit, acc + [(idx, perm)])
+
+    rec(0, tol, [])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Orthogonal actions
 # ---------------------------------------------------------------------------
@@ -251,6 +392,20 @@ def column_permutation_pairs(group, Z, X, tol):
     return max_profit_assignments(np.matmul(np.swapaxes(Z, -1, -2), X))[1]
 
 
+def _colperm_witnesses(group, x, y, tol, cap):
+    """Every column permutation within tol, by enumeration up to n = 8.
+    Beyond enumeration scale only the assignment optimum is reported; tie
+    enumeration for degenerate assignment polytopes is not attempted."""
+    if group.n > 8:
+        return max_filter(group, x, y).witnesses
+    profit = x.T @ y
+    n = group.n
+    perms = np.array(list(itertools.permutations(range(n))))
+    vals = profit[np.arange(n), perms].sum(axis=1)
+    best = vals.max()
+    return [perms[i].copy() for i in np.flatnonzero(vals >= best - tol)]
+
+
 # ---------------------------------------------------------------------------
 # Complex kinds
 # ---------------------------------------------------------------------------
@@ -269,6 +424,23 @@ def phase_bank(group, Z):
 def phase_pairs(group, Z, X, tol):
     """z^* x row against row, by the same dot product as ``X @ conj_z``."""
     return _unit_phase(np.matmul(X[:, None, :], np.conj(Z)[:, :, None])[:, 0, 0])
+
+
+# Where every phase attains the maximum (a vanishing correlation), four
+# evenly spread phases stand in for the circle: their mean, 0, is in the hull.
+_PHASE_REPS = (complex(1), complex(0, 1), complex(-1), complex(0, -1))
+
+
+def _phases_within(w, tol) -> list:
+    """The unit phase c maximizing Re(c w), or :data:`_PHASE_REPS` where
+    |w| <= tol, so that every phase is within tol of the maximum."""
+    if abs(w) <= tol:
+        return list(_PHASE_REPS)
+    return [complex(np.conj(w) / abs(w))]
+
+
+def _phase_witnesses(group, x, y, tol, cap):
+    return _phases_within(np.vdot(x, y), tol)
 
 
 def shift_conjugate_scorer(Z: np.ndarray):
@@ -307,6 +479,17 @@ def shift_conjugate_ties(group, z, x, tol):
     best, idx = _all_within(np.abs(corr), tol)
     n = group.n
     return best, [(int(i % n), bool(i >= n), complex(_unit_phase(corr[i]))) for i in idx]
+
+
+def _shift_conjugate_witnesses(group, x, y, tol, cap):
+    """As :func:`shift_conjugate_ties`, with the phases of :func:`_phases_within`."""
+    corr_plain, corr_conj = shift_conjugate_scorer(x)(y)
+    best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
+    out = []
+    for conj_flag, corr in ((False, corr_plain), (True, corr_conj)):
+        for a in np.flatnonzero(np.abs(corr) >= best - tol):
+            out.extend((int(a), conj_flag, c) for c in _phases_within(corr[a], tol))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +583,29 @@ def sliding_window_ties(group, z, x, tol):
     return best, [int((t0[0] - p) % group.t) for p in positions]
 
 
+# Window templates live on a single slice: training keeps them there, so
+# random templates start on slice 0 and a subgradient step only ever touches
+# each template's own slice.
+
+def sliding_window_subgradient(group, Z, X, witnesses, coef, used):
+    """:func:`maxfilt.core.bank_subgradient` on each template's own slice
+    (the rest stays zero); ``used`` holds the rows with a nonzero coef."""
+    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
+    t0 = np.array([template_slice_index(z) for z in Z], dtype=int)
+    pos = (t0 - witnesses[used]) % group.t
+    slices = X[used[:, None], :, :, pos]                       # (used, K, c, w)
+    out[np.arange(len(Z)), :, :, t0] = np.einsum("nk,nkcw->kcw", coef[used], slices)
+    return out
+
+
+def _window_template(group, rng):
+    """A unit-norm random template on slice 0."""
+    z = np.zeros(group.shape)
+    slab = rng.standard_normal((group.c, group.w))
+    z[:, :, 0] = slab / np.linalg.norm(slab)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # Explicit finite groups
 # ---------------------------------------------------------------------------
@@ -476,16 +682,64 @@ def _patch_element(group, rng):
     return perm
 
 
+# ---------------------------------------------------------------------------
+# Spec grammar: "kind:rest", as the CLI's --group takes it
+# ---------------------------------------------------------------------------
+
+# Descriptor class per kind, from the members of ``GroupAction``.
+DESCRIPTORS = {cls.kind: cls for cls in typing.get_args(GroupAction)}
+
+
+def _sizes(rest: str) -> list:
+    return [int(p) for p in rest.split("x")]
+
+
+def _patches_from_spec(rest, channels):
+    side, grid = rest.split("@")
+    return PatchPermutation.square(int(side), tuple(_sizes(grid)))
+
+
+def _window_from_spec(rest, channels):
+    sizes = _sizes(rest)
+    if len(sizes) == 2:
+        if channels is None:
+            raise ValidationError("window spec w x T needs channel count from the input data")
+        sizes = [channels] + sizes
+    if len(sizes) != 3:
+        raise ValidationError("window spec must be WxT or CxWxT")
+    return SlidingWindowShift(*sizes)
+
+
+def _enumerated_from_file(rest, channels):
+    with open(rest, "r", encoding="utf-8") as fh:
+        mats = json.load(fh)
+    return Enumerated(tuple(np.asarray(m, dtype=float) for m in mats))
+
+
+def from_spec(name: str, rest: str, channels: Optional[int] = None):
+    """The descriptor of kind ``name`` that ``rest`` (the spec after its
+    colon) names: by the record's ``parse``, or else the sizes split on
+    ``x`` in field order.  TypeError or ValueError for a malformed ``rest``."""
+    parse = KINDS[name].parse
+    return parse(rest, channels) if parse is not None else DESCRIPTORS[name](*_sizes(rest))
+
+
 @dataclass(frozen=True)
 class Kind:
     """One group kind, defined once; :data:`KINDS` maps each descriptor's
     ``kind`` to its record.
 
+    * ``spec``: the grammar of the kind's spec string, such as ``cyclic:N``;
+      ``parse(rest, channels)`` reads the part after the colon where the
+      default of :func:`from_spec` does not.
     * ``bank``, ``pairs`` and ``images``: the bulk form, the paired form and
       the witness images (see the module docstring).
     * ``ties(group, z, x, tol)``: for kinds whose ``max_filter`` lists every
       witness within the tie tolerance, ``(value, witnesses)`` of one pair,
       scored as by the bulk form; other kinds have one witness per pair.
+    * ``witnesses(group, x, y, tol, cap)``: :func:`maxfilt.calculus.witness_set`
+      where ``ties`` is not it: tie blocks expanded (at most ``cap``), or
+      representatives of a continuum.  Kinds with neither take ``max_filter``'s.
     * ``element(group, rng)``: a random element in witness encoding (Haar
       for continuous kinds); ``order(group)``: the number of elements, None
       for continuous kinds.
@@ -494,19 +748,27 @@ class Kind:
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
     * ``witness_keys``: JSON names of the parts of a tuple witness.
+    * ``template(group, rng)`` and ``subgradient(group, Z, X, witnesses,
+      coef, used)``: a random unit-norm template and the bank subgradient,
+      for kinds whose templates keep a shape of their own (window).
     """
 
+    spec: str
     bank: Callable
     pairs: Callable
     images: Callable
     element: Callable
     order: Callable = lambda group: None
     ties: Optional[Callable] = None
+    witnesses: Optional[Callable] = None
     dtype: type = float
     shape: Callable = lambda group: (group.dim,)
     width: Callable = lambda group: group.dim
     paired_width: Optional[Callable] = None
     witness_keys: tuple = ()
+    parse: Optional[Callable] = None
+    template: Optional[Callable] = None
+    subgradient: Optional[Callable] = None
 
     def layout(self, group) -> tuple:
         """(dtype, shape) of one operand of the group's ambient space."""
@@ -523,65 +785,71 @@ def _permutations(group) -> int:
 
 KINDS = {
     "enumerated": Kind(
-        enumerated_bank, enumerated_pairs,
+        "enumerated:FILE.json", enumerated_bank, enumerated_pairs,
         lambda group, W, X: np.matmul(
             np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
         lambda group, rng: int(rng.integers(group.order)),
         order=lambda group: group.order, ties=enumerated_ties,
-        width=lambda group: group.dim * (1 + group.order)),
+        width=lambda group: group.dim * (1 + group.order), parse=_enumerated_from_file),
     "cyclic": Kind(
-        cyclic_bank, cyclic_pairs, lambda group, W, X: _roll_last(X, W),
+        "cyclic:N", cyclic_bank, cyclic_pairs, lambda group, W, X: _roll_last(X, W),
         lambda group, rng: int(rng.integers(group.n)),
         order=lambda group: group.n, ties=cyclic_ties),
     "perm": Kind(
-        sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
-        lambda group, rng: rng.permutation(group.d), order=_permutations),
+        "perm:D", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
+        lambda group, rng: rng.permutation(group.d), order=_permutations,
+        witnesses=sort_witnesses),
     "signedperm": Kind(
-        signed_sort_bank, signed_sort_pairs,
+        "signedperm:D", signed_sort_bank, signed_sort_pairs,
         lambda group, W, X: np.asarray(W[1], dtype=float) * _gather_last(X, W[0]),
         lambda group, rng: (rng.permutation(group.d), rng.choice([-1.0, 1.0], size=group.d)),
         order=lambda group: _permutations(group) * 2 ** group.d,
-        witness_keys=("perm", "signs")),
+        witnesses=_signed_perm_witnesses, witness_keys=("perm", "signs")),
     "signflips": Kind(
-        sign_flips_bank, sign_flips_pairs,
+        "signflips:D", sign_flips_bank, sign_flips_pairs,
         lambda group, W, X: np.asarray(W, dtype=float) * X[:, None],
         lambda group, rng: rng.choice([-1.0, 1.0], size=group.d),
-        order=lambda group: 2 ** group.d),
+        order=lambda group: 2 ** group.d, witnesses=_sign_flip_witnesses),
     "orth": Kind(
-        orthogonal_bank, orthogonal_pairs,
+        "orth:D", orthogonal_bank, orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
         lambda group, rng: _haar_orthogonal(group.d, rng)),
     "leftorth": Kind(
-        left_orthogonal_bank, left_orthogonal_pairs,
+        "leftorth:KxN", left_orthogonal_bank, left_orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
         lambda group, rng: _haar_orthogonal(group.k, rng), shape=_matrix_shape),
     "colperm": Kind(
-        column_permutation_bank, column_permutation_pairs,
+        "colperm:KxN", column_permutation_bank, column_permutation_pairs,
         lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
         lambda group, rng: rng.permutation(group.n),
-        order=lambda group: math.factorial(group.n), shape=_matrix_shape,
-        width=lambda group: group.n * group.n),                # its profit matrices
+        order=lambda group: math.factorial(group.n), witnesses=_colperm_witnesses,
+        shape=_matrix_shape, width=lambda group: group.n * group.n),   # its profit matrices
     "phase": Kind(
-        phase_bank, phase_pairs,
+        "phase:R", phase_bank, phase_pairs,
         lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
-        lambda group, rng: _unit_complex(rng), dtype=complex, shape=lambda group: (group.r,)),
+        lambda group, rng: _unit_complex(rng), witnesses=_phase_witnesses,
+        dtype=complex, shape=lambda group: (group.r,)),
     "shiftconj": Kind(
-        shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
+        "shiftconj:N", shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
         _shift_conjugate_element, ties=shift_conjugate_ties,
-        dtype=complex, shape=lambda group: (group.n,),
+        witnesses=_shift_conjugate_witnesses, dtype=complex, shape=lambda group: (group.n,),
         witness_keys=("shift", "conjugate", "phase")),
     "patchperm": Kind(
-        sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W), _patch_element,
-        order=lambda group: math.prod(math.factorial(len(p)) for p in group.patches)),
+        "patchperm:S@HxW", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
+        _patch_element,
+        order=lambda group: math.prod(math.factorial(len(p)) for p in group.patches),
+        witnesses=_patch_witnesses, parse=_patches_from_spec),
     # The bulk form holds a pair's scores (input chunks are views); the paired
     # form correlates whole operands along the slice axis, so a pair holds
     # its operands and their c*w*(T/2+1) complex FFT entries (two float64 each).
     "window": Kind(
-        sliding_window_bank, sliding_window_pairs, lambda group, W, X: _roll_last(X, W),
-        lambda group, rng: int(rng.integers(group.t)),
+        "window:[C]xWxT", sliding_window_bank, sliding_window_pairs,
+        lambda group, W, X: _roll_last(X, W), lambda group, rng: int(rng.integers(group.t)),
         order=lambda group: group.t, ties=sliding_window_ties, shape=_matrix_shape,
         width=lambda group: group.t,
-        paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1)),
+        paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
+        parse=_window_from_spec, template=_window_template,
+        subgradient=sliding_window_subgradient),
 }
 
 

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import os
-import typing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -526,10 +525,6 @@ class PipelineModel:
             raise ValidationError(f"SVM weights of shape {weights} for {n_feats} features")
 
 
-# Descriptor class per kind, from the members of ``GroupAction``.
-_DESCRIPTORS = {cls.kind: cls for cls in typing.get_args(GroupAction)}
-
-
 def _field_jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -548,12 +543,22 @@ def group_to_jsonable(group: Optional[GroupAction]) -> Optional[dict]:
 
 
 def group_from_jsonable(data: Optional[dict]) -> Optional[GroupAction]:
+    """The descriptor :func:`group_to_jsonable` wrote; ValidationError for
+    anything else, since model files come from outside."""
     if data is None:
         return None
-    cls = _DESCRIPTORS.get(data["kind"])
+    if not isinstance(data, dict):
+        raise ValidationError(f"model group must be an object, got {data!r}")
+    kind = data.get("kind")
+    cls = groups.DESCRIPTORS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValidationError(f"unknown group kind {data['kind']!r}")
-    return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
+        raise ValidationError(f"unknown group kind {kind!r}")
+    try:
+        return cls(**{f.name: data[f.name] for f in dataclasses.fields(cls)})
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:      # a field missing or mistyped
+        raise ValidationError(f"malformed model group {data!r}: {exc!r}") from exc
 
 
 def _array_to_jsonable(arr):

@@ -6,6 +6,54 @@ from maxfilt.calculus import default_tie_tolerance, directional_derivative, subg
 from conftest import draw_operand, draw_window_template, sign_group
 
 
+# One instance per kind, small enough for the oracle to enumerate and for
+# the tie set of zero operands to stay under the enumeration cap.
+WITNESS_GROUPS = {
+    "enumerated": sign_group(3),
+    "cyclic": mf.CyclicShift(6),
+    "perm": mf.FullPermutation(5),
+    "signedperm": mf.SignedPermutation(4),
+    "signflips": mf.SignFlips(5),
+    "orth": mf.FullOrthogonal(3),
+    "leftorth": mf.LeftOrthogonal(2, 4),
+    "colperm": mf.ColumnPermutation(2, 4),
+    "phase": mf.PhaseCircle(3),
+    "shiftconj": mf.ShiftAndConjugate(5),
+    "patchperm": mf.PatchPermutation(((2, 0), (4, 1, 3), (5,))),
+    "window": mf.SlidingWindowShift(2, 3, 5),
+}
+
+
+def integer_operand(group, rng):
+    """Entries in {-2, ..., 2}: products are exact, so ties are exact."""
+    dtype, shape = mf.groups.kind_of(group).layout(group)
+    x = rng.integers(-2, 3, shape).astype(float)
+    return x + 1j * rng.integers(-2, 3, shape) if dtype is complex else x
+
+
+def witness_inputs(group, rng):
+    """(x, y) pairs: random, integer with repeated entries, y = g x (an exact
+    tie with the identity's orbit), zero operands and 1e8-norm operands."""
+    pairs = [(draw_operand(group, rng), draw_operand(group, rng)) for _ in range(3)]
+    for _ in range(4):
+        x = integer_operand(group, rng)
+        pairs += [(x, integer_operand(group, rng)),
+                  (x, mf.apply_witness(group, mf.random_element(group, rng), x))]
+    zero = np.zeros_like(draw_operand(group, rng))
+    pairs += [(zero, draw_operand(group, rng)), (draw_operand(group, rng), zero), (zero, zero)]
+    x = integer_operand(group, rng)
+    pairs += [(1e8 * draw_operand(group, rng), draw_operand(group, rng)),
+              (1e8 * x, 1e8 * mf.apply_witness(group, mf.random_element(group, rng), x))]
+    return pairs
+
+
+def witness_key(g):
+    """A hashable form of a witness of the finite kinds."""
+    if isinstance(g, tuple):
+        return tuple(witness_key(part) for part in g)
+    return tuple(np.asarray(g).ravel().tolist())
+
+
 def finite_difference(group, x, y, v, t=1e-6):
     up = mf.max_filter(group, np.asarray(x) + t * np.asarray(v), y).value
     dn = mf.max_filter(group, np.asarray(x) - t * np.asarray(v), y).value
@@ -65,15 +113,31 @@ class TestWitnessSet:
 
     def test_every_witness_achieves_max(self):
         rng = np.random.default_rng(1)
-        groups_to_try = [mf.CyclicShift(6), mf.SignFlips(5), mf.SignedPermutation(4),
-                         mf.ColumnPermutation(2, 4), mf.ShiftAndConjugate(5)]
-        for group in groups_to_try:
-            x, y = draw_operand(group, rng), draw_operand(group, rng)
-            best = mf.max_filter(group, x, y).value
-            tol = default_tie_tolerance(x, y)
-            for g in witness_set(group, x, y):
-                val = float(np.real(np.vdot(x, mf.apply_witness(group, g, y))))
-                assert val >= best - 2 * tol
+        for group in WITNESS_GROUPS.values():
+            for x, y in witness_inputs(group, rng):
+                best = mf.max_filter(group, x, y).value
+                tol = default_tie_tolerance(x, y)
+                wits = witness_set(group, x, y)
+                assert wits, group.kind
+                for g in wits:
+                    val = float(np.real(np.vdot(x, mf.apply_witness(group, g, y))))
+                    assert val >= best - 2 * tol, group.kind
+
+    # Kinds whose oracle lists every witness within the tie tolerance.
+    @pytest.mark.parametrize("kind", ["enumerated", "cyclic", "perm", "signedperm",
+                                      "signflips", "colperm", "window"])
+    def test_witness_set_is_the_oracles_tie_set(self, kind):
+        group = WITNESS_GROUPS[kind]
+        for x, y in witness_inputs(group, np.random.default_rng(2)):
+            tol = mf.core.tie_tolerance(x, y)
+            got = [witness_key(g) for g in witness_set(group, x, y, tol=tol)]
+            want = {witness_key(g) for g in mf.brute_force_max_filter(group, x, y).witnesses}
+            assert len(got) == len(set(got)) and set(got) == want
+
+    def test_orthogonal_zero_input_gives_the_identity(self):
+        for x, y in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):
+            ws = witness_set(mf.FullOrthogonal(3), x, y)
+            assert len(ws) == 1 and np.array_equal(ws[0], np.eye(3))
 
 
 class TestDirectionalDerivative:

@@ -8,7 +8,9 @@ import pytest
 
 from maxfilt.cli import main, parse_group_spec
 import maxfilt as mf
-from maxfilt.pipeline import write_pgm
+from maxfilt.groups import KINDS
+from maxfilt.pipeline import (LabeledDataset, TrainConfig, group_from_jsonable, group_to_jsonable,
+                              save_model, train_svm_templates, write_pgm)
 
 
 def run_cli(capsys, *argv):
@@ -38,9 +40,32 @@ class TestGroupSpecGrammar:
         assert len(patch.patches) == 16 and len(patch.patches[0]) == 16
 
     def test_bad_specs_rejected(self):
-        for bad in ("cyclic", "unknown:4", "window:30", "cyclic:x"):
+        for bad in ("cyclic", "unknown:4", "window:30", "cyclic:x", "leftorth:2", "cyclic:64x2",
+                    "patchperm:4", "cyclic:4.5", "window:1x2x3x4", "cyclic:", "patchperm:0@4x4"):
             with pytest.raises(mf.ValidationError):
                 parse_group_spec(bad)
+
+    def test_every_kind_parses_from_its_grammar(self, tmp_path):
+        mats = write_json(tmp_path / "s2.json", [np.eye(2).tolist(), [[0.0, 1.0], [1.0, 0.0]]])
+        samples = {"enumerated": "enumerated:" + mats, "cyclic": "cyclic:6", "perm": "perm:5",
+                   "signedperm": "signedperm:4", "signflips": "signflips:3", "orth": "orth:2",
+                   "leftorth": "leftorth:2x7", "colperm": "colperm:3x4", "phase": "phase:4",
+                   "shiftconj": "shiftconj:9", "patchperm": "patchperm:2@4x6",
+                   "window": "window:2x3x8"}
+        assert set(samples) == set(KINDS)
+        for kind, spec in samples.items():
+            assert KINDS[kind].spec.startswith(kind + ":")
+            group = parse_group_spec(spec)
+            assert group.kind == kind
+            doc = group_to_jsonable(group)
+            assert group_to_jsonable(group_from_jsonable(json.loads(json.dumps(doc)))) == doc
+
+    def test_help_lists_every_kind(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["filter", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert all(kind.spec in out for kind in KINDS.values()) and len(KINDS) == 12
 
 
 class TestFilterCommand:
@@ -165,8 +190,10 @@ class TestGraphFilterCommand:
         {"n": 6, "edges": [[-1, 2, 1.0]]},         # would index vertex 5
         {"n": 6, "edges": [[0.7, 2, 1.0]]},        # would truncate to vertex 0
         {"n": 6, "edges": [[0, 2, "heavy"]]},      # non-numeric weight
+        [1, 2],                                     # not an object
+        {"n": 3},                                   # no edges
     ], ids=["no-vertices", "endpoint-out-of-range", "negative-endpoint",
-            "fractional-endpoint", "non-numeric-weight"])
+            "fractional-endpoint", "non-numeric-weight", "not-an-object", "no-edges"])
     def test_malformed_graph_json_exits_3(self, tmp_path, capsys, graph):
         from maxfilt.graphs import TreeTemplate
         tree = write_json(tmp_path / "p4.json", TreeTemplate.path(4).to_dict())
@@ -360,6 +387,26 @@ class TestTrainPredict:
         code, _, err = self._predict(tmp_path, capsys, path, doc)
         assert code == 3
         assert "weights" in err
+
+    @pytest.mark.parametrize("group", [
+        {"kind": "cyclic", "n": "8"}, {"kind": "cyclic", "n": 8.0}, {"kind": "cyclic", "n": True},
+        {"kind": "cyclic"}, {"n": 8}, {"kind": ["cyclic"], "n": 8}, [8],
+    ], ids=["string-size", "float-size", "bool-size", "no-size", "no-kind", "list-kind",
+            "not-an-object"])
+    def test_malformed_model_group_exits_3(self, tmp_path, capsys, group):
+        rng = np.random.default_rng(3)
+        samples = [(rng.standard_normal(8), ("a", "b")[i % 2]) for i in range(6)]
+        model = train_svm_templates(LabeledDataset(samples, "csv"), mf.CyclicShift(8), 2,
+                                    TrainConfig(epochs=2))
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        doc = json.loads(path.read_text())
+        doc["group"] = group
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "predict", "--model", str(path),
+                                 "--input", write_json(tmp_path / "x.json", [0.0] * 8))
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: ")
 
     def test_non_finite_template_exits_3(self, tmp_path, capsys):
         path, doc = self._model(tmp_path, capsys)

@@ -138,6 +138,30 @@ class TestEnumeratedValidation:
         assert g.order == 6
 
 
+class TestDescriptorSizes:
+    SIZED = [mf.CyclicShift, mf.FullPermutation, mf.SignedPermutation, mf.SignFlips,
+             mf.FullOrthogonal, mf.PhaseCircle, mf.ShiftAndConjugate]
+
+    @pytest.mark.parametrize("bad", ["8", 8.0, True, 0, -2, None])
+    def test_sizes_must_be_positive_integers(self, bad):
+        for cls in self.SIZED:
+            with pytest.raises(mf.ValidationError, match="positive integer"):
+                cls(bad)
+        for args in ((bad, 3), (3, bad)):
+            with pytest.raises(mf.ValidationError):
+                mf.LeftOrthogonal(*args)
+            with pytest.raises(mf.ValidationError):
+                mf.ColumnPermutation(*args)
+        with pytest.raises(mf.ValidationError):
+            mf.SlidingWindowShift(2, bad, 5)
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        group = mf.SlidingWindowShift(np.int64(2), np.int32(3), np.uint8(5))
+        assert group == mf.SlidingWindowShift(2, 3, 5)
+        assert [type(v) for v in (group.c, group.w, group.t)] == [int, int, int]
+        assert type(mf.CyclicShift(np.int64(6)).n) is int
+
+
 class TestOperandValidation:
     @pytest.mark.parametrize("group", [mf.CyclicShift(1000), mf.PhaseCircle(1000)],
                              ids=lambda g: g.kind)

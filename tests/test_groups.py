@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -610,3 +612,17 @@ class TestTiesAgainstOracle:
             assert res.value == pytest.approx(oracle.value, abs=1e-9)
             assert sorted(res.witnesses) == oracle.witnesses
             assert len(res.witnesses) >= 3
+
+
+def test_kinds_do_not_branch_on_the_descriptor_type():
+    # Per-kind code lives in the kind records; type tests on ``group`` are the
+    # brute-force oracle's 12 branches plus the CLI's check of a user spec.
+    # The pattern is the one the benchmark's code counts use.
+    root = os.path.dirname(mf.__file__)
+    count = 0
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
+                    count += len(re.findall(r"isinstance\(group\b", fh.read()))
+    assert count <= 13

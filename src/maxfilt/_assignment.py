@@ -21,7 +21,7 @@ Two forms of the same algorithm:
   index compaction only after its last row.  Every update is the scalar
   code's elementwise float operation, and ``argmin`` keeps the first-column
   tie rule, so the columns are identical to :func:`min_cost_assignment`'s.
-  Small batches go to the list solver instead (see ``_LOCKSTEP_MIN_BATCH``).
+  Small stacks go to the list solver instead (see ``_LOCKSTEP_MIN_ENTRIES``).
 """
 
 from __future__ import annotations
@@ -30,17 +30,17 @@ import math
 
 import numpy as np
 
-# Batches smaller than this are solved one matrix at a time by the list
-# solver.  Lockstep pays numpy's per-operation overhead (some 20 array
-# operations per Dijkstra step) whatever the batch size, so it only wins once
-# that overhead is spread over enough problems.  Measured on a 2-core Xeon VM
-# (one process, BLAS on one thread, best of 7, standard normal profits), list
-# vs lockstep per batch: n = 8: B = 4 0.21 vs 1.3 ms, B = 40 2.2 vs 3.0 ms,
-# B = 2048 79 vs 18 ms (break-even near B = 55); n = 48: B = 4 5.2 vs 11 ms,
-# B = 40 48 vs 21 ms (break-even near B = 10).  The constant sits between the
-# two, so single calls and bank probes (B <= 16) stay on the list solver and
-# bank chunks (B in the hundreds at n = 8, about 50 at n = 48) run in lockstep.
-_LOCKSTEP_MIN_BATCH = 40
+# Stacks of B problems of size n with B * n below this are solved one matrix
+# at a time by the list solver.  Lockstep pays numpy's per-operation overhead
+# (some 20 array operations per Dijkstra step) whatever the stack, so it only
+# wins once that overhead is spread over enough problems and columns.
+# Measured on a 2-core Xeon VM (one process, BLAS on one thread, best of 5-7,
+# standard normal profits), lockstep overtakes the list solver near B * n =
+# 440 at n = 8 (B = 55), 500 at n = 48 (B = 10), 450 at n = 100 and n = 450
+# (B = 1); near 200 at n = 4 and 580 at n = 16.  Single calls and bank probes
+# (n = 8, B = 16; n = 48, B <= 6) stay on the list solver, and bank chunks
+# (B in the hundreds at n = 8, 48 at n = 48) run in lockstep.
+_LOCKSTEP_MIN_ENTRIES = 450
 
 
 def _finite_square_stack(a: np.ndarray, what: str) -> np.ndarray:
@@ -183,7 +183,7 @@ def max_profit_assignments(profits) -> tuple:
     ``ValueError`` when any entry of the stack is NaN or infinite.
     """
     profits = _finite_square_stack(profits, "profit")
-    if len(profits) < _LOCKSTEP_MIN_BATCH:
+    if profits.shape[0] * profits.shape[1] < _LOCKSTEP_MIN_ENTRIES:
         values = np.empty(len(profits))
         cols = np.empty(profits.shape[:2], dtype=int)
         for b, profit in enumerate(profits):

@@ -29,9 +29,8 @@ _PAIR_BLOCK = 1_000_000
 def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
     """Standard normal draw in the group's operand layout; a complex draw
     takes its real parts first."""
-    dtype, shape = groups.kind_of(group).layout(group)
-    x = rng.standard_normal(shape)
-    return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+    x = rng.standard_normal(group.shape)
+    return x + 1j * rng.standard_normal(group.shape) if group.dtype is complex else x
 
 
 def bank_frobenius(bank: Sequence) -> float:

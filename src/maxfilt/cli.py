@@ -69,7 +69,7 @@ def load_operand(path: str, group: GroupAction) -> np.ndarray:
     if isinstance(data, dict) and "vector" in data:
         return tmod.Template.from_dict(data).vector
     arr = np.asarray(data, dtype=float)
-    if groups.kind_of(group).dtype is complex:
+    if group.dtype is complex:
         if arr.ndim == 2 and arr.shape[1] == 2:
             return arr[:, 0] + 1j * arr[:, 1]
         raise ValidationError("complex operand must be a list of [re, im] pairs")

@@ -1,8 +1,9 @@
 """Ambient-space data model and the generic max filtering evaluation contract.
 
-A group action is described by a tagged, immutable descriptor; everything
-else about its kind (the specialized algorithms, the operand layout, the
-sampler and the order) sits in one record, ``groups.KINDS[group.kind]``.
+A group action is described by a tagged, immutable descriptor, which also
+states the operand space (``dtype``, ``shape`` and ``dim``); everything else
+about its kind (the specialized algorithms, the sampler and the order) sits
+in one record, ``groups.KINDS[group.kind]``.
 ``brute_force_max_filter`` enumerates group elements (or a dense parameter
 grid for continuous kinds) and is the independent oracle everything else is
 tested against.
@@ -21,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import numbers
@@ -50,9 +52,23 @@ class EnumerationCapExceeded(ValidationError):
 # Group action descriptors
 # ---------------------------------------------------------------------------
 
-class _Sizes:
+class _Space:
+    """Base of every descriptor, which also names the operand space V the
+    group acts on: one operand is an array of ``dtype`` and ``shape``, and
+    ``dim`` is the real dimension of V (a complex entry counts twice)."""
+
+    dtype = float
+
+    @property
+    def shape(self) -> tuple:
+        return (self.dim,)
+
+
+class _Sizes(_Space):
     """Base of the descriptors whose fields are all sizes: positive integers,
-    numpy ones kept as Python ints; bools, floats and strings are rejected."""
+    numpy ones kept as Python ints; bools, floats and strings are rejected.
+    The fields, in order, are the operand's ``shape``; a complex kind says
+    so by ``dtype = complex``.  Both are taken once per descriptor."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -62,9 +78,17 @@ class _Sizes:
                     f"{type(self).__name__}.{f.name} must be a positive integer, got {value!r}")
             object.__setattr__(self, f.name, int(value))
 
+    @functools.cached_property
+    def shape(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    @functools.cached_property
+    def dim(self) -> int:
+        return math.prod(self.shape) * (2 if self.dtype is complex else 1)
+
 
 @dataclass(frozen=True, eq=False)
-class Enumerated:
+class Enumerated(_Space):
     """Explicit finite list of orthogonal matrices, closed under product/inverse."""
 
     matrices: tuple
@@ -109,10 +133,6 @@ class CyclicShift(_Sizes):
     n: int
     kind: ClassVar[str] = "cyclic"
 
-    @property
-    def dim(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
 class FullPermutation(_Sizes):
@@ -120,10 +140,6 @@ class FullPermutation(_Sizes):
 
     d: int
     kind: ClassVar[str] = "perm"
-
-    @property
-    def dim(self) -> int:
-        return self.d
 
 
 @dataclass(frozen=True)
@@ -133,10 +149,6 @@ class SignedPermutation(_Sizes):
     d: int
     kind: ClassVar[str] = "signedperm"
 
-    @property
-    def dim(self) -> int:
-        return self.d
-
 
 @dataclass(frozen=True)
 class SignFlips(_Sizes):
@@ -145,10 +157,6 @@ class SignFlips(_Sizes):
     d: int
     kind: ClassVar[str] = "signflips"
 
-    @property
-    def dim(self) -> int:
-        return self.d
-
 
 @dataclass(frozen=True)
 class FullOrthogonal(_Sizes):
@@ -156,10 +164,6 @@ class FullOrthogonal(_Sizes):
 
     d: int
     kind: ClassVar[str] = "orth"
-
-    @property
-    def dim(self) -> int:
-        return self.d
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,6 @@ class LeftOrthogonal(_Sizes):
     n: int
     kind: ClassVar[str] = "leftorth"
 
-    @property
-    def shape(self) -> tuple:
-        return (self.k, self.n)
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.n
-
 
 @dataclass(frozen=True)
 class ColumnPermutation(_Sizes):
@@ -187,14 +183,6 @@ class ColumnPermutation(_Sizes):
     n: int
     kind: ClassVar[str] = "colperm"
 
-    @property
-    def shape(self) -> tuple:
-        return (self.k, self.n)
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.n
-
 
 @dataclass(frozen=True)
 class PhaseCircle(_Sizes):
@@ -202,11 +190,7 @@ class PhaseCircle(_Sizes):
 
     r: int
     kind: ClassVar[str] = "phase"
-
-    @property
-    def dim(self) -> int:
-        # Real ambient dimension of C^r.
-        return 2 * self.r
+    dtype = complex
 
 
 @dataclass(frozen=True)
@@ -218,14 +202,11 @@ class ShiftAndConjugate(_Sizes):
 
     n: int
     kind: ClassVar[str] = "shiftconj"
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
+    dtype = complex
 
 
 @dataclass(frozen=True, eq=False)
-class PatchPermutation:
+class PatchPermutation(_Space):
     """Independent permutations within each patch of a fixed index partition."""
 
     patches: tuple
@@ -267,14 +248,6 @@ class SlidingWindowShift(_Sizes):
     t: int
     kind: ClassVar[str] = "window"
 
-    @property
-    def shape(self) -> tuple:
-        return (self.c, self.w, self.t)
-
-    @property
-    def dim(self) -> int:
-        return self.c * self.w * self.t
-
 
 GroupAction = (
     Enumerated | CyclicShift | FullPermutation | SignedPermutation | SignFlips
@@ -306,10 +279,6 @@ def _tie_tolerance(norm_z, norm_x):
     return 1e-9 * (1.0 + norm_z * norm_x)
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(v.reshape(len(v), math.prod(v.shape[1:])), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Input validation
 # ---------------------------------------------------------------------------
@@ -318,7 +287,7 @@ def as_operands(group: GroupAction, xs) -> np.ndarray:
     """Stack a sequence of operands into one (N, ...) array, validating shape
     and finiteness (a block of rows at a time, so the check's temporary stays
     within ``_BULK`` entries)."""
-    dtype, shape = groups.kind_of(group).layout(group)
+    dtype, shape = group.dtype, group.shape
     try:
         arr = np.asarray(xs, dtype=dtype)
     except ValueError as exc:
@@ -426,11 +395,11 @@ class FilterBank:
     Inputs are validated per call; their norms only when witnesses are asked."""
 
     def __init__(self, group: GroupAction, bank):
-        Z = _bank_operands(group, bank)
         kind = groups.kind_of(group)
+        Z = _bank_operands(group, bank)
         self.group = group
         self._bulk = kind.bank(group, Z)
-        self._norms = _row_norms(Z)
+        self._norms = _vector_norms(Z)
         self._step = _chunk_rows(group, len(Z), kind.width)
 
     def values(self, xs) -> np.ndarray:
@@ -440,7 +409,7 @@ class FilterBank:
     def argmax(self, xs) -> tuple:
         """See :func:`bank_argmax`."""
         X = as_operands(self.group, xs)
-        return self.evaluate(X, _row_norms(X))
+        return self.evaluate(X, _vector_norms(X))
 
     def evaluate(self, X: np.ndarray, nx) -> tuple:
         """``(values, witnesses)`` on validated inputs X, chunk by chunk.  ``nx``

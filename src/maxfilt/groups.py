@@ -28,8 +28,9 @@ The record also holds the kind's tie enumeration for
 :func:`maxfilt.calculus.witness_set`, its spec grammar (``cyclic:N``, read
 by :func:`from_spec`) and, for sliding windows, the single-slice template
 convention.  Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
-member of ``GroupAction``), one ``KINDS`` entry here and one branch of the
-brute-force oracle, which stays an independent reference.
+member of ``GroupAction``, which also states the operand space), one
+``KINDS`` entry here and one branch of the brute-force oracle, which stays
+an independent reference.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 from ._assignment import max_profit_assignments
 from .core import (Enumerated, EnumerationCapExceeded, FullPermutation, GroupAction,
                    NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
-                   _haar_orthogonal, _row_norms, max_filter)
+                   _haar_orthogonal, max_filter)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -320,10 +321,10 @@ def _patch_witnesses(group, x, y, tol, cap):
 def orthogonal_bank(group, Z):
     """|z| |x| for every pair; witness: the reflection sending x/|x| to
     z/|z|, or the identity when either vanishes or the two coincide."""
-    nz = _row_norms(Z)
+    nz = np.linalg.norm(Z, axis=-1)
 
     def evaluate(X, tol):
-        nx = _row_norms(X)
+        nx = np.linalg.norm(X, axis=-1)
         values = nx[:, None] * nz[None, :]
         if tol is None:
             return values, None
@@ -344,7 +345,7 @@ def _reflections(Z, nz, X, nx) -> np.ndarray:
 
 
 def orthogonal_pairs(group, Z, X, tol):
-    return _reflections(Z, _row_norms(Z), X, _row_norms(X))
+    return _reflections(Z, np.linalg.norm(Z, axis=-1), X, np.linalg.norm(X, axis=-1))
 
 
 def left_orthogonal_bank(group, Z):
@@ -402,8 +403,8 @@ def _colperm_witnesses(group, x, y, tol, cap):
     n = group.n
     perms = np.array(list(itertools.permutations(range(n))))
     vals = profit[np.arange(n), perms].sum(axis=1)
-    best = vals.max()
-    return [perms[i].copy() for i in np.flatnonzero(vals >= best - tol)]
+    ties = np.flatnonzero(vals >= vals.max() - tol)
+    return _capped((perms[i].copy() for i in ties), cap, "column permutation", [])
 
 
 # ---------------------------------------------------------------------------
@@ -690,13 +691,21 @@ def _patch_element(group, rng):
 DESCRIPTORS = {cls.kind: cls for cls in typing.get_args(GroupAction)}
 
 
+def _size(text: str) -> int:
+    """A size as the grammar writes it, in ASCII digits (``int`` also takes
+    signs, spaces, underscores and other scripts' digits)."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"size {text!r} is not written in digits 0-9")
+    return int(text)
+
+
 def _sizes(rest: str) -> list:
-    return [int(p) for p in rest.split("x")]
+    return [_size(p) for p in rest.split("x")]
 
 
 def _patches_from_spec(rest, channels):
     side, grid = rest.split("@")
-    return PatchPermutation.square(int(side), tuple(_sizes(grid)))
+    return PatchPermutation.square(_size(side), tuple(_sizes(grid)))
 
 
 def _window_from_spec(rest, channels):
@@ -727,7 +736,9 @@ def from_spec(name: str, rest: str, channels: Optional[int] = None):
 @dataclass(frozen=True)
 class Kind:
     """One group kind, defined once; :data:`KINDS` maps each descriptor's
-    ``kind`` to its record.
+    ``kind`` to its record.  The operand space (``dtype``, ``shape`` and
+    ``dim``) is the descriptor's own; the record holds what the algorithms
+    need.
 
     * ``spec``: the grammar of the kind's spec string, such as ``cyclic:N``;
       ``parse(rest, channels)`` reads the part after the colon where the
@@ -743,7 +754,6 @@ class Kind:
     * ``element(group, rng)``: a random element in witness encoding (Haar
       for continuous kinds); ``order(group)``: the number of elements, None
       for continuous kinds.
-    * ``dtype`` and ``shape(group)``: the layout of one operand.
     * ``width(group)``: elements the bulk form's arrays hold per (input,
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
@@ -761,22 +771,12 @@ class Kind:
     order: Callable = lambda group: None
     ties: Optional[Callable] = None
     witnesses: Optional[Callable] = None
-    dtype: type = float
-    shape: Callable = lambda group: (group.dim,)
     width: Callable = lambda group: group.dim
     paired_width: Optional[Callable] = None
     witness_keys: tuple = ()
     parse: Optional[Callable] = None
     template: Optional[Callable] = None
     subgradient: Optional[Callable] = None
-
-    def layout(self, group) -> tuple:
-        """(dtype, shape) of one operand of the group's ambient space."""
-        return self.dtype, self.shape(group)
-
-
-def _matrix_shape(group) -> tuple:
-    return group.shape
 
 
 def _permutations(group) -> int:
@@ -817,23 +817,21 @@ KINDS = {
     "leftorth": Kind(
         "leftorth:KxN", left_orthogonal_bank, left_orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
-        lambda group, rng: _haar_orthogonal(group.k, rng), shape=_matrix_shape),
+        lambda group, rng: _haar_orthogonal(group.k, rng)),
     "colperm": Kind(
         "colperm:KxN", column_permutation_bank, column_permutation_pairs,
         lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
         lambda group, rng: rng.permutation(group.n),
         order=lambda group: math.factorial(group.n), witnesses=_colperm_witnesses,
-        shape=_matrix_shape, width=lambda group: group.n * group.n),   # its profit matrices
+        width=lambda group: group.n * group.n),   # its profit matrices
     "phase": Kind(
         "phase:R", phase_bank, phase_pairs,
         lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
-        lambda group, rng: _unit_complex(rng), witnesses=_phase_witnesses,
-        dtype=complex, shape=lambda group: (group.r,)),
+        lambda group, rng: _unit_complex(rng), witnesses=_phase_witnesses),
     "shiftconj": Kind(
         "shiftconj:N", shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
         _shift_conjugate_element, ties=shift_conjugate_ties,
-        witnesses=_shift_conjugate_witnesses, dtype=complex, shape=lambda group: (group.n,),
-        witness_keys=("shift", "conjugate", "phase")),
+        witnesses=_shift_conjugate_witnesses, witness_keys=("shift", "conjugate", "phase")),
     "patchperm": Kind(
         "patchperm:S@HxW", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
         _patch_element,
@@ -845,8 +843,7 @@ KINDS = {
     "window": Kind(
         "window:[C]xWxT", sliding_window_bank, sliding_window_pairs,
         lambda group, W, X: _roll_last(X, W), lambda group, rng: int(rng.integers(group.t)),
-        order=lambda group: group.t, ties=sliding_window_ties, shape=_matrix_shape,
-        width=lambda group: group.t,
+        order=lambda group: group.t, ties=sliding_window_ties, width=lambda group: group.t,
         paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
         parse=_window_from_spec, template=_window_template,
         subgradient=sliding_window_subgradient),

@@ -20,7 +20,7 @@ import numpy as np
 from . import groups
 from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
-                   _row_norms, _subgradient, as_operands)
+                   _subgradient, _vector_norms, as_operands)
 from .templates import HermiteSpec, Template, _hermite_grid
 
 MODEL_FORMAT = "maxfilt-model/1"
@@ -387,7 +387,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         raise ValidationError("hinge training requires exactly two classes")
     y = np.array([1.0 if l == classes[1] else -1.0 for l in labels])
     xs = as_operands(group, dataset.raws)
-    nx = _row_norms(xs)
+    nx = _vector_norms(xs)
     rng = np.random.default_rng(config.rng_seed)
     templates = np.stack([random_template(group, rng) for _ in range(n_templates)])
     # Alternating nonzero weights break the cold start: template subgradients

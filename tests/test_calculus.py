@@ -26,7 +26,7 @@ WITNESS_GROUPS = {
 
 def integer_operand(group, rng):
     """Entries in {-2, ..., 2}: products are exact, so ties are exact."""
-    dtype, shape = mf.groups.kind_of(group).layout(group)
+    dtype, shape = group.dtype, group.shape
     x = rng.integers(-2, 3, shape).astype(float)
     return x + 1j * rng.integers(-2, 3, shape) if dtype is complex else x
 
@@ -95,6 +95,17 @@ class TestWitnessSet:
     def test_tie_cap_raises(self):
         with pytest.raises(mf.EnumerationCapExceeded):
             witness_set(mf.FullPermutation(10), np.ones(10), np.ones(10))
+
+    @pytest.mark.parametrize("group", [
+        mf.FullPermutation(6), mf.SignedPermutation(4), mf.SignFlips(8),
+        mf.ColumnPermutation(1, 8), mf.PatchPermutation(((0, 1, 2, 3), (4, 5, 6)))],
+        ids=lambda g: g.kind)
+    def test_every_enumerating_kind_keeps_the_cap(self, group):
+        # A zero template ties every element, far more than 100 of them.
+        with pytest.raises(mf.EnumerationCapExceeded):
+            witness_set(group, np.zeros(group.shape), np.ones(group.shape), max_witnesses=100)
+        assert len(witness_set(group, np.zeros(group.shape), np.ones(group.shape),
+                               max_witnesses=mf.group_order(group))) == mf.group_order(group)
 
     def test_optimum_survives_zero_tolerance_at_scale(self):
         # the enumerator reproduces the optimum's own summation order, so the

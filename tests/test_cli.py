@@ -41,7 +41,10 @@ class TestGroupSpecGrammar:
 
     def test_bad_specs_rejected(self):
         for bad in ("cyclic", "unknown:4", "window:30", "cyclic:x", "leftorth:2", "cyclic:64x2",
-                    "patchperm:4", "cyclic:4.5", "window:1x2x3x4", "cyclic:", "patchperm:0@4x4"):
+                    "patchperm:4", "cyclic:4.5", "window:1x2x3x4", "cyclic:", "patchperm:0@4x4",
+                    # sizes are ASCII digits only, though int() takes these
+                    "orth:1_0", "shiftconj: 7", "phase:+4", "cyclic:\u0663", "window:2x 3x4",
+                    "patchperm:+2@4x4", "patchperm:2@4x\uff14"):
             with pytest.raises(mf.ValidationError):
                 parse_group_spec(bad)
 

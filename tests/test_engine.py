@@ -266,6 +266,22 @@ def test_prepared_bank_equals_the_engine_calls(kind, bulk, monkeypatch):
     assert np.array_equal(prepared.values([X[0]])[0], mf.filter_bank_apply(group, bank, X[0]))
 
 
+@pytest.mark.parametrize("kind", sorted(GROUPS))
+def test_prepared_bank_ties_within_max_filters_tolerance(kind):
+    # The (N, K) tolerances the bulk form is given are tie_tolerance(z, x),
+    # bit for bit, so a witness is the first one max_filter lists.
+    group = GROUPS[kind]
+    rng = np.random.default_rng(42)
+    bank = random_bank(group, 4, rng_seed=43)
+    X = np.stack([sample_point(group, rng) for _ in range(40)])
+    prepared = mf.FilterBank(group, bank)
+    bulk, seen = prepared._bulk, []
+    prepared._bulk = lambda x, tol: seen.append(tol) or bulk(x, tol)
+    prepared.argmax(X)
+    want = [[mf.core.tie_tolerance(t.vector, x) for t in bank] for x in X]
+    assert np.concatenate(seen).tolist() == want
+
+
 def test_prepared_bank_validates_templates_once_and_inputs_per_call():
     group = mf.CyclicShift(4)
     with pytest.raises(mf.ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -329,11 +330,12 @@ class TestBatchedAssignment:
     def test_same_columns_as_list_and_scalar_solvers(self, n):
         # Batches on both sides of the crossover: the list solver below it,
         # lockstep at and above it.
-        from maxfilt._assignment import (_LOCKSTEP_MIN_BATCH, max_profit_assignment,
+        from maxfilt._assignment import (_LOCKSTEP_MIN_ENTRIES, max_profit_assignment,
                                          max_profit_assignments)
 
         rng = np.random.default_rng(500 + n)
-        for size in (_LOCKSTEP_MIN_BATCH - 1, _LOCKSTEP_MIN_BATCH, 2 * _LOCKSTEP_MIN_BATCH):
+        crossover = -(-_LOCKSTEP_MIN_ENTRIES // n)
+        for size in (crossover - 1, crossover, 2 * crossover):
             profits = batch_profits(n, -(-size // 5), rng)[:size]
             values, cols = max_profit_assignments(profits)
             assert values.shape == (size,) and cols.shape == (size, n)
@@ -347,12 +349,14 @@ class TestBatchedAssignment:
 
     @pytest.mark.parametrize("n", [1, 2, 8, 48])
     @pytest.mark.parametrize("size", [40, 41, 97])
-    def test_problems_finishing_rows_at_different_steps(self, n, size):
+    def test_problems_finishing_rows_at_different_steps(self, n, size, monkeypatch):
         # Lockstep problems add their rows independently: an all-zero matrix
         # takes one step per row, the others many more, so in one stack
         # problems finish rows, and whole solves, at very different steps.
+        from maxfilt import _assignment
         from maxfilt._assignment import max_profit_assignment, max_profit_assignments
 
+        monkeypatch.setattr(_assignment, "_LOCKSTEP_MIN_ENTRIES", 0)   # lockstep at any size
         rng = np.random.default_rng(540 + 100 * n + size)
         kinds = [lambda: np.zeros((n, n)),
                  lambda: rng.standard_normal((n, n)) * 1e8,
@@ -373,14 +377,28 @@ class TestBatchedAssignment:
                 np.testing.assert_array_equal(cols[b], scalar_min_cost_assignment(-profits[b]))
 
     def test_non_finite_entry_anywhere_rejected(self):
-        from maxfilt._assignment import _LOCKSTEP_MIN_BATCH, max_profit_assignments
+        from maxfilt._assignment import _LOCKSTEP_MIN_ENTRIES, max_profit_assignments
 
-        for size in (3, _LOCKSTEP_MIN_BATCH + 5):
+        for size in (3, _LOCKSTEP_MIN_ENTRIES // 4 + 5):
             for bad in (np.nan, np.inf, -np.inf):
                 profits = np.zeros((size, 4, 4))
                 profits[size - 1, 2, 3] = bad
                 with pytest.raises(ValueError):
                     max_profit_assignments(profits)
+
+    @pytest.mark.parametrize("size, n, lockstep", [
+        (4, 48, False), (6, 48, False), (16, 48, True), (48, 48, True),
+        (16, 8, False), (48, 8, False), (100, 8, True), (4, 100, False), (5, 100, True)])
+    def test_solver_chosen_by_stack_entries(self, size, n, lockstep, monkeypatch):
+        # Lockstep overtakes the list solver near B * n = 450 at every n.
+        from maxfilt import _assignment
+
+        calls = []
+        solve = _assignment._lockstep_min_cost
+        monkeypatch.setattr(_assignment, "_lockstep_min_cost",
+                            lambda cost: calls.append(cost.shape) or solve(cost))
+        _assignment.max_profit_assignments(np.zeros((size, n, n)))
+        assert calls == ([(size, n, n)] if lockstep else [])
 
     def test_shape_checked_and_empty_batch(self):
         from maxfilt._assignment import max_profit_assignments
@@ -626,3 +644,40 @@ def test_kinds_do_not_branch_on_the_descriptor_type():
                 with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
                     count += len(re.findall(r"isinstance\(group\b", fh.read()))
     assert count <= 13
+
+
+# kind -> (group, dtype, shape, dim, group_order): the operand space each
+# descriptor states, and the order of its group, pinned exactly.
+SPACES = {
+    "enumerated": (mf.Enumerated((np.eye(2), np.diag([1.0, -1.0]))), float, (2,), 2, 2),
+    "cyclic": (mf.CyclicShift(6), float, (6,), 6, 6),
+    "perm": (mf.FullPermutation(5), float, (5,), 5, 120),
+    "signedperm": (mf.SignedPermutation(4), float, (4,), 4, 384),
+    "signflips": (mf.SignFlips(3), float, (3,), 3, 8),
+    "orth": (mf.FullOrthogonal(2), float, (2,), 2, None),
+    "leftorth": (mf.LeftOrthogonal(np.int64(2), 7), float, (2, 7), 14, None),
+    "colperm": (mf.ColumnPermutation(3, 4), float, (3, 4), 12, 24),
+    "phase": (mf.PhaseCircle(4), complex, (4,), 8, None),
+    "shiftconj": (mf.ShiftAndConjugate(9), complex, (9,), 18, None),
+    "patchperm": (mf.PatchPermutation(((2, 0), (1, 3, 4))), float, (5,), 5, 12),
+    "window": (mf.SlidingWindowShift(2, 3, 8), float, (2, 3, 8), 48, 8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPACES))
+def test_descriptor_states_its_operand_space(kind):
+    group, dtype, shape, dim, order = SPACES[kind]
+    assert group.kind == kind and set(SPACES) == set(mf.groups.KINDS)
+    assert (group.dtype, group.shape, group.dim, mf.group_order(group)) == (dtype, shape, dim, order)
+    assert type(group.dim) is int and all(type(s) is int for s in group.shape)
+    operands = mf.core.as_operands(group, [np.zeros(shape, dtype)])
+    assert operands.dtype == dtype and operands.shape == (1,) + shape
+
+
+def test_kind_record_leaves_the_operand_space_to_the_descriptor():
+    fields = {f.name for f in dataclasses.fields(mf.groups.Kind)}
+    assert len(fields) == 14 and not fields & {"dtype", "shape", "layout"}
+    assert not any(hasattr(mf.groups.Kind, name) for name in ("dtype", "shape", "layout"))
+    for cls in mf.groups.DESCRIPTORS.values():
+        if issubclass(cls, mf.core._Sizes):    # a size descriptor is its fields
+            assert not {"dim", "shape"} & set(vars(cls))

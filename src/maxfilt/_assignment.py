@@ -11,17 +11,23 @@ Two forms of the same algorithm:
 
 * :func:`min_cost_assignment` solves one matrix on Python lists and floats
   (``cost.tolist()``): at these sizes per-element numpy scalar indexing costs
-  more than the arithmetic it does.
+  more than the arithmetic it does.  A Dijkstra step is one pass over the
+  free columns and one over the tree: the textbook third pass,
+  ``minv[j] -= delta`` on the free columns, is done by the next step's scan
+  as it reads ``minv[j]``, the same subtraction on the same operands.
 * :func:`max_profit_assignments` solves a stack of B matrices in lockstep:
   the potentials, matching and search state of every problem are rows of
-  (B, n + 1) arrays, and each Dijkstra step is one set of array operations
-  over all unfinished problems.  Rows are independent: a problem whose
-  search reaches a free column augments in that step and starts its next
-  row in the next one, whatever row the others are on, and it drops out by
-  index compaction only after its last row.  Every update is the scalar
-  code's elementwise float operation, and ``argmin`` keeps the first-column
-  tie rule, so the columns are identical to :func:`min_cost_assignment`'s.
-  Small stacks go to the list solver instead (see ``_LOCKSTEP_MIN_ENTRIES``).
+  arrays, and each Dijkstra step is one set of some 25 array operations over
+  all unfinished problems (see :func:`_lockstep_min_cost`).  Rows are
+  independent: a problem whose search reaches a free column augments in that
+  step and searches for its next row from the following one, whatever row
+  the others are on, and it drops out by index compaction only after its
+  last row.  Small stacks go to the list solver instead (see
+  ``_LOCKSTEP_MIN_ENTRIES``).
+
+Both forms give every element the scalar code's float operations in its
+order and keep the first-column tie rule, so their columns, and their
+potentials, are equal.
 """
 
 from __future__ import annotations
@@ -30,17 +36,29 @@ import math
 
 import numpy as np
 
-# Stacks of B problems of size n with B * n below this are solved one matrix
-# at a time by the list solver.  Lockstep pays numpy's per-operation overhead
-# (some 20 array operations per Dijkstra step) whatever the stack, so it only
-# wins once that overhead is spread over enough problems and columns.
-# Measured on a 2-core Xeon VM (one process, BLAS on one thread, best of 5-7,
-# standard normal profits), lockstep overtakes the list solver near B * n =
-# 440 at n = 8 (B = 55), 500 at n = 48 (B = 10), 450 at n = 100 and n = 450
-# (B = 1); near 200 at n = 4 and 580 at n = 16.  Single calls and bank probes
-# (n = 8, B = 16; n = 48, B <= 6) stay on the list solver, and bank chunks
-# (B in the hundreds at n = 8, 48 at n = 48) run in lockstep.
+# A stack of B problems of size n runs in lockstep when B * n reaches
+# _LOCKSTEP_MIN_ENTRIES or B reaches _LOCKSTEP_MIN_PER_COLUMN * n; smaller
+# stacks are solved one matrix at a time by the list solver.  Lockstep pays
+# numpy's per-operation overhead (some 25 array operations per Dijkstra step)
+# whatever the stack, so it only wins once that is spread over enough
+# problems and columns; at small n, where a list solve is mostly call
+# overhead, fewer problems suffice.  Measured on a 2-core Xeon VM (one
+# process, BLAS on one thread, standard normal profits, best of 7, median of
+# three sweeps), lockstep overtakes the list solver near:
+#
+#     n      1    2    3    4    5    6    7    8   16   48  100
+#     B     10   14   24   40   44   41   45   55   35    9    3
+#     B*n   10   28   72  160  220  250  320  440  550  430  300
+#
+# Single calls and bank probes (n = 8, B = 16; n = 48, B <= 6) stay on the
+# list solver, and bank chunks (B in the hundreds at n = 8, 48 at n = 48) run
+# in lockstep.
 _LOCKSTEP_MIN_ENTRIES = 450
+_LOCKSTEP_MIN_PER_COLUMN = 7
+
+# Test hook: when set, each solver calls it with ``(cost, cols, u, v)`` (one
+# matrix, or a stack with a leading axis) so tests can check the duals.
+_dual_hook = None
 
 
 def _finite_square_stack(a: np.ndarray, what: str) -> np.ndarray:
@@ -57,7 +75,7 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     """Return ``col`` of row assignments minimizing ``sum cost[i, col[i]]``."""
     cost = _finite_square_stack(np.asarray(cost, dtype=float)[None], "cost")[0]
     n = cost.shape[0]
-    rows = cost.tolist()
+    rows = [[0.0] + row for row in cost.tolist()]     # 1-based, like the columns
     INF = math.inf
     # 1-based potentials; p[j] = row matched to column j (0 = none).
     u = [0.0] * (n + 1)
@@ -70,25 +88,26 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
         minv = [INF] * (n + 1)
         used = [0]                        # columns in the tree, in order reached
         free = list(range(1, n + 1))      # the rest, in scan order
+        delta = 0.0
         while True:
             i0 = p[j0]
             row = rows[i0 - 1]
             ui0 = u[i0]
-            delta = INF
-            j1 = -1
+            last, delta, j1 = delta, INF, -1
             for j in free:
-                cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                # The last step's ``minv[j] -= delta``, done as this scan reads minv[j].
+                mj = minv[j] - last
+                cur = row[j] - ui0 - v[j]
+                if cur < mj:
+                    mj = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                minv[j] = mj
+                if mj < delta:
+                    delta = mj
                     j1 = j
             for j in used:
                 u[p[j]] += delta
                 v[j] -= delta
-            for j in free:
-                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
@@ -101,6 +120,8 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     col = np.empty(n, dtype=int)
     for j in range(1, n + 1):
         col[p[j] - 1] = j - 1
+    if _dual_hook is not None:
+        _dual_hook(cost, col, np.array(u[1:]), np.array(v[1:]))
     return col
 
 
@@ -108,70 +129,127 @@ def _lockstep_min_cost(cost: np.ndarray) -> np.ndarray:
     """Columns of :func:`min_cost_assignment` for every matrix of a finite
     (B, n, n) stack, all solved at once.
 
-    The arrays mirror the scalar code's lists, one row per problem still
-    adding rows: ``u`` (by row), ``v``, ``p``, ``way`` and ``minv`` (by
-    column, 0 = the virtual column).  ``minv`` holds +inf on the columns
-    already in the tree, which the scalar code skips, so one ``argmin`` finds
-    the first free column of least reduced cost.  Each problem adds its rows
-    at its own pace: one that reaches a free column augments along its path
-    in that step and starts its next row in the following one, and it drops
-    out once it has added its last row.
+    Each of the A problems still adding rows owns one row of each state
+    array; index 0 is the virtual column (and row 0 of ``u`` is unused):
+
+    * ``uv`` (A, 2(n+1)): the potentials, ``u`` by row then ``v`` by column;
+    * ``sign`` (A, 2(n+1)): +1 on the rows of the alternating tree, -1 on its
+      columns, 0 elsewhere;
+    * ``minv``, ``skip``, ``p`` and ``way`` (A, n+1), by column.  ``minv``
+      holds +inf on the tree's columns, which the scalar code skips, so one
+      ``argmin`` finds the first free column of least reduced cost; ``skip``
+      is +inf on them and -inf elsewhere.
+
+    Per-problem reads and writes are flat ``take``/``put`` at offsets fixed
+    between compactions.  A problem that reaches a free column augments
+    along its path, all such problems together, and starts its next row by
+    copying a precomputed fresh row of ``sign``.
+
+    Why each step is the scalar code's arithmetic, element for element:
+
+    * ``max(cur, skip)`` keeps ``cur`` exactly on a free column and makes it
+      +inf on a tree column, so it never beats ``minv``: the scalar skip.
+    * ``minimum(cur, minv)`` is ``cur`` where ``cur < minv`` and a value equal
+      to ``minv`` elsewhere; ``way`` moves to ``j0`` by integer arithmetic
+      on the same ``cur < minv`` mask.
+    * ``uv += delta * sign`` adds ``delta * 1 = delta`` to a tree row's ``u``
+      and ``delta * -1 = -delta`` to a tree column's ``v``, exactly
+      ``u + delta`` and ``v - delta``; elsewhere it adds a zero.
+
+    Where two choices are equal numbers, and where a zero is added, at most
+    the sign of a zero differs from the scalar code, and no comparison sees
+    it: the columns are the same.
     """
     B, n, _ = cost.shape
-    m = n + 1
+    m, w = n + 1, 2 * (n + 1)
+    cols = np.empty((B, n), dtype=int)
+    if not (B and n):
+        return cols
     rows = np.zeros((B, m, m))
     rows[:, 1:, 1:] = cost
     rows = rows.reshape(B * m, m)           # row i of problem b is rows[b * m + i]
-    cols = np.empty((B, n), dtype=int)
-    idx = np.arange(B if n else 0)          # the problems still adding rows
-    ar = idx.copy()
-    u, v, minv = (np.zeros((len(idx), m)) for _ in range(3))
-    p, way = np.zeros((2, len(idx), m), dtype=np.intp)
-    used, in_tree = np.zeros((2, len(idx), m), dtype=bool)    # in_tree: rows p[j] of used j
-    i, j0, i0 = np.zeros((3, len(idx)), dtype=np.intp)        # i: the row being added
-    done = np.ones(len(idx), dtype=bool)    # problems that start their next row
-    while len(idx):
-        g = ar[done]
-        i[g] += 1
-        p[g, 0] = i0[g] = i[g]
-        j0[g] = 0
-        minv[g] = np.inf
-        used[g] = False
-        used[g, 0] = True
-        in_tree[g] = False
-        in_tree[g, i[g]] = True
-        cur = rows[idx * m + i0] - u[ar, i0][:, None]
-        cur -= v
-        np.putmask(cur, used, np.inf)
-        better = cur < minv
-        np.putmask(minv, better, cur)
-        np.copyto(way, j0[:, None], where=better)
-        j0 = minv.argmin(axis=1)
-        delta = minv[ar, j0][:, None]
-        np.putmask(u, in_tree, u + delta)
-        np.putmask(v, used, v - delta)
-        minv -= delta
-        i0 = p[ar, j0]
-        used[ar, j0] = True
-        minv[ar, j0] = np.inf
-        in_tree[ar, i0] = True
-        done = i0 == 0
-        # Augment each problem that reached a free column along its path, on
-        # flat views of p and way; a path that has reached column 0 stays
-        # there (way[:, 0] is never written, so p[0] = p[0]).
-        base, j = ar[done] * m, j0[done]
-        flat_p, flat_way = p.ravel(), way.ravel()
-        while j.any():
-            at = base + j
-            j = flat_way[at]
-            flat_p[at] = flat_p[base + j]
-        last = done & (i == n)
-        if last.any():
-            cols[idx[last, None], p[last, 1:] - 1] = np.arange(n)
-            keep = ~last
-            idx, u, v, p, way, minv, used, in_tree, i, j0, i0, done = (
-                a[keep] for a in (idx, u, v, p, way, minv, used, in_tree, i, j0, i0, done))
-            ar = np.arange(len(idx))
+    # fresh[i] is the sign row of a problem starting row i: the tree holds row
+    # i and the virtual column; row n + 1 only pads problems that are done.
+    fresh = np.eye(m + 1, w)
+    fresh[:, m] = -1.0
+    start_skip = np.where(np.arange(m) == 0, np.inf, -np.inf)
+    ar = np.arange(B)
+    idx = ar                                # the problems still adding rows
+    uv = np.zeros((B, w))
+    sign = fresh[np.ones(B, dtype=np.intp)]
+    minv = np.full((B, m), np.inf)
+    skip = np.tile(start_skip, (B, 1))
+    p, way = np.zeros((2, B, m), dtype=np.intp)
+    p[:, 0] = 1                             # the row being added
+    i0 = np.ones(B, dtype=np.intp)          # the tree row scanned next
+    j0 = np.zeros(B, dtype=np.intp)
+    duals = None if _dual_hook is None else np.empty((B, w))
+    while True:
+        # Flat offsets of each problem's state rows, and flat views.
+        A = len(idx)
+        off_m, off_w = ar[:A] * m, ar[:A] * w
+        off_v = off_m + m                   # from minv's flat index to v's in uv
+        row_at, u_at = idx * m, off_w + i0
+        v = uv[:, m:]
+        uv_f, sign_f, minv_f, skip_f, p_f, way_f = (
+            a.ravel() for a in (uv, sign, minv, skip, p, way))
+        while True:
+            cur = rows.take(row_at + i0, axis=0)
+            cur -= uv_f.take(u_at)[:, None]
+            cur -= v
+            np.maximum(cur, skip, out=cur)
+            better = cur < minv
+            np.minimum(cur, minv, out=minv)
+            way += better * (j0[:, None] - way)
+            j0 = minv.argmin(axis=1)
+            at = off_m + j0
+            delta = minv_f.take(at)
+            uv += delta[:, None] * sign
+            minv -= delta[:, None]
+            minv_f.put(at, np.inf)
+            skip_f.put(at, np.inf)
+            sign_f.put(at + off_v, -1.0)
+            i0 = p_f.take(at)
+            u_at = off_w + i0
+            sign_f.put(u_at, 1.0)
+            if i0.all():
+                continue
+            # Augment each problem that reached a free column along its path;
+            # a path that has reached column 0 stays there (way[:, 0] stays 0,
+            # so p[0] = p[0]).  Then start its next row: row n + 1 marks a
+            # problem that is done.
+            g = np.flatnonzero(i0 == 0)
+            base = off_m[g]
+            at = base + j0[g]
+            while True:
+                j = way_f.take(at)
+                path = base + j
+                p_f.put(at, p_f.take(path))
+                if not j.any():
+                    break
+                at = path
+            ig = p_f.take(base) + 1
+            i0[g] = ig
+            j0[g] = 0
+            u_at = off_w + i0
+            p_f.put(base, ig)
+            minv[g] = np.inf
+            skip[g] = start_skip
+            sign[g] = fresh[ig]
+            if ig.max() > n:
+                break
+        last = p[:, 0] > n
+        done = idx[last]
+        cols[done[:, None], p[last, 1:] - 1] = np.arange(n)
+        if duals is not None:
+            duals[done] = uv[last]
+        keep = ~last
+        if not keep.any():
+            break
+        idx, uv, sign, minv, skip, p, way, i0, j0 = (
+            a[keep] for a in (idx, uv, sign, minv, skip, p, way, i0, j0))
+    if duals is not None:
+        _dual_hook(cost, cols, duals[:, 1:m], duals[:, m + 1:])
     return cols
 
 
@@ -183,9 +261,10 @@ def max_profit_assignments(profits) -> tuple:
     ``ValueError`` when any entry of the stack is NaN or infinite.
     """
     profits = _finite_square_stack(profits, "profit")
-    if profits.shape[0] * profits.shape[1] < _LOCKSTEP_MIN_ENTRIES:
-        values = np.empty(len(profits))
-        cols = np.empty(profits.shape[:2], dtype=int)
+    B, n = profits.shape[:2]
+    if B * n < _LOCKSTEP_MIN_ENTRIES and B < _LOCKSTEP_MIN_PER_COLUMN * n:
+        values = np.empty(B)
+        cols = np.empty((B, n), dtype=int)
         for b, profit in enumerate(profits):
             values[b], cols[b] = max_profit_assignment(profit)
         return values, cols

@@ -330,11 +330,11 @@ class TestBatchedAssignment:
     def test_same_columns_as_list_and_scalar_solvers(self, n):
         # Batches on both sides of the crossover: the list solver below it,
         # lockstep at and above it.
-        from maxfilt._assignment import (_LOCKSTEP_MIN_ENTRIES, max_profit_assignment,
-                                         max_profit_assignments)
+        from maxfilt._assignment import (_LOCKSTEP_MIN_ENTRIES, _LOCKSTEP_MIN_PER_COLUMN,
+                                         max_profit_assignment, max_profit_assignments)
 
         rng = np.random.default_rng(500 + n)
-        crossover = -(-_LOCKSTEP_MIN_ENTRIES // n)
+        crossover = min(-(-_LOCKSTEP_MIN_ENTRIES // n), _LOCKSTEP_MIN_PER_COLUMN * n)
         for size in (crossover - 1, crossover, 2 * crossover):
             profits = batch_profits(n, -(-size // 5), rng)[:size]
             values, cols = max_profit_assignments(profits)
@@ -388,9 +388,11 @@ class TestBatchedAssignment:
 
     @pytest.mark.parametrize("size, n, lockstep", [
         (4, 48, False), (6, 48, False), (16, 48, True), (48, 48, True),
-        (16, 8, False), (48, 8, False), (100, 8, True), (4, 100, False), (5, 100, True)])
+        (16, 8, False), (48, 8, False), (100, 8, True), (4, 100, False), (5, 100, True),
+        (24, 4, False), (32, 4, True), (64, 4, True), (6, 1, False), (7, 1, True)])
     def test_solver_chosen_by_stack_entries(self, size, n, lockstep, monkeypatch):
-        # Lockstep overtakes the list solver near B * n = 450 at every n.
+        # Lockstep overtakes the list solver near B * n = 450 from n = 8 up,
+        # and near B = 7n below.
         from maxfilt import _assignment
 
         calls = []
@@ -426,6 +428,116 @@ class TestBatchedAssignment:
                 np.testing.assert_array_equal(cols[n, k], res.witnesses[0])
                 oracle = mf.brute_force_max_filter(group, z, x)
                 assert any(np.array_equal(cols[n, k], w) for w in oracle.witnesses)
+
+
+def colperm_profits(k, n, size, rng):
+    """A stack of rank-k column-permutation profit matrices ``z.T @ x``, as a
+    colperm bank forms them: real pairs interleaved with all-zero inputs,
+    tie-heavy integer pairs and 1e8-scaled inputs."""
+    z = rng.standard_normal((k, n))
+    z_int = rng.integers(-2, 3, size=(k, n)).astype(float)
+    X = rng.standard_normal((size, k, n))
+    kind = np.arange(size) % 4
+    X[kind == 1] = 0.0
+    X[kind == 2] = rng.integers(-2, 3, size=X[kind == 2].shape)
+    X[kind == 3] *= 1e8
+    Z = np.where((kind == 2)[:, None, None], z_int, z)
+    return np.matmul(np.swapaxes(Z, -1, -2), X)
+
+
+class TestAssignmentAtTrafficShapes:
+    """The stacks that colperm banks solve: rank-2 pairs at n = 8 in chunks of
+    2,048, and rank-3 pairs at n = 48 in stacks of 48."""
+
+    @pytest.mark.parametrize("k, n, size", [(2, 8, 2048), (3, 48, 48)])
+    def test_lockstep_equals_list_and_scalar_solvers(self, k, n, size, monkeypatch):
+        from maxfilt import _assignment
+
+        calls = []
+        solve = _assignment._lockstep_min_cost
+        monkeypatch.setattr(_assignment, "_lockstep_min_cost",
+                            lambda cost: calls.append(cost.shape) or solve(cost))
+        profits = colperm_profits(k, n, size, np.random.default_rng(700 + n))
+        values, cols = _assignment.max_profit_assignments(profits)
+        assert calls == [(size, n, n)]
+        for b, profit in enumerate(profits):
+            value, col = _assignment.max_profit_assignment(profit)
+            np.testing.assert_array_equal(cols[b], col)
+            assert values[b] == value
+        # The numpy-scalar reference is slow: a sample of every kind.
+        for b in range(0, size, 29) if n < 48 else range(4):
+            np.testing.assert_array_equal(cols[b], scalar_min_cost_assignment(-profits[b]))
+
+    def test_list_solver_equals_scalar_reference_on_rank_three(self):
+        from maxfilt._assignment import min_cost_assignment
+
+        for profit in colperm_profits(3, 48, 4, np.random.default_rng(748)):
+            np.testing.assert_array_equal(min_cost_assignment(-profit),
+                                          scalar_min_cost_assignment(-profit))
+
+
+# LP duality for the assignment problem: potentials u, v with every reduced
+# cost cost[i, j] - u[i] - v[j] >= 0, and = 0 on the matched pairs, prove the
+# matching optimal.  The solvers' potentials are sums of rounded increments,
+# so both conditions hold to within CERTIFICATE_UNITS units of n·ε·max|C|;
+# the worst seen on these stacks is 0.08 units.
+CERTIFICATE_UNITS = 1.0
+
+
+def certifies(cost, cols, u, v):
+    """For each problem of a (..., n, n) stack, whether the potentials certify
+    ``cols`` optimal to within ``CERTIFICATE_UNITS``."""
+    n = cost.shape[-1]
+    reduced = cost - u[..., :, None] - v[..., None, :]
+    matched = np.take_along_axis(reduced, cols[..., None], -1)[..., 0]
+    worst = np.maximum(-reduced.min(axis=(-2, -1)), np.abs(matched).max(axis=-1))
+    unit = n * np.finfo(float).eps * np.abs(cost).max(axis=(-2, -1))
+    return worst <= CERTIFICATE_UNITS * unit
+
+
+class TestDualCertificates:
+    @pytest.mark.parametrize("n", [48, 100])
+    def test_both_solvers_certify_their_columns(self, n, monkeypatch):
+        from maxfilt import _assignment
+
+        duals = []
+        monkeypatch.setattr(_assignment, "_dual_hook", lambda *d: duals.append(d))
+        profits = colperm_profits(3, n, 48, np.random.default_rng(800 + n))
+        cols = _assignment.max_profit_assignments(profits)[1]
+        (cost, lock_cols, u, v), = duals             # one lockstep call
+        np.testing.assert_array_equal(cost, -profits)
+        np.testing.assert_array_equal(lock_cols, cols)
+        assert certifies(cost, cols, u, v).all()
+        # A planted error fails: real and 1e8-scaled pairs have one optimum,
+        # and swapping two rows' columns leaves it.
+        swapped = cols.copy()
+        swapped[:, [0, 1]] = cols[:, [1, 0]]
+        assert not certifies(cost, swapped, u, v)[np.arange(48) % 4 % 3 == 0].any()
+        # The list solver, on every kind; both do the same float operations,
+        # so they hold the same potentials.
+        duals.clear()
+        for b in range(48 if n < 100 else 12):
+            _assignment.max_profit_assignment(profits[b])
+            cost, col, u_list, v_list = duals[-1]
+            np.testing.assert_array_equal(col, cols[b])
+            assert certifies(cost, col, u_list, v_list)
+            assert np.array_equal(u_list, u[b]) and np.array_equal(v_list, v[b])
+
+    @pytest.mark.parametrize("n", [48, 100])
+    def test_colperm_bank_paired_and_single_paths_are_certified(self, n, monkeypatch):
+        from maxfilt import _assignment
+
+        duals = []
+        monkeypatch.setattr(_assignment, "_dual_hook", lambda *d: duals.append(d))
+        group = mf.ColumnPermutation(3, n)
+        rng = np.random.default_rng(860 + n)
+        Z, X = rng.standard_normal((4, 3, n)), rng.standard_normal((12, 3, n))
+        mf.bank_argmax(group, Z, X)
+        mf.quotient_distances(group, *rng.standard_normal((2, 48, 3, n)))
+        mf.max_filter(group, Z[0], X[0])
+        assert sum(len(cols) if cols.ndim == 2 else 1 for _, cols, _, _ in duals) == 48 + 48 + 1
+        for cost, cols, u, v in duals:
+            assert certifies(cost, cols, u, v).all()
 
 
 class TestPhase:

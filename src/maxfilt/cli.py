@@ -194,10 +194,13 @@ def cmd_graph_filter(args) -> int:
 
 
 def _parse_range(spec: str) -> list:
-    if ":" in spec:
-        lo, hi = spec.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in spec.split(",")]
+    try:
+        if ":" in spec:
+            lo, hi = spec.split(":")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(p) for p in spec.split(",")]
+    except ValueError as exc:
+        raise ValidationError(f"expected lo:hi or a comma list of integers, got {spec!r}") from exc
 
 
 def cmd_templates(args) -> int:

@@ -21,7 +21,7 @@ from . import groups
 from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
                    _subgradient, _vector_norms, as_operands)
-from .templates import HermiteSpec, Template, _hermite_grid
+from .templates import HermiteSpec, Template, _hermite_grid, _require_integer
 
 MODEL_FORMAT = "maxfilt-model/1"
 
@@ -242,32 +242,39 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
     With ``hermite=False`` a literal random Gaussian template (same template
     tiled into every patch, sorted once) replaces each eigenfunction; that
     variant is the exact patch-permutation max filter for A/B comparison.
+    Levels are integers l >= 0 with 2^l <= side; the image is never written.
     """
-    img = np.asarray(image, dtype=float)
+    img = np.ascontiguousarray(image, dtype=float)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ValidationError("image must be square")
     side = img.shape[0]
     if side & (side - 1):
         raise ValidationError("image side must be a power of two")
-    levels = list(levels)
+    levels = [_require_integer("level", lev) for lev in levels]
     degrees = list(degrees)
     if not levels or not degrees:
         raise ValidationError("levels and degrees must be nonempty")
+    if min(levels) < 0:
+        raise ValidationError("need levels >= 0")
     if side < 2 ** max(levels):
         raise ValidationError("image smaller than the largest patch scale")
-    rng = np.random.default_rng(rng_seed)
+    if hermite:
+        for deg in degrees:
+            HermiteSpec(degree=deg, length=1)
+    else:
+        rng = np.random.default_rng(rng_seed)
+    # Every level's patches fill one buffer, sorted in place.  It is a copy,
+    # never a view: at 2^l == side the patch reshape is the caller's image.
+    buf = np.empty(side * side)
     feats = []
     for lev in levels:
         s = 2 ** lev
-        patches = (img.reshape(side // s, s, side // s, s)
-                   .swapaxes(1, 2).reshape(-1, s * s))
-        patches = np.sort(patches, axis=1)
+        n = side // s
+        patches = buf.reshape(n * n, s * s)
+        np.copyto(patches.reshape(n, n, s, s), img.reshape(n, s, n, s).swapaxes(1, 2))
+        patches.sort(axis=1)
         for deg in degrees:
-            if hermite:
-                spec = HermiteSpec(degree=deg, length=s * s)
-                v = _hermite_grid(spec.degree, spec.length)
-            else:
-                v = np.sort(rng.standard_normal(s * s))
+            v = _hermite_grid(deg, s * s) if hermite else np.sort(rng.standard_normal(s * s))
             feats.append(float((patches @ v).sum()))
     return np.asarray(feats)
 

@@ -200,6 +200,13 @@ def normal_quantile(p) -> float | np.ndarray:
 # Probabilist's Hermite polynomials and eigenfunction templates
 # ---------------------------------------------------------------------------
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an int; bools, floats and other non-integers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HermiteSpec:
     """Degree and discretization length for an eigenfunction template."""
@@ -209,9 +216,7 @@ class HermiteSpec:
 
     def __post_init__(self):
         for name in ("degree", "length"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            _require_integer(name, getattr(self, name))
         if self.degree < 0 or self.length < 1:
             raise ValidationError("need degree >= 0 and length >= 1")
         if self.degree > 16:

@@ -488,6 +488,40 @@ class TestTextureCommand:
         assert code == 0, err
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("extra, hermite, seed", [((), True, 0),
+                                                      (("--random-templates",), False, 3)])
+    def test_extract_report_equals_reference_features(self, tmp_path, capsys, extra, hermite,
+                                                       seed):
+        sys.path.insert(0, "tests")
+        from test_pipeline import make_texture_field, reference_texture_features
+        image = str(tmp_path / "x.pgm")
+        write_pgm(image, make_texture_field(64, 1.0, np.random.default_rng(13)))
+        argv = ["texture", "--extract", "--image", image, "--levels", "0:6", "--degrees", "0:5",
+                "--seed", str(seed), *extra]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        feats = reference_texture_features(mf.pipeline.parse_pgm(image), range(7), range(6),
+                                           hermite=hermite, rng_seed=seed)
+        args = mf.cli.build_parser().parse_args(argv)
+        mf.cli.emit(args, mf.cli.make_report(args, {"features": feats.tolist()}))
+        expected = capsys.readouterr().out
+
+        def timestamp_aside(text):
+            return [line for line in text.splitlines() if '"timestamp"' not in line]
+        assert timestamp_aside(out) == timestamp_aside(expected)
+
+    @pytest.mark.parametrize("option, value", [("--levels", "-1:2"), ("--levels", "1,-1"),
+                                               ("--levels", "a:2"), ("--levels", "1:2:3"),
+                                               ("--levels", ""), ("--degrees", "1,x")])
+    def test_bad_ranges_exit_3(self, tmp_path, capsys, option, value):
+        # "--levels=-1:2": argparse reads a separate "-1:2" as an option (exit 2).
+        image = str(tmp_path / "x.pgm")
+        write_pgm(image, np.random.default_rng(14).uniform(size=(8, 8)))
+        code, out, err = run_cli(capsys, "texture", "--extract", "--image", image, "--levels",
+                                 "1:2", "--seed", "0", f"{option}={value}")
+        assert code == 3 and out == ""
+        assert err.startswith("validation error:")
+
 
 class TestConsoleScript:
     def test_entry_point_runs(self, tmp_path):

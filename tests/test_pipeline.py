@@ -13,6 +13,7 @@ from maxfilt.pipeline import (LabeledDataset, TrainConfig, district_embed, ecg_l
                               load_model, make_planted_window_dataset, model_predict,
                               parse_pgm, pca_fit, pca_transform, save_model,
                               texture_features, train_svm_templates, write_pgm)
+from maxfilt.templates import _hermite_grid
 from conftest import sign_group
 
 
@@ -178,6 +179,41 @@ class TestEcgLift:
         assert np.max(np.abs(tensor.mean(axis=1))) <= 1e-9
 
 
+def reference_texture_features(image, levels, degrees, hermite=True, rng_seed=0):
+    """The per-level loop that :func:`texture_features` replaced: a fresh
+    patch copy and a fresh ``np.sort`` per level.  Its features are the
+    values the buffer loop must reproduce bit for bit."""
+    img = np.asarray(image, dtype=float)
+    side = img.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    feats = []
+    for lev in levels:
+        s = 2 ** lev
+        patches = (img.reshape(side // s, s, side // s, s)
+                   .swapaxes(1, 2).reshape(-1, s * s))
+        patches = np.sort(patches, axis=1)
+        for deg in degrees:
+            if hermite:
+                spec = mf.HermiteSpec(degree=deg, length=s * s)
+                v = _hermite_grid(spec.degree, spec.length)
+            else:
+                v = np.sort(rng.standard_normal(s * s))
+            feats.append(float((patches @ v).sum()))
+    return np.asarray(feats)
+
+
+def _texture_cases():
+    rng = np.random.default_rng(21)
+    smooth = make_texture_field(32, 1.5, rng)
+    return {
+        "field": smooth,
+        "quantized-8bit": np.round(smooth * 255.0) / 255.0,
+        "signed-zeros": rng.choice([-0.0, 0.0, 0.25, -0.5], size=(32, 32)),
+        "int64": rng.integers(-300, 300, size=(32, 32)),
+        "uint8": rng.integers(0, 256, size=(32, 32), dtype=np.uint8),
+    }
+
+
 class TestTextureFeatures:
     def test_degree_zero_reads_pixel_sum(self):
         rng = np.random.default_rng(5)
@@ -223,6 +259,45 @@ class TestTextureFeatures:
         a = texture_features(img, levels=[2], degrees=range(3), hermite=False, rng_seed=1)
         b = texture_features(img, levels=[2], degrees=range(3), hermite=False, rng_seed=1)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(_texture_cases()))
+    @pytest.mark.parametrize("levels", [[5, 2, 5, 0], [0, 1, 2, 3, 4, 5]])
+    @pytest.mark.parametrize("hermite, seed", [(True, 0), (False, 0), (False, 3)])
+    def test_equals_reference_loop_bit_for_bit(self, case, levels, hermite, seed):
+        img = _texture_cases()[case]
+        feats = texture_features(img, levels, range(6), hermite=hermite, rng_seed=seed)
+        ref = reference_texture_features(img, levels, range(6), hermite=hermite, rng_seed=seed)
+        assert feats.dtype == ref.dtype and np.array_equal(feats, ref)
+        assert np.array_equal(np.signbit(feats), np.signbit(ref))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_caller_image_is_never_modified(self, layout):
+        # At level log2(side) the patch reshape of a C-ordered image is a view
+        # of it; features are taken from a copy, so no layout gets sorted.
+        rng = np.random.default_rng(22)
+        big = rng.uniform(size=(32, 32))
+        big_before = big.copy()
+        img = {"C": big[:16, :16].copy(), "F": np.asfortranarray(big[:16, :16]),
+               "strided": big[::2, ::2]}[layout]
+        before = img.copy(order="K")
+        feats = texture_features(img, levels=[4, 2, 0, 4], degrees=range(4))
+        assert img.tobytes(order="A") == before.tobytes(order="A")
+        assert big.tobytes() == big_before.tobytes()
+        assert np.array_equal(feats, reference_texture_features(before, [4, 2, 0, 4], range(4)))
+
+    @pytest.mark.parametrize("levels", [[-1, 2], [1, -1], [1.5], [2.0], [True], [np.float64(2)],
+                                        ["2"]])
+    def test_bad_levels_rejected(self, levels):
+        with pytest.raises(mf.ValidationError, match="level"):
+            texture_features(np.zeros((8, 8)), levels=levels, degrees=[0])
+
+    def test_level_zero_and_numpy_integer_levels(self):
+        rng = np.random.default_rng(23)
+        img = rng.uniform(size=(8, 8))
+        assert texture_features(img, levels=[0], degrees=[0])[0] == pytest.approx(img.sum())
+        np.testing.assert_array_equal(
+            texture_features(img, levels=np.arange(4), degrees=np.arange(3)),
+            texture_features(img, levels=[0, 1, 2, 3], degrees=[0, 1, 2]))
 
 
 class TestPCA:

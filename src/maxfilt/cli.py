@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, analysis, graphs, groups, pipeline, templates as tmod
 from .core import (GroupAction, NumericFailure, ShiftAndConjugate, SlidingWindowShift,
-                   ValidationError, bank_values, brute_force_max_filter, max_filter)
+                   ValidationError, bank_values, brute_force_max_filter, max_filter, norm)
 
 
 class OracleMismatch(RuntimeError):
@@ -158,11 +158,13 @@ def cmd_filter(args) -> int:
     result = max_filter(group, z, x)
     if args.oracle:
         oracle = brute_force_max_filter(group, z, x)
+        # Both values round at the scale of |z||x|, so the bound is stated in it.
+        bound = 1e-9 * max(1.0, norm(z) * norm(x))
         if oracle.approximate:
-            if oracle.value > result.value + 1e-9:
+            if oracle.value > result.value + bound:
                 raise OracleMismatch(
                     f"specialized value {result.value} below grid bound {oracle.value}")
-        elif abs(oracle.value - result.value) > 1e-9:
+        elif abs(oracle.value - result.value) > bound:
             raise OracleMismatch(
                 f"specialized value {result.value} != enumeration {oracle.value}")
     doc = make_report(args, {
@@ -197,8 +199,8 @@ def _parse_range(spec: str) -> list:
     try:
         if ":" in spec:
             lo, hi = spec.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(p) for p in spec.split(",")]
+            return list(range(groups._size(lo), groups._size(hi) + 1))
+        return [groups._size(p) for p in spec.split(",")]
     except ValueError as exc:
         raise ValidationError(f"expected lo:hi or a comma list of integers, got {spec!r}") from exc
 

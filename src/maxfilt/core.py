@@ -1,12 +1,14 @@
 """Ambient-space data model and the generic max filtering evaluation contract.
 
 A group action is described by a tagged, immutable descriptor, which also
-states the operand space (``dtype``, ``shape`` and ``dim``); everything else
-about its kind (the specialized algorithms, the sampler and the order) sits
-in one record, ``groups.KINDS[group.kind]``.
-``brute_force_max_filter`` enumerates group elements (or a dense parameter
-grid for continuous kinds) and is the independent oracle everything else is
-tested against.
+states the operand space (``dtype``, ``shape`` and ``dim``) and the group's
+``order``; everything else about its kind (the specialized algorithms, the
+sampler and the brute-force oracle) sits in one record,
+``groups.KINDS[group.kind]``.
+``brute_force_max_filter`` validates the operands and hands them to the
+record's oracle, which enumerates group elements (or searches a dense
+parameter grid for continuous kinds) and is the independent reference
+everything else is tested against.
 
 Conventions
 -----------
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -55,9 +56,11 @@ class EnumerationCapExceeded(ValidationError):
 class _Space:
     """Base of every descriptor, which also names the operand space V the
     group acts on: one operand is an array of ``dtype`` and ``shape``, and
-    ``dim`` is the real dimension of V (a complex entry counts twice)."""
+    ``dim`` is the real dimension of V (a complex entry counts twice).
+    ``order`` is the number of group elements, None for continuous groups."""
 
     dtype = float
+    order = None
 
     @property
     def shape(self) -> tuple:
@@ -93,6 +96,7 @@ class Enumerated(_Space):
 
     matrices: tuple
     kind: ClassVar[str] = "enumerated"
+    order = property(lambda self: len(self.matrices))
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
@@ -121,10 +125,6 @@ class Enumerated(_Space):
     def dim(self) -> int:
         return self.matrices[0].shape[0]
 
-    @property
-    def order(self) -> int:
-        return len(self.matrices)
-
 
 @dataclass(frozen=True)
 class CyclicShift(_Sizes):
@@ -132,6 +132,7 @@ class CyclicShift(_Sizes):
 
     n: int
     kind: ClassVar[str] = "cyclic"
+    order = property(lambda self: self.n)
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,7 @@ class FullPermutation(_Sizes):
 
     d: int
     kind: ClassVar[str] = "perm"
+    order = property(lambda self: math.factorial(self.d))
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,7 @@ class SignedPermutation(_Sizes):
 
     d: int
     kind: ClassVar[str] = "signedperm"
+    order = property(lambda self: math.factorial(self.d) * 2 ** self.d)
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,7 @@ class SignFlips(_Sizes):
 
     d: int
     kind: ClassVar[str] = "signflips"
+    order = property(lambda self: 2 ** self.d)
 
 
 @dataclass(frozen=True)
@@ -182,6 +186,7 @@ class ColumnPermutation(_Sizes):
     k: int
     n: int
     kind: ClassVar[str] = "colperm"
+    order = property(lambda self: math.factorial(self.n))
 
 
 @dataclass(frozen=True)
@@ -211,6 +216,7 @@ class PatchPermutation(_Space):
 
     patches: tuple
     kind: ClassVar[str] = "patchperm"
+    order = property(lambda self: math.prod(math.factorial(len(p)) for p in self.patches))
 
     def __post_init__(self):
         patches = tuple(tuple(int(i) for i in p) for p in self.patches)
@@ -247,6 +253,7 @@ class SlidingWindowShift(_Sizes):
     w: int
     t: int
     kind: ClassVar[str] = "window"
+    order = property(lambda self: self.t)
 
 
 GroupAction = (
@@ -540,7 +547,8 @@ def _haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def group_order(group: GroupAction) -> Optional[int]:
     """Number of elements for finite kinds; None for continuous groups."""
-    return groups.kind_of(group).order(group)
+    groups.kind_of(group)                       # ValidationError for anything else
+    return group.order
 
 
 # ---------------------------------------------------------------------------
@@ -551,156 +559,12 @@ def brute_force_max_filter(group: GroupAction, z, x, *, resolution: int = 10_000
                            cap: int = 2_000_000) -> FilterResult:
     """Exact max over all enumerated elements; grid/sampling lower bound for
     continuous kinds (flagged ``approximate``).  Test oracle only: slow on
-    purpose and independent of the specialized paths.
+    purpose and independent of the specialized paths (the kind record's
+    ``oracle``, see :mod:`maxfilt.groups`).
     """
     z = as_operand(group, z)
     x = as_operand(group, x)
-    tol = tie_tolerance(z, x)
-
-    if isinstance(group, Enumerated):
-        vals = np.array([float(z @ (g @ x)) for g in group.matrices])
-        return _pick(vals, tol, lambda i: int(i))
-
-    if isinstance(group, CyclicShift):
-        vals = np.array([float(z @ np.roll(x, a)) for a in range(group.n)])
-        return _pick(vals, tol, lambda i: int(i))
-
-    if isinstance(group, FullPermutation):
-        if group.d > 8:
-            raise EnumerationCapExceeded("permutation enumeration capped at d <= 8")
-        perms = np.array(list(itertools.permutations(range(group.d))))
-        vals = x[perms] @ z
-        return _pick(vals, tol, lambda i: perms[i].copy())
-
-    if isinstance(group, SignedPermutation):
-        if group.d > 6:
-            raise EnumerationCapExceeded("signed permutation enumeration capped at d <= 6")
-        perms = np.array(list(itertools.permutations(range(group.d))))
-        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=group.d)))
-        vals = (x[perms] * z) @ signs.T            # (n_perm, n_sign)
-        flat = vals.ravel()
-        best = float(flat.max())
-        idx = np.flatnonzero(flat >= best - tol)
-        wits = [(perms[i // len(signs)].copy(), signs[i % len(signs)].copy()) for i in idx]
-        return FilterResult(value=best, witnesses=wits)
-
-    if isinstance(group, SignFlips):
-        if group.d > 16:
-            raise EnumerationCapExceeded("sign-flip enumeration capped at d <= 16")
-        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=group.d)))
-        vals = signs @ (z * x)
-        return _pick(vals, tol, lambda i: signs[i].copy())
-
-    if isinstance(group, ColumnPermutation):
-        if group.n > 8:
-            raise EnumerationCapExceeded("column permutation enumeration capped at n <= 8")
-        profit = z.T @ x                           # profit[j, i] = <z_col_j, x_col_i>
-        perms = np.array(list(itertools.permutations(range(group.n))))
-        vals = profit[np.arange(group.n), perms].sum(axis=1)
-        return _pick(vals, tol, lambda i: perms[i].copy())
-
-    if isinstance(group, PatchPermutation):
-        if any(len(p) > 8 for p in group.patches):
-            raise EnumerationCapExceeded("patch enumeration capped at 8 cells per patch")
-        total = 1
-        for p in group.patches:
-            total *= math.factorial(len(p))
-            if total > cap:
-                raise EnumerationCapExceeded(f"patch enumeration exceeds cap {cap}")
-        best_perm = np.arange(group.dim)
-        value = 0.0
-        # Patches are independent, so enumerate each patch separately.
-        for p in group.patches:
-            idx = np.asarray(p)
-            sub_perms = np.array(list(itertools.permutations(range(len(p)))))
-            vals = x[idx][sub_perms] @ z[idx]
-            j = int(np.argmax(vals))
-            value += float(vals[j])
-            best_perm[idx] = idx[sub_perms[j]]
-        return FilterResult(value=value, witnesses=[best_perm])
-
-    if isinstance(group, SlidingWindowShift):
-        vals = np.array([float(np.sum(z * np.roll(x, a, axis=2))) for a in range(group.t)])
-        return _pick(vals, tol, lambda i: int(i))
-
-    if isinstance(group, PhaseCircle):
-        w = np.vdot(z, x)
-        thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        phases = np.exp(1j * thetas)
-        vals = np.real(phases * w)
-        i = int(np.argmax(vals))
-        return FilterResult(value=float(vals[i]), witnesses=[complex(phases[i])],
-                            approximate=True)
-
-    if isinstance(group, ShiftAndConjugate):
-        thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        phases = np.exp(1j * thetas)
-        best, wit = -np.inf, None
-        for conj in (False, True):
-            base = np.conj(x) if conj else x
-            for a in range(group.n):
-                w = np.vdot(z, np.roll(base, a))
-                vals = np.real(phases * w)
-                i = int(np.argmax(vals))
-                if vals[i] > best:
-                    best, wit = float(vals[i]), (a, conj, complex(phases[i]))
-        return FilterResult(value=best, witnesses=[wit], approximate=True)
-
-    if isinstance(group, FullOrthogonal):
-        return _orthogonal_search(group.d, lambda q: float(z @ (q @ x)), resolution)
-
-    if isinstance(group, LeftOrthogonal):
-        return _orthogonal_search(group.k, lambda q: float(np.sum(z * (q @ x))), resolution)
-
-    raise ValidationError(f"unsupported group action: {group!r}")
-
-
-def _pick(vals: np.ndarray, tol: float, make_witness) -> FilterResult:
-    best = float(vals.max())
-    idx = np.flatnonzero(vals >= best - tol)
-    return FilterResult(value=best, witnesses=[make_witness(int(i)) for i in idx])
-
-
-def _orthogonal_search(d: int, score, resolution: int) -> FilterResult:
-    """Dense O(2) grid for d = 2; random orthogonal sampling for d >= 3.
-
-    Either way the result is a lower bound on the true maximum.
-    """
-    best, wit = -np.inf, None
-    if d == 1:
-        for q in (np.array([[1.0]]), np.array([[-1.0]])):
-            v = score(q)
-            if v > best:
-                best, wit = v, q
-        return FilterResult(value=best, witnesses=[wit])
-    if d == 2:
-        # score is linear in the matrix, so each O(2) branch traces a pure
-        # sinusoid over the angle grid; four base evaluations suffice.
-        thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-        cos, sin = np.cos(thetas), np.sin(thetas)
-        eye = np.array([[1.0, 0.0], [0.0, 1.0]])
-        rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        flip = np.array([[1.0, 0.0], [0.0, -1.0]])
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rot_vals = score(eye) * cos + score(rot90) * sin
-        ref_vals = score(flip) * cos + score(swap) * sin
-        i_rot = int(np.argmax(rot_vals))
-        i_ref = int(np.argmax(ref_vals))
-        if rot_vals[i_rot] >= ref_vals[i_ref]:
-            best = float(rot_vals[i_rot])
-            wit = cos[i_rot] * eye + sin[i_rot] * rot90
-        else:
-            best = float(ref_vals[i_ref])
-            wit = cos[i_ref] * flip + sin[i_ref] * swap
-        return FilterResult(value=best, witnesses=[wit], approximate=True)
-    rng = np.random.default_rng(resolution)
-    for _ in range(resolution):
-        q = _haar_orthogonal(d, rng)
-        for cand in (q, -q):
-            v = score(cand)
-            if v > best:
-                best, wit = v, cand
-    return FilterResult(value=best, witnesses=[wit], approximate=True)
+    return groups.kind_of(group).oracle(group, z, x, tie_tolerance(z, x), resolution, cap)
 
 
 # The kind records in ``groups`` are built from the descriptors above.

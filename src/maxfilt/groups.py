@@ -26,11 +26,12 @@ from the helpers of the kind's bulk form and is reached through
 
 The record also holds the kind's tie enumeration for
 :func:`maxfilt.calculus.witness_set`, its spec grammar (``cyclic:N``, read
-by :func:`from_spec`) and, for sliding windows, the single-slice template
+by :func:`from_spec`), its brute-force oracle (the independent reference
+behind :func:`maxfilt.core.brute_force_max_filter`, built from none of the
+forms above) and, for sliding windows, the single-slice template
 convention.  Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
-member of ``GroupAction``, which also states the operand space), one
-``KINDS`` entry here and one branch of the brute-force oracle, which stays
-an independent reference.
+member of ``GroupAction``, which also states the operand space) and one
+``KINDS`` entry here.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._assignment import max_profit_assignments
-from .core import (Enumerated, EnumerationCapExceeded, FullPermutation, GroupAction,
-                   NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
-                   _haar_orthogonal, max_filter)
+from .core import (Enumerated, EnumerationCapExceeded, FilterResult, FullPermutation,
+                   GroupAction, NumericFailure, PatchPermutation, SlidingWindowShift,
+                   ValidationError, _haar_orthogonal, max_filter)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -684,6 +685,126 @@ def _patch_element(group, rng):
 
 
 # ---------------------------------------------------------------------------
+# Brute-force oracle: max over g of <z, g x> by enumeration or search
+# ---------------------------------------------------------------------------
+
+# Entries per block of element images, about what one image of a large operand holds.
+_ORACLE_BLOCK = 1 << 14
+
+
+def _enumerator(elements, act, capped=None):
+    """The oracle of a finite kind whose witnesses are all elements within tol
+    of the best, in order: ``elements(group)`` maps indices i < order to the
+    stacked witnesses (None: i itself), ``act(group, W, x)`` gives their images
+    g x, and ``capped = (field, limit, what)`` refuses a field past limit."""
+
+    def oracle(group, z, x, tol, resolution, cap):
+        if capped is not None and getattr(group, capped[0]) > capped[1]:
+            raise EnumerationCapExceeded("{2} enumeration capped at {0} <= {1}".format(*capped))
+        take = (lambda i: i) if elements is None else elements(group)
+        best, found, step = -np.inf, [], max(1, _ORACLE_BLOCK // z.size)
+        for start in range(0, group.order, step):
+            W = take(np.arange(start, min(start + step, group.order)))
+            scores = act(group, W, x).reshape(-1, z.size) @ z.ravel()
+            best = max(best, float(scores.max()))     # keep what is within tol so far
+            found += [(scores[i], _unstack(W, i)) for i in np.flatnonzero(scores >= best - tol)]
+        return FilterResult(value=best, witnesses=[w for s, w in found if s >= best - tol])
+    return oracle
+
+
+def _unstack(W, i):
+    """Witness i of a stacked block: a Python int, an array, or a tuple of arrays."""
+    if isinstance(W, tuple):
+        return tuple(w[i].copy() for w in W)
+    return W[i].item() if W.ndim == 1 else W[i].copy()
+
+
+def _table(items):
+    """Index arrays -> rows of the items, stacked once."""
+    return np.array(list(items)).__getitem__
+
+
+def _signed_permutations(group):
+    """Element i is (perm i // 2^d, signs i % 2^d): perm-major, sign-minor."""
+    perms = np.array(list(itertools.permutations(range(group.d))))
+    signs = np.array(list(itertools.product([-1.0, 1.0], repeat=group.d)))
+    return lambda i: (perms[i // len(signs)], signs[i % len(signs)])
+
+
+def _roll(group, W, x):
+    """roll(x, a) along the last axis for every shift a in W."""
+    t = x.shape[-1]
+    return np.moveaxis(x[..., (np.arange(t) - W[:, None]) % t], -2, 0)
+
+
+def _patch_oracle(group, z, x, tol, resolution, cap):
+    """One witness: the first best permutation of each patch, patch by patch."""
+    if any(len(p) > 8 for p in group.patches):
+        raise EnumerationCapExceeded("patch enumeration capped at 8 cells per patch")
+    if group.order > cap:
+        raise EnumerationCapExceeded(f"patch enumeration exceeds cap {cap}")
+    best_perm, value = np.arange(group.dim), 0.0
+    for idx in map(np.asarray, group.patches):
+        sub_perms = np.array(list(itertools.permutations(range(len(idx)))))
+        vals = x[idx][sub_perms] @ z[idx]
+        j = int(np.argmax(vals))
+        value += float(vals[j])
+        best_perm[idx] = idx[sub_perms[j]]
+    return FilterResult(value=value, witnesses=[best_perm])
+
+
+def _phase_search(correlations):
+    """The oracle of a kind whose elements are unit phases c after maps m,
+    ``correlations(group, z, x)`` yielding ``(key, z^* m x)`` for each m: the
+    first best Re(c z^* m x) on a grid of ``resolution`` phases, witness c
+    where the key is None, else ``key + (c,)``."""
+
+    def oracle(group, z, x, tol, resolution, cap):
+        phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False))
+        best, wit = -np.inf, None
+        for key, w in correlations(group, z, x):
+            vals = np.real(phases * w)
+            i = int(np.argmax(vals))
+            if vals[i] > best:
+                c = complex(phases[i])
+                best, wit = float(vals[i]), c if key is None else key + (c,)
+        return FilterResult(value=best, witnesses=[wit], approximate=True)
+    return oracle
+
+
+def _orthogonal_search(score):
+    """The oracle of a kind acting by O(d), d = ``group.shape[0]``, with
+    <z, q x> = ``score(z, q, x)``: exact for d = 1, a dense O(2) grid for
+    d = 2, else the first best of random orthogonal q and -q (lower bounds)."""
+
+    def oracle(group, z, x, tol, resolution, cap):
+        d = group.shape[0]
+        best, wit = -np.inf, None
+        if d == 2:
+            # score is linear in the matrix, so each O(2) branch traces a pure
+            # sinusoid over the angle grid; four base evaluations suffice.
+            thetas = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+            cos, sin = np.cos(thetas), np.sin(thetas)
+            rotations = (np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0.0, -1.0], [1.0, 0.0]]))
+            reflections = (np.array([[1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+            for a, b in (rotations, reflections):
+                vals = score(z, a, x) * cos + score(z, b, x) * sin
+                i = int(np.argmax(vals))
+                if vals[i] > best:
+                    best, wit = float(vals[i]), cos[i] * a + sin[i] * b
+            return FilterResult(value=best, witnesses=[wit], approximate=True)
+        rng = np.random.default_rng(resolution)
+        candidates = (np.array([[1.0]]), np.array([[-1.0]])) if d == 1 else (
+            c for _ in range(resolution) for q in [_haar_orthogonal(d, rng)] for c in (q, -q))
+        for q in candidates:
+            v = score(z, q, x)
+            if v > best:
+                best, wit = v, q
+        return FilterResult(value=best, witnesses=[wit], approximate=d > 1)
+    return oracle
+
+
+# ---------------------------------------------------------------------------
 # Spec grammar: "kind:rest", as the CLI's --group takes it
 # ---------------------------------------------------------------------------
 
@@ -737,8 +858,8 @@ def from_spec(name: str, rest: str, channels: Optional[int] = None):
 class Kind:
     """One group kind, defined once; :data:`KINDS` maps each descriptor's
     ``kind`` to its record.  The operand space (``dtype``, ``shape`` and
-    ``dim``) is the descriptor's own; the record holds what the algorithms
-    need.
+    ``dim``) and the group's ``order`` are the descriptor's own; the record
+    holds what the algorithms need.
 
     * ``spec``: the grammar of the kind's spec string, such as ``cyclic:N``;
       ``parse(rest, channels)`` reads the part after the colon where the
@@ -752,8 +873,10 @@ class Kind:
       where ``ties`` is not it: tie blocks expanded (at most ``cap``), or
       representatives of a continuum.  Kinds with neither take ``max_filter``'s.
     * ``element(group, rng)``: a random element in witness encoding (Haar
-      for continuous kinds); ``order(group)``: the number of elements, None
-      for continuous kinds.
+      for continuous kinds).
+    * ``oracle(group, z, x, tol, resolution, cap)``: :func:`maxfilt.core.brute_force_max_filter`
+      on validated operands.  An independent reference, it calls no record's
+      ``bank``, ``pairs``, ``ties``, ``images`` or ``witnesses``, nor their helpers.
     * ``width(group)``: elements the bulk form's arrays hold per (input,
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
@@ -768,7 +891,7 @@ class Kind:
     pairs: Callable
     images: Callable
     element: Callable
-    order: Callable = lambda group: None
+    oracle: Callable
     ties: Optional[Callable] = None
     witnesses: Optional[Callable] = None
     width: Callable = lambda group: group.dim
@@ -779,71 +902,80 @@ class Kind:
     subgradient: Optional[Callable] = None
 
 
-def _permutations(group) -> int:
-    return math.factorial(group.d)
-
-
 KINDS = {
     "enumerated": Kind(
         "enumerated:FILE.json", enumerated_bank, enumerated_pairs,
         lambda group, W, X: np.matmul(
             np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
         lambda group, rng: int(rng.integers(group.order)),
-        order=lambda group: group.order, ties=enumerated_ties,
+        _enumerator(None, lambda group, W, x: np.stack(group.matrices)[W] @ x),
+        ties=enumerated_ties,
         width=lambda group: group.dim * (1 + group.order), parse=_enumerated_from_file),
     "cyclic": Kind(
         "cyclic:N", cyclic_bank, cyclic_pairs, lambda group, W, X: _roll_last(X, W),
-        lambda group, rng: int(rng.integers(group.n)),
-        order=lambda group: group.n, ties=cyclic_ties),
+        lambda group, rng: int(rng.integers(group.n)), _enumerator(None, _roll), ties=cyclic_ties),
     "perm": Kind(
         "perm:D", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
-        lambda group, rng: rng.permutation(group.d), order=_permutations,
+        lambda group, rng: rng.permutation(group.d),
+        _enumerator(lambda group: _table(itertools.permutations(range(group.d))),
+                    lambda group, W, x: x[W], ("d", 8, "permutation")),
         witnesses=sort_witnesses),
     "signedperm": Kind(
         "signedperm:D", signed_sort_bank, signed_sort_pairs,
         lambda group, W, X: np.asarray(W[1], dtype=float) * _gather_last(X, W[0]),
         lambda group, rng: (rng.permutation(group.d), rng.choice([-1.0, 1.0], size=group.d)),
-        order=lambda group: _permutations(group) * 2 ** group.d,
+        _enumerator(_signed_permutations, lambda group, W, x: W[1] * x[W[0]],
+                    ("d", 6, "signed permutation")),
         witnesses=_signed_perm_witnesses, witness_keys=("perm", "signs")),
     "signflips": Kind(
         "signflips:D", sign_flips_bank, sign_flips_pairs,
         lambda group, W, X: np.asarray(W, dtype=float) * X[:, None],
         lambda group, rng: rng.choice([-1.0, 1.0], size=group.d),
-        order=lambda group: 2 ** group.d, witnesses=_sign_flip_witnesses),
+        _enumerator(lambda group: _table(itertools.product([-1.0, 1.0], repeat=group.d)),
+                    lambda group, W, x: W * x, ("d", 16, "sign-flip")),
+        witnesses=_sign_flip_witnesses),
     "orth": Kind(
         "orth:D", orthogonal_bank, orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
-        lambda group, rng: _haar_orthogonal(group.d, rng)),
+        lambda group, rng: _haar_orthogonal(group.d, rng),
+        _orthogonal_search(lambda z, q, x: float(z @ (q @ x)))),
     "leftorth": Kind(
         "leftorth:KxN", left_orthogonal_bank, left_orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None]),
-        lambda group, rng: _haar_orthogonal(group.k, rng)),
+        lambda group, rng: _haar_orthogonal(group.k, rng),
+        _orthogonal_search(lambda z, q, x: float(np.sum(z * (q @ x))))),
     "colperm": Kind(
         "colperm:KxN", column_permutation_bank, column_permutation_pairs,
         lambda group, W, X: _gather_last(X, np.asarray(W)[:, :, None, :]),
         lambda group, rng: rng.permutation(group.n),
-        order=lambda group: math.factorial(group.n), witnesses=_colperm_witnesses,
+        _enumerator(lambda group: _table(itertools.permutations(range(group.n))),
+                    lambda group, W, x: np.swapaxes(x[:, W], 0, 1),
+                    ("n", 8, "column permutation")),
+        witnesses=_colperm_witnesses,
         width=lambda group: group.n * group.n),   # its profit matrices
     "phase": Kind(
         "phase:R", phase_bank, phase_pairs,
         lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
-        lambda group, rng: _unit_complex(rng), witnesses=_phase_witnesses),
+        lambda group, rng: _unit_complex(rng),
+        _phase_search(lambda group, z, x: [(None, np.vdot(z, x))]), witnesses=_phase_witnesses),
     "shiftconj": Kind(
         "shiftconj:N", shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
-        _shift_conjugate_element, ties=shift_conjugate_ties,
+        _shift_conjugate_element,
+        _phase_search(lambda group, z, x: (
+            ((a, conj), np.vdot(z, np.roll(np.conj(x) if conj else x, a)))
+            for conj in (False, True) for a in range(group.n))),
+        ties=shift_conjugate_ties,
         witnesses=_shift_conjugate_witnesses, witness_keys=("shift", "conjugate", "phase")),
     "patchperm": Kind(
         "patchperm:S@HxW", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
-        _patch_element,
-        order=lambda group: math.prod(math.factorial(len(p)) for p in group.patches),
-        witnesses=_patch_witnesses, parse=_patches_from_spec),
+        _patch_element, _patch_oracle, witnesses=_patch_witnesses, parse=_patches_from_spec),
     # The bulk form holds a pair's scores (input chunks are views); the paired
     # form correlates whole operands along the slice axis, so a pair holds
     # its operands and their c*w*(T/2+1) complex FFT entries (two float64 each).
     "window": Kind(
         "window:[C]xWxT", sliding_window_bank, sliding_window_pairs,
         lambda group, W, X: _roll_last(X, W), lambda group, rng: int(rng.integers(group.t)),
-        order=lambda group: group.t, ties=sliding_window_ties, width=lambda group: group.t,
+        _enumerator(None, _roll), ties=sliding_window_ties, width=lambda group: group.t,
         paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
         parse=_window_from_spec, template=_window_template,
         subgradient=sliding_window_subgradient),

@@ -124,6 +124,41 @@ class TestFilterCommand:
         assert code == 4
         assert "oracle" in err
 
+    @staticmethod
+    def _large_operands(tmp_path, group, seed):
+        """Template and input of norm 1e6 each, so values are near 1e12."""
+        rng = np.random.default_rng(seed)
+        z, x = (v * 1e6 / np.linalg.norm(v) for v in rng.standard_normal((2,) + group.shape))
+        return z, x, write_json(tmp_path / "t.json", z.tolist()), write_json(tmp_path / "x.json",
+                                                                             x.tolist())
+
+    @pytest.mark.parametrize("spec", ["perm:8", "cyclic:64"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_oracle_agrees_at_large_norms(self, tmp_path, capsys, spec, seed):
+        # The two values may differ in their last bits, which at this scale
+        # is far more than an absolute 1e-9.
+        _, _, t, x = self._large_operands(tmp_path, parse_group_spec(spec), seed)
+        code, _, err = run_cli(capsys, "filter", "--group", spec, "--template", t,
+                               "--input", x, "--oracle")
+        assert code == 0, err
+
+    @pytest.mark.parametrize("approximate", [False, True])
+    @pytest.mark.parametrize("excess, expected", [(1.01, 4), (0.99, 0)])
+    def test_oracle_bound_scales_with_the_norms(self, tmp_path, capsys, monkeypatch,
+                                                approximate, excess, expected):
+        import maxfilt.cli as cli_mod
+        from maxfilt.core import FilterResult
+
+        group = mf.FullPermutation(8)
+        z, v, t, x = self._large_operands(tmp_path, group, 0)
+        value = mf.max_filter(group, z, v).value
+        bound = 1e-9 * np.linalg.norm(z) * np.linalg.norm(v)
+        monkeypatch.setattr(cli_mod, "brute_force_max_filter", lambda g, z, x: FilterResult(
+            value=value + excess * bound, witnesses=[], approximate=approximate))
+        code, _, err = run_cli(capsys, "filter", "--group", "perm:8", "--template", t,
+                               "--input", x, "--oracle")
+        assert code == expected, err
+
     def test_enumerated_group_from_file(self, tmp_path, capsys):
         mats = write_json(tmp_path / "group.json",
                           [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]])
@@ -521,6 +556,21 @@ class TestTextureCommand:
                                  "1:2", "--seed", "0", f"{option}={value}")
         assert code == 3 and out == ""
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("option, value", [("--levels", " 2:+3"), ("--degrees", "1_0"),
+                                               ("--degrees", "1,\u0663")])
+    def test_ranges_take_ascii_digits_only(self, tmp_path, capsys, option, value):
+        # int() reads all three (as 2:3, 10 and 1,3); a size in a group spec reads none.
+        image = str(tmp_path / "x.pgm")
+        write_pgm(image, np.random.default_rng(14).uniform(size=(8, 8)))
+        code, out, err = run_cli(capsys, "texture", "--extract", "--image", image, "--levels",
+                                 "1:2", "--seed", "0", f"{option}={value}")
+        assert code == 3 and out == ""
+        assert err.startswith("validation error:")
+
+    def test_ranges_parse(self):
+        assert mf.cli._parse_range("2:8") == [2, 3, 4, 5, 6, 7, 8]
+        assert mf.cli._parse_range("0,1,2") == [0, 1, 2]
 
 
 class TestConsoleScript:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -120,6 +121,68 @@ class TestBruteForceOracle:
     def test_enumeration_cap(self):
         with pytest.raises(mf.EnumerationCapExceeded):
             mf.brute_force_max_filter(mf.FullPermutation(9), np.zeros(9), np.zeros(9))
+
+    @pytest.mark.parametrize("at_cap, past_cap, message, cap", [
+        (mf.FullPermutation(8), mf.FullPermutation(9),
+         "permutation enumeration capped at d <= 8", 2_000_000),
+        (mf.SignedPermutation(6), mf.SignedPermutation(7),
+         "signed permutation enumeration capped at d <= 6", 2_000_000),
+        (mf.SignFlips(16), mf.SignFlips(17), "sign-flip enumeration capped at d <= 16", 2_000_000),
+        (mf.ColumnPermutation(2, 8), mf.ColumnPermutation(2, 9),
+         "column permutation enumeration capped at n <= 8", 2_000_000),
+        (mf.PatchPermutation((tuple(range(8)), (8,))), mf.PatchPermutation((tuple(range(9)),)),
+         "patch enumeration capped at 8 cells per patch", 2_000_000),
+        # 3! * 3! = 36 elements in all: at cap=36, and one past it at cap=35.
+        (mf.PatchPermutation(((0, 1, 2), (3, 4, 5))), mf.PatchPermutation(((0, 1, 2), (3, 4, 5))),
+         "patch enumeration exceeds cap 35", 36),
+    ])
+    def test_every_enumeration_cap(self, at_cap, past_cap, message, cap):
+        rng = np.random.default_rng(0)
+        z, x = rng.standard_normal(at_cap.shape), rng.standard_normal(at_cap.shape)
+        res = mf.brute_force_max_filter(at_cap, z, x, cap=cap)
+        assert res.value == pytest.approx(mf.max_filter(at_cap, z, x).value, rel=1e-12)
+        past_cap_kwargs = {"cap": 35} if cap == 36 else {}
+        with pytest.raises(mf.EnumerationCapExceeded) as info:
+            mf.brute_force_max_filter(past_cap, np.zeros(past_cap.shape),
+                                      np.zeros(past_cap.shape), **past_cap_kwargs)
+        assert str(info.value) == message
+
+    def test_independent_of_the_fast_paths(self, monkeypatch):
+        # With every record's fast forms and tie enumerations made to raise,
+        # the oracle gives what it gives with them.
+        from test_engine import GROUPS, LEVELS
+        from maxfilt import groups
+
+        rng = np.random.default_rng(21)
+        pairs = []
+        for group in GROUPS.values():
+            for dyadic in (False, True):
+                z, x = (mf.analysis.sample_point(group, rng) for _ in range(2))
+                if dyadic:       # exact ties
+                    z, x = (rng.choice(LEVELS, size=v.shape).astype(v.dtype) for v in (z, x))
+                pairs.append((group, z, x))
+
+        def results():
+            return [mf.brute_force_max_filter(g, z, x, resolution=64) for g, z, x in pairs]
+
+        def encode(w):
+            if isinstance(w, tuple):
+                return tuple(encode(v) for v in w)
+            return (np.asarray(w).dtype.str, np.asarray(w).tolist()) if isinstance(w, np.ndarray) \
+                else (type(w).__name__, w)
+
+        expected = results()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle reached a fast path")
+        for name, kind in groups.KINDS.items():
+            monkeypatch.setitem(groups.KINDS, name, dataclasses.replace(
+                kind, bank=refuse, pairs=refuse, ties=refuse, images=refuse, witnesses=refuse))
+        got = results()
+        assert len(got) == 24
+        for want, have in zip(expected, got):
+            assert have.value == want.value and have.approximate == want.approximate
+            assert [encode(w) for w in have.witnesses] == [encode(w) for w in want.witnesses]
 
 
 class TestEnumeratedValidation:

@@ -18,12 +18,25 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups
-from .core import (CyclicShift, GroupAction, ValidationError, bank_values, group_order,
-                   max_filter, quotient_distances)
+from .core import (CyclicShift, FilterBank, GroupAction, ValidationError, _bank_operands,
+                   _vector_norms, as_operands, bank_values, group_order, max_filter,
+                   quotient_distances)
 from .templates import random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
 _PAIR_BLOCK = 1_000_000
+
+# Rounding margin of separation_test's early decisions, in units of
+# n·ε·‖z‖·max(‖x‖, ‖y‖), n the real dimension.  Every bulk form rounds a
+# feature within a few such units of the exact max filter (a dot product of
+# length n per group element, or an FFT, sort or SVD of that size), whatever
+# else shares its call; the distance a witness gives rounds within a few
+# n·ε·max(‖x‖, ‖y‖).  A template's gap is compared with its threshold
+# through four features (x and y, in a template chunk and in the full bank)
+# and, for the distance, one rounded distance times ‖z‖: 64 units cover all
+# five with room to spare, so a gap past its threshold by the margin is past
+# it in the full evaluation too.
+_MARGIN_UNITS = 64
 
 
 def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
@@ -57,20 +70,26 @@ def random_bank(group: GroupAction, n: int, rng_seed: int) -> list:
                      label=f"bank-{i}") for i in range(n)]
 
 
+def _pair_blocks(group: GroupAction, count: int, rng: np.random.Generator):
+    """Draw ``count`` random pairs (x, y) in order, x before y, and yield them
+    a block at a time as two lists ``(xs, ys)``."""
+    block = max(1, _PAIR_BLOCK // (2 * group.dim))
+    for start in range(0, count, block):
+        pairs = [(sample_point(group, rng), sample_point(group, rng))
+                 for _ in range(min(block, count - start))]
+        yield [x for x, _ in pairs], [y for _, y in pairs]
+
+
 def _distinct_pairs(group: GroupAction, bank: Sequence, count: int, min_dist: float,
                     rng: np.random.Generator):
     """Draw ``count`` random pairs (x, y) in order and yield
     ``(x, y, d([x], [y]), Phi(x), Phi(y))`` for those with d > min_dist.
 
-    Pairs are drawn a block at a time; the quotient distances of the whole
-    block take one paired engine call and the bank features of the pairs
-    kept take one more.
+    Pairs are drawn a block at a time (:func:`_pair_blocks`); the quotient
+    distances of the whole block take one paired engine call and the bank
+    features of the pairs kept take one more.
     """
-    block = max(1, _PAIR_BLOCK // (2 * group.dim))
-    for start in range(0, count, block):
-        pairs = [(sample_point(group, rng), sample_point(group, rng))
-                 for _ in range(min(block, count - start))]
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    for xs, ys in _pair_blocks(group, count, rng):
         dists = quotient_distances(group, xs, ys)
         kept = np.flatnonzero(dists > min_dist)
         if not len(kept):
@@ -153,24 +172,67 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
                     rng_seed: int) -> SeparationReport:
     """Count distinct-orbit pairs whose feature vectors collide.
 
-    A pair counts as a violation when its quotient distance exceeds 1e-6 but
-    the feature gap (sup norm) stays within the threshold.  Expected zero for
-    banks of sufficient size.
+    A pair is checked when its quotient distance exceeds 1e-6, and it is a
+    violation when it is checked and its feature gap (sup norm over the
+    bank) stays within the threshold.  Expected zero for banks of
+    sufficient size.
+
+    Most pairs are decided by a few templates, through the max filter's
+    Lipschitz bound |<<z, x>> - <<z, y>>| <= ‖z‖·d([x], [y]).  The templates
+    go in chunks of 1, 4, 16, ... on the pairs still open, and a template
+    whose gap g exceeds
+      * the threshold plus the margin m rules out a violation;
+      * ‖z‖·1e-6 plus m proves d > 1e-6;
+    with m = ``_MARGIN_UNITS``·n·ε·‖z‖·max(‖x‖, ‖y‖), so that each decision is
+    the one the full evaluation makes.  A pair is closed once both hold.
+    The exact distance is taken only where no template proved it, and all
+    the bank's features only for checked pairs no template separated: only
+    those can be violations.  Pairs are drawn as for
+    :func:`estimate_lipschitz`, and ``violating_pairs`` keeps the first 8
+    violations in draw order.
     """
     if trials < 0:
         raise ValidationError(f"trials must be non-negative, got {trials}")
+    min_dist = 1e-6
     rng = np.random.default_rng(rng_seed)
-    checked = violations = 0
     report = SeparationReport(trials=trials, checked=0, violations=0)
-    for x, y, _, fx, fy in _distinct_pairs(group, bank, trials, 1e-6, rng):
-        checked += 1
-        gap = float(np.max(np.abs(fx - fy)))
-        if gap <= report.threshold:
-            violations += 1
-            if len(report.violating_pairs) < 8:
-                report.violating_pairs.append((x, y))
-    report.checked = checked
-    report.violations = violations
+    if trials == 0:
+        return report
+    Z = _bank_operands(group, bank)
+    norms = _vector_norms(Z)
+    chunks = {}                                 # a FilterBank per chunk, built on first use
+    for xs, ys in _pair_blocks(group, trials, rng):
+        X, Y = as_operands(group, xs), as_operands(group, ys)
+        # The margin per unit of template norm, per pair.
+        unit = (_MARGIN_UNITS * group.dim * np.finfo(float).eps
+                * np.maximum(_vector_norms(X), _vector_norms(Y)))
+        separated = np.zeros(len(X), dtype=bool)    # a gap rules out a violation
+        far = np.zeros(len(X), dtype=bool)          # a gap proves d > min_dist
+        open_ = np.arange(len(X))
+        lo = 0
+        while lo < len(Z) and len(open_):
+            hi = min(len(Z), 4 * lo + 1)            # chunks of 1, 4, 16, ... templates
+            if lo not in chunks:
+                chunks[lo] = FilterBank(group, Z[lo:hi])
+            F = chunks[lo].evaluate(np.concatenate([X[open_], Y[open_]]), None)[0]
+            gap = np.abs(F[:len(open_)] - F[len(open_):])
+            margin = unit[open_, None] * norms[lo:hi]
+            separated[open_] |= np.any(gap > report.threshold + margin, axis=1)
+            far[open_] |= np.any(gap > norms[lo:hi] * min_dist + margin, axis=1)
+            open_ = open_[~(separated[open_] & far[open_])]
+            lo = hi
+        unproved = np.flatnonzero(~far)
+        if len(unproved):
+            far[unproved] = quotient_distances(group, X[unproved], Y[unproved]) > min_dist
+        suspects = np.flatnonzero(far & ~separated)
+        if len(suspects):
+            F = bank_values(group, bank, np.concatenate([X[suspects], Y[suspects]]))
+            gaps = np.max(np.abs(F[:len(suspects)] - F[len(suspects):]), axis=1)
+            hits = suspects[gaps <= report.threshold]
+            report.violations += len(hits)
+            report.violating_pairs += [(xs[i], ys[i])
+                                       for i in hits[:8 - len(report.violating_pairs)]]
+        report.checked += int(np.count_nonzero(far))
     return report
 
 

@@ -16,6 +16,7 @@ import csv as csv_mod
 import hashlib
 import io
 import json
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -467,6 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extract", action="store_true")
     p.add_argument("--levels", default="2:8")
     p.add_argument("--degrees", default="0:5")
+    # argparse reads a separate "-1:2" or "-1,2" as an option, not as the value
+    # of --levels or --degrees; here anything that starts with "-" and a digit
+    # is a value, so that _parse_range sees (and rejects) it.
+    p._negative_number_matcher = re.compile(r"-\d")
     p.add_argument("--pca", type=int, default=25)
     p.add_argument("--random-templates", action="store_true",
                    help="literal random templates instead of eigenfunctions")

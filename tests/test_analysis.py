@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import maxfilt as mf
+from maxfilt import analysis
 from maxfilt.analysis import (Warp, apply_warp, bank_frobenius,
                               diffeo_stability_experiment, estimate_lipschitz,
                               gaussian_bump, band_limited_signal, make_warp,
                               random_bank, sample_point, separation_test,
                               stability_sweep, theil_sen_slope)
-from conftest import sign_group
+from conftest import permutation_matrices, sign_group
 
 
 class TestLipschitz:
@@ -94,6 +95,175 @@ class TestSeparation:
             gap = np.max(np.abs(mf.filter_bank_apply(group, bank, x)
                                 - mf.filter_bank_apply(group, bank, gx)))
             assert gap <= 1e-9
+
+
+def reference_separation_test(group, bank, trials, rng_seed):
+    """separation_test as it was before pairs were decided early: the exact
+    distance of every pair and all the bank's features of every pair with
+    d > 1e-6, with pairs drawn in the same blocks and order."""
+    if trials < 0:
+        raise mf.ValidationError(f"trials must be non-negative, got {trials}")
+    rng = np.random.default_rng(rng_seed)
+    report = analysis.SeparationReport(trials=trials, checked=0, violations=0)
+    block = max(1, analysis._PAIR_BLOCK // (2 * group.dim))
+    for start in range(0, trials, block):
+        pairs = [(analysis.sample_point(group, rng), analysis.sample_point(group, rng))
+                 for _ in range(min(block, trials - start))]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        kept = np.flatnonzero(mf.quotient_distances(group, xs, ys) > 1e-6)
+        if not len(kept):
+            continue
+        feats = mf.bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
+        for j, i in enumerate(kept):
+            report.checked += 1
+            gap = float(np.max(np.abs(feats[j] - feats[len(kept) + j])))
+            if gap <= report.threshold:
+                report.violations += 1
+                if len(report.violating_pairs) < 8:
+                    report.violating_pairs.append((xs[i], ys[i]))
+    return report
+
+
+KINDS = {
+    "enumerated": mf.Enumerated(tuple(permutation_matrices(3))),
+    "cyclic": mf.CyclicShift(6),
+    "perm": mf.FullPermutation(5),
+    "signedperm": mf.SignedPermutation(4),
+    "signflips": mf.SignFlips(5),
+    "orth": mf.FullOrthogonal(3),
+    "leftorth": mf.LeftOrthogonal(2, 4),
+    "colperm": mf.ColumnPermutation(2, 4),
+    "phase": mf.PhaseCircle(3),
+    "shiftconj": mf.ShiftAndConjugate(5),
+    "patchperm": mf.PatchPermutation(((2, 0), (4, 1, 3), (5,))),
+    "window": mf.SlidingWindowShift(2, 2, 5),
+}
+
+
+def assert_same_separation(group, bank, trials, rng_seed):
+    got = separation_test(group, bank, trials, rng_seed)
+    want = reference_separation_test(group, bank, trials, rng_seed)
+    assert (got.checked, got.violations) == (want.checked, want.violations)
+    assert got.to_dict() == want.to_dict()
+    assert len(got.violating_pairs) == len(want.violating_pairs)
+    for (gx, gy), (wx, wy) in zip(got.violating_pairs, want.violating_pairs):
+        assert np.array_equal(gx, wx) and np.array_equal(gy, wy)
+    return want
+
+
+def vectors(bank):
+    return [t.vector for t in bank]
+
+
+class TestSeparationEarlyDecisions:
+    """separation_test against the full evaluation it replaced, on every kind."""
+
+    @pytest.mark.parametrize("trials", [0, 1, 50])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_random_banks(self, kind, trials):
+        group = KINDS[kind]
+        for k, seed in ((1, 0), (3, 1), (2 * group.dim, 2)):
+            assert_same_separation(group, random_bank(group, k, seed), trials, 10 + seed)
+
+    @pytest.mark.parametrize("trials", [0, 1, 50])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_planted_collisions(self, kind, trials):
+        group = KINDS[kind]
+        # An all-zero bank: every checked pair is a violation.
+        want = assert_same_separation(group, [np.zeros(group.shape)] * 4, trials, 20)
+        assert want.violations == want.checked == trials
+        assert len(want.violating_pairs) == min(8, trials)
+        # One zero template among random ones.
+        bank = [np.zeros(group.shape)] + vectors(random_bank(group, 3, 21))
+        assert_same_separation(group, bank, trials, 22)
+
+    @pytest.mark.parametrize("trials", [0, 1, 50])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_gaps_straddling_the_threshold(self, kind, trials):
+        # Unit pairs give gaps of about the bank's scale: on both sides of 1e-9.
+        group = KINDS[kind]
+        bank = vectors(random_bank(group, 2 * group.dim, 30))
+        for scale in (1e-10, 3e-10, 1e-9, 3e-9):
+            want = assert_same_separation(group, [scale * z for z in bank], trials, 31)
+            if trials == 50 and scale == 1e-9:
+                assert 0 < want.violations < want.checked
+
+    @pytest.mark.parametrize("trials", [0, 1, 50])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_distances_straddling_1e_6(self, kind, trials, monkeypatch):
+        # Draws scaled (by about 3e-7) so that the median pair distance is 1e-6.
+        group = KINDS[kind]
+        rng = np.random.default_rng(40)
+        pairs = [(sample_point(group, rng), sample_point(group, rng)) for _ in range(64)]
+        scale = 1e-6 / np.median(mf.quotient_distances(group, *zip(*pairs)))
+        monkeypatch.setattr(analysis, "sample_point",
+                            lambda g, r: scale * sample_point(g, r))
+        for k, seed in ((1, 41), (2 * group.dim, 42)):
+            want = assert_same_separation(group, random_bank(group, k, seed), trials, seed)
+            if trials == 50:
+                assert 0 < want.checked < trials
+
+    def test_gaps_within_the_margin_decide_nothing_early(self, monkeypatch):
+        # With z = e1 the feature is max(x), and these gaps are exact: each
+        # passes its threshold (1e-9, then ‖z‖·1e-6) by less than an ulp of
+        # 1, far less than the rounding margin, so the first pair must take
+        # all the bank's features and the second its exact distance.
+        group, ulp = mf.FullPermutation(3), np.spacing(1.0)
+        x = np.array([1.0, 0.0, -1.0])
+        y_gap = np.array([1.0 + np.ceil(1e-9 / ulp) * ulp, 1e-5, -1.0])
+        y_dist = np.array([1.0 + np.ceil(1e-6 / ulp) * ulp, 0.0, -1.0])
+        rows = count_rows(monkeypatch)
+        draws = iter([x, y_gap, x, y_dist])
+        monkeypatch.setattr(analysis, "sample_point", lambda g, r: next(draws))
+        got = separation_test(group, [np.eye(3)[0]], trials=2, rng_seed=0)
+        assert rows == {"distances": [2], "features": [2]}
+        draws = iter([x, y_gap, x, y_dist])
+        want = reference_separation_test(group, [np.eye(3)[0]], trials=2, rng_seed=0)
+        assert (got.checked, got.violations) == (want.checked, want.violations) == (2, 0)
+
+    def test_few_templates_and_no_distances_on_random_pairs(self, monkeypatch):
+        group = mf.ColumnPermutation(3, 48)
+        bank = random_bank(group, 4, rng_seed=50)
+        rows, evaluations = count_rows(monkeypatch), []
+        evaluate = mf.FilterBank.evaluate
+
+        def counted_evaluate(self, X, nx):
+            out = evaluate(self, X, nx)
+            evaluations.append(out[0].shape)        # (inputs, templates)
+            return out
+
+        monkeypatch.setattr(mf.FilterBank, "evaluate", counted_evaluate)
+        report = separation_test(group, bank, trials=6, rng_seed=51)
+        assert (report.checked, report.violations) == (6, 0)
+        assert sum(rows["distances"]) == 0
+        assert evaluations and (12, 4) not in evaluations
+        assert evaluations[0] == (12, 1)
+
+    def test_zero_bank_takes_the_exact_path(self, monkeypatch):
+        group = mf.ColumnPermutation(2, 4)
+        rows = count_rows(monkeypatch)
+        report = separation_test(group, [np.zeros(group.shape)] * 5, trials=30, rng_seed=52)
+        assert report.checked == report.violations == 30
+        assert rows == {"distances": [30], "features": [60]}
+
+
+def count_rows(monkeypatch):
+    """Record the rows of each ``quotient_distances`` and ``bank_values`` call
+    that ``separation_test`` makes."""
+    rows = {"distances": [], "features": []}
+    quotient_distances, bank_values = analysis.quotient_distances, analysis.bank_values
+
+    def counted_distances(group, X, Y):
+        rows["distances"].append(len(X))
+        return quotient_distances(group, X, Y)
+
+    def counted_values(group, bank, xs):
+        rows["features"].append(len(xs))
+        return bank_values(group, bank, xs)
+
+    monkeypatch.setattr(analysis, "quotient_distances", counted_distances)
+    monkeypatch.setattr(analysis, "bank_values", counted_values)
+    return rows
 
 
 class TestWarp:

@@ -557,6 +557,20 @@ class TestTextureCommand:
         assert code == 3 and out == ""
         assert err.startswith("validation error:")
 
+    @pytest.mark.parametrize("joined", [True, False])
+    @pytest.mark.parametrize("option, value", [("--levels", "-1:2"), ("--levels", "-1"),
+                                               ("--degrees", "-1"), ("--degrees", "-1,2")])
+    def test_negative_ranges_exit_3_in_either_spelling(self, tmp_path, capsys, option, value,
+                                                       joined):
+        # As a separate argument, "-1:2" and "-1,2" reach validation as "-1" does.
+        image = str(tmp_path / "x.pgm")
+        write_pgm(image, np.random.default_rng(14).uniform(size=(8, 8)))
+        given = [f"{option}={value}"] if joined else [option, value]
+        code, out, err = run_cli(capsys, "texture", "--extract", "--image", image, "--seed", "0",
+                                 *given)
+        assert code == 3 and out == ""
+        assert err.startswith("validation error:") and repr(value) in err
+
     @pytest.mark.parametrize("option, value", [("--levels", " 2:+3"), ("--degrees", "1_0"),
                                                ("--degrees", "1,\u0663")])
     def test_ranges_take_ascii_digits_only(self, tmp_path, capsys, option, value):

@@ -190,6 +190,7 @@ def cmd_graph_filter(args) -> int:
     doc = make_report(args, {
         "value": result.value,
         "witness": [int(v) for v in result.witnesses[0]],
+        "approximate": result.approximate,
         "coding_size": coding.size,
         "dp_stats": stats}, stochastic=True)
     emit(args, doc)

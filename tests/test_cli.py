@@ -251,6 +251,33 @@ class TestGraphFilterCommand:
         assert err.startswith("validation error: graph edge [1, 3, 1.0]")
 
 
+    @pytest.mark.parametrize("multiplier", ["nan", "inf", "0", "-1"])
+    def test_bad_coding_multiplier_exits_3(self, tmp_path, capsys, multiplier):
+        from maxfilt.graphs import TreeTemplate, WeightedGraph
+        tree = write_json(tmp_path / "p4.json", TreeTemplate.path(4).to_dict())
+        graph = write_json(tmp_path / "c6.json", WeightedGraph.cycle(6).to_dict())
+        code, out, err = run_cli(capsys, "graph-filter", "--tree", tree, "--graph", graph,
+                                 "--seed", "7", f"--coding-multiplier={multiplier}")
+        assert code == 3 and out == ""
+        assert err.startswith("validation error: coding multiplier must be positive and finite")
+
+    @pytest.mark.parametrize("multiplier, approximate", [("1", False), ("0.05", True)])
+    def test_report_says_whether_exact(self, tmp_path, capsys, multiplier, approximate):
+        # 103 colorings (multiplier 0.05) leave some of the 4,368 5-subsets
+        # of 16 vertices without a rainbow coloring; 2,058 cover them all.
+        from maxfilt.graphs import TreeTemplate, WeightedGraph
+        rng = np.random.default_rng(15)
+        adj = np.triu(rng.uniform(size=(16, 16)) * (rng.random((16, 16)) < 0.3), 1)
+        tree = write_json(tmp_path / "p5.json", TreeTemplate.path(5).to_dict())
+        graph = write_json(tmp_path / "g16.json", WeightedGraph(adj + adj.T).to_dict())
+        code, out, _ = run_cli(capsys, "graph-filter", "--tree", tree, "--graph", graph,
+                               "--seed", "3", "--coding-multiplier", multiplier)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["approximate"] is approximate
+        assert doc["dp_stats"]["colorings"] == doc["coding_size"]
+
+
 class TestAnalysisCommands:
     def test_separation_zero_violations(self, capsys):
         code, out, _ = run_cli(capsys, "separation", "--group", "cyclic:4",
@@ -549,7 +576,8 @@ class TestTextureCommand:
                                                ("--levels", "a:2"), ("--levels", "1:2:3"),
                                                ("--levels", ""), ("--degrees", "1,x")])
     def test_bad_ranges_exit_3(self, tmp_path, capsys, option, value):
-        # "--levels=-1:2": argparse reads a separate "-1:2" as an option (exit 2).
+        # "--levels=-1:2" joins option and value; the separate form
+        # "--levels -1:2" exits 3 too (test_negative_ranges_exit_3_in_either_spelling).
         image = str(tmp_path / "x.pgm")
         write_pgm(image, np.random.default_rng(14).uniform(size=(8, 8)))
         code, out, err = run_cli(capsys, "texture", "--extract", "--image", image, "--levels",

@@ -431,6 +431,197 @@ class TestSparseMaxPlusStep:
             self.assert_same_as_dense(tree, graph, coding, monkeypatch)
 
 
+def first_rainbow_reference(colorings, k):
+    """Reference: the first coloring rainbow on each k-subset, subset by
+    subset, and whether every k-subset has one."""
+    kept, covered = set(), True
+    for subset in itertools.combinations(range(colorings.shape[1]), k):
+        colors = np.sort(colorings[:, list(subset)], axis=1)
+        rainbow = np.flatnonzero((colors == np.arange(k)).all(axis=1))
+        if len(rainbow):
+            kept.add(int(rainbow[0]))
+        else:
+            covered = False
+    return sorted(kept), covered
+
+
+def rainbow_on(subset, n, k, spoiled):
+    """A coloring rainbow on ``subset`` but, unless the two are equal, not on
+    ``spoiled``: the vertices of ``spoiled`` outside ``subset`` repeat a color
+    of ``subset`` (or all take color 0)."""
+    coloring = np.zeros(n, dtype=int)
+    coloring[list(subset)] = np.arange(k)
+    shared = [v for v in spoiled if v in subset]
+    coloring[[v for v in spoiled if v not in subset]] = coloring[shared[0]] if shared else 0
+    return coloring
+
+
+def one_subset_uncovered(n, k, rng, size=70):
+    """``size`` random colorings none rainbow on {0, ..., k-1}, followed by a
+    coloring for each other k-subset they leave uncovered.  The first 64 use
+    k - 1 colors, so the first 64-coloring word covers nothing."""
+    spoiled = tuple(range(k))
+    colorings = rng.integers(0, k, size=(size, n))
+    colorings[:64] = rng.integers(0, k - 1, size=(64, n))
+    on_spoiled = colorings[:, :k]
+    rainbow = (np.sort(on_spoiled, axis=1) == np.arange(k)).all(axis=1)
+    on_spoiled[rainbow, 1] = on_spoiled[rainbow, 0]
+    extra = [rainbow_on(subset, n, k, spoiled)
+             for subset in itertools.combinations(range(n), k)
+             if subset != spoiled and not any(
+                 len(set(row[list(subset)])) == k for row in colorings)]
+    return np.vstack([colorings] + extra) if extra else colorings
+
+
+def whole_family(colorings, k):
+    return np.arange(len(colorings)), True
+
+
+class TestCoveringSubFamily:
+    """mf_tree_dp runs on the colorings that are the first rainbow one for
+    some k-subset; values, sign bits and witnesses must be the whole
+    family's."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("size", [1, 40, 64, 65, 150])
+    def test_kept_set_matches_reference(self, k, size):
+        from maxfilt import graphs
+
+        rng = np.random.default_rng(1000 * k + size)
+        for n in (k, k + 2, k + 5):
+            colorings = rng.integers(0, k, size=(size, n))
+            kept, covered = graphs._first_rainbow(colorings, k)
+            assert (kept.tolist(), covered) == first_rainbow_reference(colorings, k)
+            assert is_rainbow_family(colorings, n, k) == covered
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_all_zero_family(self, k):
+        from maxfilt import graphs
+
+        colorings = np.zeros((65, k + 3), dtype=int)
+        kept, covered = graphs._first_rainbow(colorings, k)
+        assert (kept.tolist(), covered) == first_rainbow_reference(colorings, k)
+        assert (kept.tolist(), covered) == (([0], True) if k == 1 else ([], False))
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_colors_outside_range_never_rainbow(self, k, monkeypatch):
+        # The DP never places a tree vertex on a graph vertex colored -1 or k.
+        from maxfilt import graphs
+
+        rng = np.random.default_rng(1050 + k)
+        n = k + 3
+        colorings = rng.integers(-1, k + 1, size=(90, n))
+        kept, covered = graphs._first_rainbow(colorings, k)
+        assert (kept.tolist(), covered) == first_rainbow_reference(colorings, k)
+        coding = ColorCoding(n=n, k=k, colorings=colorings)
+        self.assert_same_as_whole_family(branching_tree(k, rng), random_graph(n, rng), coding,
+                                         monkeypatch)
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 7), (5, 8), (6, 9)])
+    def test_one_subset_uncovered(self, k, n):
+        from maxfilt import graphs
+
+        rng = np.random.default_rng(1100 + k)
+        colorings = one_subset_uncovered(n, k, rng)
+        missed = [s for s in itertools.combinations(range(n), k)
+                  if not (np.sort(colorings[:, list(s)], axis=1) == np.arange(k)).all(axis=1).any()]
+        assert missed == [tuple(range(k))]
+        kept, covered = graphs._first_rainbow(colorings, k)
+        assert (kept.tolist(), covered) == first_rainbow_reference(colorings, k)
+        assert not covered and not is_rainbow_family(colorings, n, k)
+        assert kept.min() >= 64
+
+    @staticmethod
+    def assert_same_as_whole_family(tree, graph, coding, monkeypatch):
+        from maxfilt import graphs
+
+        res = mf_tree_dp(tree, graph, coding)
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_first_rainbow", whole_family)
+            ref = mf_tree_dp(tree, graph, coding)
+        assert res.value == ref.value
+        assert math.copysign(1.0, res.value) == math.copysign(1.0, ref.value)
+        np.testing.assert_array_equal(res.witnesses[0], ref.witnesses[0])
+        return res
+
+    @pytest.mark.parametrize("k,n", [(2, 6), (3, 7), (4, 8), (5, 8)])
+    def test_unit_paths_tie(self, k, n, monkeypatch):
+        # Unit weights in {0, 1}: many placements, each path and its
+        # reversal, reach the maximum.
+        rng = np.random.default_rng(1200 + k)
+        for trial in range(4):
+            adj = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+            graph = WeightedGraph(adj + adj.T)
+            coding = make_color_coding(n, k, rng_seed=trial)
+            res = self.assert_same_as_whole_family(TreeTemplate.path(k), graph, coding,
+                                                   monkeypatch)
+            assert res.value == brute_force_tree_filter(TreeTemplate.path(k), graph)
+
+    @pytest.mark.parametrize("k,n", [(3, 6), (4, 8), (5, 10)])
+    def test_integer_and_negative_weights(self, k, n, monkeypatch):
+        rng = np.random.default_rng(1300 + k)
+        for trial in range(4):
+            tree = branching_tree(k, rng, integer=True)
+            graph = random_graph(n, rng, integer=True)
+            self.assert_same_as_whole_family(tree, graph, make_color_coding(n, k, trial),
+                                             monkeypatch)
+            graph = sparse_graph(n, rng, p=0.5, negative=2, isolated=trial)
+            self.assert_same_as_whole_family(tree, graph, make_color_coding(n, k, trial),
+                                             monkeypatch)
+
+    @pytest.mark.parametrize("k,n", [(4, 40), (5, 16), (4, 8)])
+    def test_workload_sizes(self, k, n, monkeypatch):
+        rng = np.random.default_rng(1400 + n)
+        for trial in range(2):
+            adj = np.zeros((k, k))
+            for u in range(k - 1):
+                adj[u, u + 1] = adj[u + 1, u] = round(float(rng.uniform(0.5, 1.5)), 6)
+            coding = make_color_coding(n, k, rng_seed=trial)
+            res = self.assert_same_as_whole_family(TreeTemplate(adj), sparse_graph(n, rng),
+                                                   coding, monkeypatch)
+            assert res.approximate is False
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (4, 7), (5, 8)])
+    def test_uncovered_family_is_approximate(self, k, n, monkeypatch):
+        rng = np.random.default_rng(1500 + k)
+        coding = ColorCoding(n=n, k=k, colorings=one_subset_uncovered(n, k, rng))
+        tree = branching_tree(k, rng)
+        res = self.assert_same_as_whole_family(tree, random_graph(n, rng), coding, monkeypatch)
+        assert res.approximate is True
+        covering = make_color_coding(n, k, rng_seed=k)
+        assert is_rainbow_family(covering.colorings, n, k)
+        assert mf_tree_dp(tree, random_graph(n, rng), covering).approximate is False
+
+    @pytest.mark.parametrize("bits, approximate", [(7, False), (6, True)])
+    def test_guard_skips_scan(self, bits, approximate, monkeypatch):
+        # Binary codes color every pair of 57 vertices differently somewhere.
+        # C(57, 2) = 1596 = 7·57·2²: seven codes are scanned, six exceed the
+        # guard and run as a whole family, reported approximate though they
+        # cover.
+        from maxfilt import graphs
+
+        n = 57
+        colorings = (np.arange(n) >> np.arange(bits)[:, None]) & 1
+        assert is_rainbow_family(colorings, n, 2)
+        coding = ColorCoding(n=n, k=2, colorings=colorings)
+        graph = sparse_graph(n, np.random.default_rng(1600 + bits), negative=3)
+        res = self.assert_same_as_whole_family(TreeTemplate.path(2), graph, coding, monkeypatch)
+        assert res.approximate is approximate
+        assert res.value == 2.0 * graph.adj.max()
+        scans = []
+        with monkeypatch.context() as m:
+            scan = graphs._first_rainbow
+            m.setattr(graphs, "_first_rainbow", lambda c, k: scans.append(k) or scan(c, k))
+            mf_tree_dp(TreeTemplate.path(2), graph, coding)
+        assert scans == ([] if approximate else [2])
+
+    def test_empty_cover_rejected(self):
+        graph = random_graph(6, np.random.default_rng(26))
+        coding = ColorCoding(n=6, k=3, colorings=np.tile([0, 1, 0, 1, 0, 1], (70, 1)))
+        with pytest.raises(mf.ValidationError, match="no coloring assigns every color"):
+            mf_tree_dp(TreeTemplate.path(3), graph, coding)
+
+
 class TestIsomorphismCertificate:
     def test_conjugated_copy(self):
         rng = np.random.default_rng(19)

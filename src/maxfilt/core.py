@@ -422,14 +422,19 @@ class FilterBank:
         """``(values, witnesses)`` on validated inputs X, chunk by chunk.  ``nx``
         holds the row norms of X for the tie tolerances (callers that evaluate
         the same inputs again take them once); ``None`` asks for values only."""
-        values, wits = [], []
-        for s in range(0, max(len(X), 1), self._step):
-            tol = None if nx is None else _tie_tolerance(self._norms[None, :],
-                                                         nx[s:s + self._step, None])
-            v, w = self._bulk(X[s:s + self._step], tol)
-            values.append(v)
-            wits.append(w)
-        return np.concatenate(values), None if nx is None else _concat(wits)
+        return _evaluate(self._bulk, self._norms, self._step, X, nx)
+
+
+def _evaluate(bulk, norms: np.ndarray, step: int, X: np.ndarray, nx) -> tuple:
+    """:meth:`FilterBank.evaluate` of the bulk form ``bulk`` of templates
+    with norms ``norms``, ``step`` rows of X at a time."""
+    values, wits = [], []
+    for s in range(0, max(len(X), 1), step):
+        tol = None if nx is None else _tie_tolerance(norms[None, :], nx[s:s + step, None])
+        v, w = bulk(X[s:s + step], tol)
+        values.append(v)
+        wits.append(w)
+    return np.concatenate(values), None if nx is None else _concat(wits)
 
 
 def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
@@ -451,30 +456,47 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
     g_nk of ``bank_argmax(group, bank, xs)``: a subgradient in the templates
     of ``sum_n coef[n, k] Phi_k(xs[n])`` where ``coef >= 0``.
 
-    A kind whose record sets ``subgradient`` forms the sum its own way:
-    sliding-window templates must stay on one slice, so only each template's
-    own slice of the sum is formed (the rest is zero).
+    The sum is formed by the kind record's ``training``: sliding-window
+    templates must stay on one slice, so only each template's own slice of
+    the sum is formed (the rest is zero), and a template on several slices
+    is a ValidationError.
     """
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
-    return _subgradient(group, Z, X, witnesses, np.asarray(coef, dtype=float))
+    run = groups.kind_of(group).training(group, Z)
+    return run.templates(run.subgradient(run.params, X, witnesses,
+                                         np.asarray(coef, dtype=float)))
 
 
-def _subgradient(group: GroupAction, Z: np.ndarray, X: np.ndarray, witnesses,
-                 coef: np.ndarray) -> np.ndarray:
-    """:func:`bank_subgradient` on validated operands."""
-    kind = groups.kind_of(group)
-    used = np.flatnonzero(np.any(coef != 0, axis=1))
-    if kind.subgradient is not None:
-        return kind.subgradient(group, Z, X, witnesses, coef, used)
-    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
-    step = _chunk_rows(group, len(Z), kind.width)
-    for s in range(0, len(used), step):
-        idx = used[s:s + step]
-        w = tuple(c[idx] for c in witnesses) if isinstance(witnesses, tuple) else witnesses[idx]
-        images = kind.images(group, w, X[idx])
-        out += np.einsum("nk,nk...->k...", coef[idx], images)
-    return out
+class _WholeTemplates:
+    """What a training run keeps for a bank of templates Z trained whole,
+    the default ``training`` of a kind record (see :mod:`maxfilt.groups`):
+    ``params`` is Z itself, and every evaluation prepares the bank of the
+    templates it is given."""
+
+    def __init__(self, group: GroupAction, Z: np.ndarray):
+        self.group = group
+        self.params = Z
+
+    def templates(self, Z: np.ndarray) -> np.ndarray:
+        return Z
+
+    def evaluate(self, Z: np.ndarray, X: np.ndarray, nx) -> tuple:
+        return FilterBank(self.group, Z).evaluate(X, nx)
+
+    def subgradient(self, Z: np.ndarray, X: np.ndarray, witnesses, coef: np.ndarray):
+        """:func:`bank_subgradient` on validated operands: the witness
+        images of the rows with a nonzero coef, a chunk at a time."""
+        kind = groups.kind_of(self.group)
+        used = np.flatnonzero(np.any(coef != 0, axis=1))
+        out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
+        step = _chunk_rows(self.group, len(Z), kind.width)
+        for s in range(0, len(used), step):
+            idx = used[s:s + step]
+            w = tuple(c[idx] for c in witnesses) if isinstance(witnesses, tuple) else witnesses[idx]
+            images = kind.images(self.group, w, X[idx])
+            out += np.einsum("nk,nk...->k...", coef[idx], images)
+        return out
 
 
 def filter_bank_apply(group: GroupAction, bank: Sequence, x) -> np.ndarray:

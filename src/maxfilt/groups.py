@@ -29,7 +29,9 @@ The record also holds the kind's tie enumeration for
 by :func:`from_spec`), its brute-force oracle (the independent reference
 behind :func:`maxfilt.core.brute_force_max_filter`, built from none of the
 forms above) and, for sliding windows, the single-slice template
-convention.  Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
+convention with the training form that keeps it (:class:`WindowSlices`:
+templates trained, and differentiated, as the one slice each lives on).
+Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
 member of ``GroupAction``, which also states the operand space) and one
 ``KINDS`` entry here.
 """
@@ -48,7 +50,8 @@ import numpy as np
 from ._assignment import max_profit_assignments
 from .core import (Enumerated, EnumerationCapExceeded, FilterResult, FullPermutation,
                    GroupAction, NumericFailure, PatchPermutation, SlidingWindowShift,
-                   ValidationError, _haar_orthogonal, max_filter)
+                   ValidationError, _chunk_rows, _evaluate, _haar_orthogonal,
+                   _vector_norms, _WholeTemplates, max_filter)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -559,8 +562,12 @@ def _slice_correlation(fz: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def sliding_window_bank(group, Z):
-    scores, t0 = window_scorer(Z)
+    return _shift_of_first(*window_scorer(Z))
 
+
+def _shift_of_first(scores, t0):
+    """The bulk form of a window scorer ``(scores, t0)``: the witness of a
+    pair is the shift ``(t0 - p) mod T`` of its first position p within tol."""
     def evaluate(X, tol):
         best, first = _first_within(scores(X), tol)
         return best, None if first is None else (t0 - first) % X.shape[-1]
@@ -589,15 +596,47 @@ def sliding_window_ties(group, z, x, tol):
 # random templates start on slice 0 and a subgradient step only ever touches
 # each template's own slice.
 
-def sliding_window_subgradient(group, Z, X, witnesses, coef, used):
-    """:func:`maxfilt.core.bank_subgradient` on each template's own slice
-    (the rest stays zero); ``used`` holds the rows with a nonzero coef."""
-    out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
-    t0 = np.array([template_slice_index(z) for z in Z], dtype=int)
-    pos = (t0 - witnesses[used]) % group.t
-    slices = X[used[:, None], :, :, pos]                       # (used, K, c, w)
-    out[np.arange(len(Z)), :, :, t0] = np.einsum("nk,nkcw->kcw", coef[used], slices)
-    return out
+class WindowSlices:
+    """What a training run, or :func:`maxfilt.core.bank_subgradient`, keeps
+    for a bank of window templates Z: each template is the (c, w) slice it
+    lives on, ``params[k] = Z[k][:, :, t0[k]]``, and only :meth:`templates`
+    builds (c, w, T) tensors.  The slices are found in one pass over the
+    bank; a template on several slices is a ValidationError.  Values,
+    witnesses and subgradients are those of the bulk form and of the whole
+    tensors' subgradient restricted to each template's slice, bit for bit."""
+
+    def __init__(self, group, Z):
+        occupied = _occupied_slices(Z)
+        if np.any(occupied.sum(axis=1) > 1):
+            raise ValidationError("sliding-window template must be supported on a single slice")
+        self.t0 = occupied.argmax(axis=1)             # 0 for a zero template
+        self.params = Z[np.arange(len(Z)), :, :, self.t0]
+        self._whole = np.zeros(Z.shape)               # for the template norms
+        self._step = _chunk_rows(group, len(Z), kind_of(group).width)
+
+    def templates(self, S: np.ndarray) -> np.ndarray:
+        Z = np.zeros(self._whole.shape)
+        Z[np.arange(len(S)), :, :, self.t0] = S
+        return Z
+
+    def evaluate(self, S: np.ndarray, X: np.ndarray, nx) -> tuple:
+        if not np.isfinite(S).all():
+            raise ValidationError("operand contains NaN or infinity")
+        norms = None
+        if nx is not None:
+            # The norms of the whole tensors: a norm of the slice alone is
+            # the same number, but BLAS may sum it in another order.
+            self._whole[np.arange(len(S)), :, :, self.t0] = S
+            norms = _vector_norms(self._whole)
+        return _evaluate(_shift_of_first(lambda x: window_scores(S, x), self.t0),
+                         norms, self._step, X, nx)
+
+    def subgradient(self, S: np.ndarray, X: np.ndarray, witnesses, coef: np.ndarray):
+        """Per template, the sum over n of ``coef[n, k]`` times the slice of
+        X[n] that the witness matches with slice t0[k]."""
+        used = np.flatnonzero(np.any(coef != 0, axis=1))
+        positions = (self.t0 - np.asarray(witnesses)[used]) % X.shape[-1]
+        return np.einsum("nk,nkcw->kcw", coef[used], X[used[:, None], :, :, positions])
 
 
 def _window_template(group, rng):
@@ -881,9 +920,16 @@ class Kind:
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
     * ``witness_keys``: JSON names of the parts of a tuple witness.
-    * ``template(group, rng)`` and ``subgradient(group, Z, X, witnesses,
-      coef, used)``: a random unit-norm template and the bank subgradient,
-      for kinds whose templates keep a shape of their own (window).
+    * ``template(group, rng)``: a random unit-norm template, for kinds whose
+      templates keep a shape of their own (window).
+    * ``training(group, Z)``: what a training run, or
+      :func:`maxfilt.core.bank_subgradient`, keeps for validated templates
+      Z.  ``params`` is the array that is trained, standing for the
+      templates ``templates(P)``; ``evaluate(P, X, nx)`` is
+      :meth:`maxfilt.core.FilterBank.evaluate` on them and
+      ``subgradient(P, X, witnesses, coef)`` the bank subgradient, shaped
+      as P.  Templates are trained whole by default; window templates as
+      the one slice each lives on (:class:`WindowSlices`).
     """
 
     spec: str
@@ -899,7 +945,7 @@ class Kind:
     witness_keys: tuple = ()
     parse: Optional[Callable] = None
     template: Optional[Callable] = None
-    subgradient: Optional[Callable] = None
+    training: Callable = _WholeTemplates
 
 
 KINDS = {
@@ -978,7 +1024,7 @@ KINDS = {
         _enumerator(None, _roll), ties=sliding_window_ties, width=lambda group: group.t,
         paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
         parse=_window_from_spec, template=_window_template,
-        subgradient=sliding_window_subgradient),
+        training=WindowSlices),
 }
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import groups
 from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
-                   _subgradient, _vector_norms, as_operands)
+                   _vector_norms, as_operands)
 from .templates import HermiteSpec, Template, _hermite_grid, _require_integer
 
 MODEL_FORMAT = "maxfilt-model/1"
@@ -227,8 +227,9 @@ def ecg_lift(x: np.ndarray, w: int) -> np.ndarray:
     c, t = x.shape
     if not 1 <= w <= t:
         raise ValidationError("need t >= w >= 1")
-    windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=1)  # (c, T, w)
-    tensor = windows.transpose(0, 2, 1).astype(float).copy()
+    tensor = np.empty((c, w, t - w + 1))
+    for j in range(w):
+        tensor[:, j] = x[:, j:j + t - w + 1]
     tensor -= tensor.mean(axis=1, keepdims=True)
     return tensor
 
@@ -377,17 +378,28 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     """Jointly optimize max-filter templates and a linear hinge classifier by
     projected subgradient descent (step eta_0 / sqrt(t), full batch).
 
-    The samples are validated and their norms taken once; each epoch then
-    prepares the bank of its templates (:class:`maxfilt.core.FilterBank`),
-    evaluates it on all of them in one engine call (what
+    The settings are checked first: ValidationError for fewer than one
+    template or epoch, or a learning rate or ridge that is not finite.  The
+    samples are validated and their norms taken once.  The templates train
+    in the form the kind record's ``training`` gives them (see
+    :class:`maxfilt.groups.Kind`): whole templates prepare the bank of each
+    epoch's templates (:class:`maxfilt.core.FilterBank`); sliding-window
+    templates train as the one slice each lives on, and their (c, w, T)
+    tensors are built once, for the returned model.  Each epoch evaluates
+    the templates on all samples in one engine call (what
     :func:`maxfilt.core.bank_argmax` runs) and forms the template
-    subgradients from its witnesses.  Templates for the sliding-window group
-    stay supported on their initial slice.  The returned model holds the
-    averaged iterates; the loss history of the running iterate and the
-    initial/final losses of the averaged one are recorded in the config
-    snapshot.
+    subgradients from its witnesses.  The returned model holds the averaged
+    iterates; the loss history of the running iterate and the initial/final
+    losses of the averaged one are recorded in the config snapshot.
     """
     config = config or TrainConfig()
+    if _require_integer("n_templates", n_templates) < 1:
+        raise ValidationError(f"n_templates must be at least 1, got {n_templates!r}")
+    if _require_integer("epochs", config.epochs) < 1:
+        raise ValidationError(f"epochs must be at least 1, got {config.epochs!r}")
+    for name in ("learning_rate", "ridge"):
+        if not math.isfinite(getattr(config, name)):
+            raise ValidationError(f"{name} must be finite, got {getattr(config, name)!r}")
     labels = dataset.labels
     classes = sorted(set(labels))
     if len(classes) != 2:
@@ -396,25 +408,25 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     xs = as_operands(group, dataset.raws)
     nx = _vector_norms(xs)
     rng = np.random.default_rng(config.rng_seed)
-    templates = np.stack([random_template(group, rng) for _ in range(n_templates)])
+    run = groups.kind_of(group).training(
+        group, np.stack([random_template(group, rng) for _ in range(n_templates)]))
+    params = run.params
     # Alternating nonzero weights break the cold start: template subgradients
     # are proportional to w, so an all-zero init would freeze the templates.
     w = np.array([(-1.0) ** i for i in range(n_templates)]) / n_templates
     b = 0.0
 
-    def loss_at(zs, w, b):
-        feats = FilterBank(group, zs).evaluate(xs, None)[0]
-        return _hinge_loss(feats, y, w, b, config.ridge)
+    def loss_at(params, w, b):
+        return _hinge_loss(run.evaluate(params, xs, None)[0], y, w, b, config.ridge)
 
-    initial_loss = loss_at(templates, w, b)
+    initial_loss = loss_at(params, w, b)
     w_sum = np.zeros_like(w)
     b_sum = 0.0
-    z_sum = np.zeros_like(templates)
+    p_sum = np.zeros_like(params)
     history = []
     n = len(xs)
     for t in range(1, config.epochs + 1):
-        # The templates change every epoch, so each epoch prepares its bank.
-        feats, witnesses = FilterBank(group, templates).evaluate(xs, nx)
+        feats, witnesses = run.evaluate(params, xs, nx)
         loss = _hinge_loss(feats, y, w, b, config.ridge)
         if not math.isfinite(loss):
             raise NumericFailure("training diverged (non-finite loss)")
@@ -426,18 +438,19 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         eta = config.learning_rate / math.sqrt(t)
         if not config.freeze_templates:
             coef = -(active * y)[:, None] * w[None, :]
-            gz = _subgradient(group, templates, xs, witnesses, coef) / n
-            templates = templates - eta * gz
+            gz = run.subgradient(params, xs, witnesses, coef) / n
+            params = params - eta * gz
         w = w - eta * gw
         b = b - eta * gb
         w_sum += w
         b_sum += b
-        z_sum += templates
+        p_sum += params
 
     w_avg = w_sum / config.epochs
     b_avg = b_sum / config.epochs
-    z_avg = z_sum / config.epochs
-    final_loss = loss_at(z_avg, w_avg, b_avg)
+    p_avg = p_sum / config.epochs
+    final_loss = loss_at(p_avg, w_avg, b_avg)
+    z_avg = run.templates(p_avg)
     tmpl = [Template(vector=z, group_kind=group.kind, label=f"trained-{i}")
             for i, z in enumerate(z_avg)]
     return PipelineModel(

@@ -427,6 +427,24 @@ class TestTrainPredict:
         assert "NaN" in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("setting, value, name", [
+        ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+        ("--templates", "0", "n_templates"), ("--lr", "nan", "learning_rate"),
+        ("--ridge", "inf", "ridge")])
+    def test_bad_training_settings_exit_3(self, tmp_path, capsys, setting, value, name):
+        rng = np.random.default_rng(8)
+        motif = rng.standard_normal((2, 6))
+        entries = [self._write_ecg(tmp_path, rng, ("mi", "ok")[i % 2], f"s{i}.csv", motif)
+                   for i in range(4)]
+        manifest = write_json(tmp_path / "manifest.json", {"samples": entries})
+        # The bad setting comes last, so it overrides the good one before it.
+        code, _, err = run_cli(capsys, "train", "--data", manifest, "--group", "window:6x19",
+                               "--templates", "2", "--epochs", "3", "--seed", "0",
+                               setting, value, "--output", str(tmp_path / "model.json"))
+        assert code == 3, err
+        assert f"validation error: {name} must be" in err
+        assert not (tmp_path / "model.json").exists()
+
     # A model is checked when it is loaded: exit 3, never a numpy error.
     def _model(self, tmp_path, capsys):
         rng = np.random.default_rng(11)

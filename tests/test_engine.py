@@ -15,7 +15,8 @@ from maxfilt import calculus
 from maxfilt.analysis import random_bank, random_template, sample_point
 from maxfilt.groups import KINDS, template_slice_index
 from maxfilt.pipeline import (LabeledDataset, TrainConfig, _hinge_loss,
-                              make_planted_window_dataset, train_svm_templates)
+                              make_planted_window_dataset, train_one_vs_rest_templates,
+                              train_svm_templates)
 from maxfilt.templates import unit_sphere_vectors
 
 from conftest import permutation_matrices, sign_group
@@ -417,27 +418,70 @@ def public_call_training(dataset, group, n_templates, config):
     return z_avg, w_avg, b_avg, history, initial, final
 
 
-@pytest.mark.parametrize("kind", ["window", "colperm", "cyclic"])
+@pytest.mark.parametrize("kind", ["window", "window-workload", "window-ties", "colperm",
+                                  "cyclic"])
 def test_training_matches_public_call_loop_exactly(kind):
     # Training validates the samples and takes their norms once per run; the
     # result must be the public per-epoch calls' bit for bit.
+    n_templates, epochs = 3, 20
     if kind == "window":
         group = mf.SlidingWindowShift(2, 3, 15)
         dataset = make_planted_window_dataset(12, c=2, w=3, t=15, noise=0.1, rng_seed=22)
+    elif kind == "window-workload":
+        # The benchmark's train-window shape: 100 samples, 4 templates, 40 epochs.
+        group = mf.SlidingWindowShift(3, 10, 200)
+        dataset = make_planted_window_dataset(50, c=3, w=10, t=200, noise=0.1, rng_seed=30)
+        n_templates, epochs = 4, 40
+    elif kind == "window-ties":
+        # Samples constant along the slice axis up to 1e-12, far within the tie
+        # tolerance: every position ties and the first must be taken, since
+        # any other position's slice changes the subgradient's last bits.
+        group = mf.SlidingWindowShift(2, 3, 15)
+        rng = np.random.default_rng(31)
+        xs = [np.repeat(rng.standard_normal((2, 3, 1)) + (0.5 if i % 2 else -0.5), 15, axis=2)
+              + 1e-12 * rng.standard_normal(group.shape) for i in range(24)]
+        dataset = LabeledDataset(samples=[(x, "p" if i % 2 else "n") for i, x in enumerate(xs)])
     else:
         group = GROUPS[kind]
         rng = np.random.default_rng(28)
         xs = [sample_point(group, rng) * (2.0 if i % 2 else 0.5) for i in range(24)]
         dataset = LabeledDataset(samples=[(x, "p" if i % 2 else "n") for i, x in enumerate(xs)])
-    config = TrainConfig(epochs=20, learning_rate=0.5, ridge=1e-3, rng_seed=29)
-    model = train_svm_templates(dataset, group, 3, config)
-    z_avg, w_avg, b_avg, history, initial, final = public_call_training(dataset, group, 3, config)
+    config = TrainConfig(epochs=epochs, learning_rate=0.5, ridge=1e-3, rng_seed=29)
+    model = train_svm_templates(dataset, group, n_templates, config)
+    z_avg, w_avg, b_avg, history, initial, final = public_call_training(
+        dataset, group, n_templates, config)
     assert np.array_equal(np.stack([t.vector for t in model.templates]), z_avg)
     assert np.array_equal(model.classifier["weights"], w_avg)
     assert model.classifier["bias"] == b_avg
     assert model.config["loss_history"] == history
     assert model.config["initial_loss"] == initial
     assert model.config["final_loss"] == final
+
+
+def test_one_vs_rest_training_matches_public_call_loops():
+    group = mf.SlidingWindowShift(2, 3, 15)
+    rng = np.random.default_rng(32)
+    motifs = {lab: rng.standard_normal((2, 3)) for lab in "abc"}
+    samples = []
+    for i in range(18):
+        lab = "abc"[i % 3]
+        x = 0.1 * rng.standard_normal(group.shape)
+        x[:, :, int(rng.integers(15))] += motifs[lab]
+        samples.append((x, lab))
+    config = TrainConfig(epochs=15, learning_rate=0.5, ridge=1e-3, rng_seed=33)
+    models = train_one_vs_rest_templates(LabeledDataset(samples=samples), group, 2, config)
+    assert [cls for cls, _ in models] == ["a", "b", "c"]
+    for cls, model in models:
+        relabeled = LabeledDataset(
+            samples=[(x, "pos" if lab == cls else "neg") for x, lab in samples])
+        z_avg, w_avg, b_avg, history, initial, final = public_call_training(
+            relabeled, group, 2, config)
+        assert np.array_equal(np.stack([t.vector for t in model.templates]), z_avg)
+        assert np.array_equal(model.classifier["weights"], w_avg)
+        assert model.classifier["bias"] == b_avg
+        assert model.config["loss_history"] == history
+        assert model.config["initial_loss"] == initial
+        assert model.config["final_loss"] == final
 
 
 def test_training_validates_samples():

@@ -178,6 +178,35 @@ class TestEcgLift:
         tensor = ecg_lift(rng.standard_normal((3, 40)), 7)
         assert np.max(np.abs(tensor.mean(axis=1))) <= 1e-9
 
+    @staticmethod
+    def reference_lift(x, w):
+        """The strided-view formula :func:`ecg_lift` replaced, whose tensors
+        it must reproduce bit for bit."""
+        x = np.asarray(x, dtype=float)
+        windows = np.lib.stride_tricks.sliding_window_view(x, w, axis=1)
+        tensor = windows.transpose(0, 2, 1).astype(float).copy()
+        tensor -= tensor.mean(axis=1, keepdims=True)
+        return tensor
+
+    @pytest.mark.parametrize("case", ["w=1", "w=t", "fortran", "strided", "integer", "workload"])
+    def test_matches_the_strided_view_formula(self, case):
+        rng = np.random.default_rng(41)
+        x, w = rng.standard_normal((3, 209)), 10
+        if case == "w=1":
+            w = 1
+        elif case == "w=t":
+            w = x.shape[1]
+        elif case == "fortran":
+            x = np.asfortranarray(x)
+        elif case == "strided":
+            x = rng.standard_normal((7, 420))[::2, ::2]
+        elif case == "integer":
+            x = rng.integers(-50, 50, size=(3, 209))
+        got, want = ecg_lift(x, w), self.reference_lift(x, w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
 
 def reference_texture_features(image, levels, degrees, hermite=True, rng_seed=0):
     """The per-level loop that :func:`texture_features` replaced: a fresh

@@ -80,25 +80,6 @@ def _pair_blocks(group: GroupAction, count: int, rng: np.random.Generator):
         yield [x for x, _ in pairs], [y for _, y in pairs]
 
 
-def _distinct_pairs(group: GroupAction, bank: Sequence, count: int, min_dist: float,
-                    rng: np.random.Generator):
-    """Draw ``count`` random pairs (x, y) in order and yield
-    ``(x, y, d([x], [y]), Phi(x), Phi(y))`` for those with d > min_dist.
-
-    Pairs are drawn a block at a time (:func:`_pair_blocks`); the quotient
-    distances of the whole block take one paired engine call and the bank
-    features of the pairs kept take one more.
-    """
-    for xs, ys in _pair_blocks(group, count, rng):
-        dists = quotient_distances(group, xs, ys)
-        kept = np.flatnonzero(dists > min_dist)
-        if not len(kept):
-            continue
-        feats = bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
-        for j, i in enumerate(kept):
-            yield xs[i], ys[i], float(dists[i]), feats[j], feats[len(kept) + j]
-
-
 @dataclass
 class LipschitzReport:
     lower_est: float
@@ -119,12 +100,16 @@ class LipschitzReport:
 
 def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
                        rng_seed: int) -> LipschitzReport:
-    """Sample ratio ||Phi(x) - Phi(y)|| / d([x], [y]) over random pairs.
+    """Sample ratio ||Phi(x) - Phi(y)|| / d([x], [y]) over random pairs
+    with d > 1e-8.
 
-    Reports the extremes together with the guaranteed ceiling (the bank
-    Frobenius norm) and, for finite groups, the lower-bound constant the
-    random-bank prescription would certify at its own (astronomical) sample
-    size.
+    Reports the extremes, with the first pair in draw order that attains
+    each, together with the guaranteed ceiling (the bank Frobenius norm)
+    and, for finite groups, the lower-bound constant the random-bank
+    prescription would certify at its own (astronomical) sample size.
+    Pairs are drawn a block at a time (:func:`_pair_blocks`): the quotient
+    distances of a block take one paired engine call, and the bank
+    features of its pairs kept one more.
     """
     if len(bank) == 0:
         raise ValidationError("filter bank is empty")
@@ -134,13 +119,19 @@ def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
     lower, upper = math.inf, -math.inf
     argmin_pair = argmax_pair = None
     used = 0
-    for x, y, dist, fx, fy in _distinct_pairs(group, bank, samples, 1e-8, rng):
-        used += 1
-        ratio = float(np.linalg.norm(fx - fy)) / dist
-        if ratio < lower:
-            lower, argmin_pair = ratio, (x, y)
-        if ratio > upper:
-            upper, argmax_pair = ratio, (x, y)
+    for xs, ys in _pair_blocks(group, samples, rng):
+        dists = quotient_distances(group, xs, ys)
+        kept = np.flatnonzero(dists > 1e-8)
+        if not len(kept):
+            continue
+        feats = bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
+        ratios = _vector_norms(feats[:len(kept)] - feats[len(kept):]) / dists[kept]
+        used += len(kept)
+        i, j = ratios.argmin(), ratios.argmax()
+        if ratios[i] < lower:
+            lower, argmin_pair = float(ratios[i]), (xs[kept[i]], ys[kept[i]])
+        if ratios[j] > upper:
+            upper, argmax_pair = float(ratios[j]), (xs[kept[j]], ys[kept[j]])
     if used == 0:
         raise ValidationError("degenerate sampler: every pair fell in one orbit")
     order = group_order(group)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import ValidationError, apply_witness, as_operand, inner, max_filter, norm
+from .core import (ValidationError, _tie_list, apply_witness, as_operand, inner, max_filter,
+                   norm)
 
 
 @dataclass
@@ -39,6 +40,8 @@ def default_tie_tolerance(x, y) -> float:
 def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096) -> list:
     """All g with <x, g y> >= max - tol, in per-kind witness encoding.
 
+    The kind record's ``witnesses`` form gives the set where it has one;
+    the other kinds give the tie list of ``max_filter`` taken at ``tol``.
     Continuous kinds return the analytic maximizer; when that set is a
     continuum (zero inputs, vanishing correlations) a small symmetric set of
     representatives stands in for it, so that averaging still lands in the
@@ -51,9 +54,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     kind = groups.kind_of(group)
     if kind.witnesses is not None:
         return kind.witnesses(group, x, y, tol, max_witnesses)
-    if kind.ties is not None:
-        return kind.ties(group, x, y, tol)[1]
-    return max_filter(group, x, y).witnesses
+    return _tie_list(kind, group, x, y, tol)[1]
 
 
 def directional_derivative(group, x, y, v) -> float:

@@ -331,32 +331,36 @@ def norm(x) -> float:
 # ---------------------------------------------------------------------------
 
 def max_filter(group: GroupAction, z, x) -> FilterResult:
-    """Evaluate ``max_{g in G} <z, g x>`` by the kind's specialized algorithm.
+    """Evaluate ``max_{g in G} <z, g x>`` by the kind's bulk form at N = K = 1.
 
     ``z`` is the template, ``x`` the input; both must live in the group's
-    ambient space.  Kinds with tie sets list every witness within
-    :func:`tie_tolerance`; the others give the first witness of their bulk
-    form at N = K = 1.  Scalar witness parts are Python ``int``, ``bool``
-    and ``complex``.
+    ambient space.  The kinds that pick a witness by the tie tolerance
+    (cyclic, enumerated, window, shiftconj) list every witness within
+    :func:`tie_tolerance`, in index order; the others give their one
+    witness.  Scalar witness parts are Python ``int``, ``bool`` and
+    ``complex``.
     """
     kind = groups.kind_of(group)
     z = as_operand(group, z)
     x = as_operand(group, x)
-    if kind.ties is not None:
-        value, witnesses = kind.ties(group, z, x, tie_tolerance(z, x))
-        return FilterResult(value=value, witnesses=witnesses)
-    # One witness per pair: a tolerance only asks the bulk form for it.
-    values, wit = kind.bank(group, z[None])(x[None], _ASK_WITNESS)
-    first = tuple(_scalar(w[0, 0]) for w in wit) if isinstance(wit, tuple) else _scalar(wit[0, 0])
-    return FilterResult(value=float(values[0, 0]), witnesses=[first])
+    value, witnesses = _tie_list(kind, group, z, x, tie_tolerance(z, x))
+    return FilterResult(value=value, witnesses=witnesses)
 
 
-_ASK_WITNESS = np.zeros((1, 1))
+def _tie_list(kind, group: GroupAction, z: np.ndarray, x: np.ndarray, tol: float) -> tuple:
+    """``(value, witnesses)`` of validated operands: the bulk form of the
+    record ``kind`` at N = K = 1 with the scalar tie tolerance ``tol``,
+    which stacks its witnesses over axes (1, m)."""
+    values, wit = kind.bank(group, z[None])(x[None], tol)
+    if isinstance(wit, tuple):
+        return float(values[0, 0]), list(zip(*map(_unstacked, wit)))
+    return float(values[0, 0]), _unstacked(wit)
 
 
-def _scalar(w):
-    """A witness part as a Python scalar where it is one."""
-    return w.item() if w.ndim == 0 else w
+def _unstacked(w: np.ndarray) -> list:
+    """The witness parts stacked over axes (1, m): Python scalars where a
+    part is one, else views of the arrays."""
+    return w[0].tolist() if w.ndim == 2 else list(w[0])
 
 
 # ---------------------------------------------------------------------------

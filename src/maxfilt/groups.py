@@ -15,8 +15,11 @@ tolerances, or is None when only values are wanted.  ``evaluate`` returns
 the (N, K) values and, unless ``tol`` is None, the first witness of every
 pair stacked over leading (N, K) axes (a tuple of such arrays for tuple
 witnesses); ``images(group, W, X)`` maps stacked witnesses back to ``g x``.
-:func:`maxfilt.core.max_filter` is the bulk form at N = K = 1, or the
-record's ``ties`` for kinds that list every witness within the tolerance.
+:func:`maxfilt.core.max_filter` is the bulk form at N = K = 1 with a scalar
+``tol``: the kinds that pick a witness by the tolerance (cyclic, enumerated,
+window, shiftconj) then stack every witness within it, in index order, over
+axes (1, m) (see :func:`_first_within`); the others stack their one witness
+over axes (1, 1).
 
 The paired form ``pairs(group, Z, X, tol)`` matches row i of Z against row
 i of X only and returns, stacked over a leading (N,) axis, the first
@@ -25,10 +28,11 @@ from the helpers of the kind's bulk form and is reached through
 :func:`maxfilt.core.quotient_distances`.
 
 The record also holds the kind's tie enumeration for
-:func:`maxfilt.calculus.witness_set`, its spec grammar (``cyclic:N``, read
-by :func:`from_spec`), its brute-force oracle (the independent reference
-behind :func:`maxfilt.core.brute_force_max_filter`, built from none of the
-forms above) and, for sliding windows, the single-slice template
+:func:`maxfilt.calculus.witness_set` where the bulk form's tie list is not
+it, its spec grammar (``cyclic:N``, read by :func:`from_spec`), its
+brute-force oracle (the independent reference behind
+:func:`maxfilt.core.brute_force_max_filter`, built from none of the forms
+above) and, for sliding windows, the single-slice template
 convention with the training form that keeps it (:class:`WindowSlices`:
 templates trained, and differentiated, as the one slice each lives on).
 Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
@@ -55,17 +59,15 @@ from .core import (Enumerated, EnumerationCapExceeded, FilterResult, FullPermuta
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
-    """Max over the last axis, and the index of the first score within tol of it."""
+    """Max over the last axis, and the index of the first score within tol of
+    it.  A scalar tol marks the scores of one pair: the indices are then
+    every one within tol, in index order, as a (1, m) row."""
     best = scores.max(axis=-1)
     if tol is None:
         return best, None
+    if getattr(tol, "ndim", 0) == 0:
+        return best, np.flatnonzero(scores >= best.item() - tol)[None]
     return best, np.argmax(scores >= (best - tol)[..., None], axis=-1)
-
-
-def _all_within(scores: np.ndarray, tol: float) -> tuple:
-    """Max of one pair's scores and, in index order, every index within tol of it."""
-    best = float(scores.max())
-    return best, np.flatnonzero(scores >= best - tol)
 
 
 def _unit_phase(w: np.ndarray) -> np.ndarray:
@@ -96,11 +98,6 @@ def cyclic_bank(group, Z):
 
 def cyclic_pairs(group, Z, X, tol):
     return _first_within(cyclic_scorer(Z)(X), tol)[1]
-
-
-def cyclic_ties(group, z, x, tol):
-    best, shifts = _all_within(cyclic_scorer(z)(x), tol)
-    return best, [int(a) for a in shifts]
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +448,10 @@ def _phase_witnesses(group, x, y, tol, cap):
 def shift_conjugate_scorer(Z: np.ndarray):
     """X -> scores[..., c, a] = Z^* roll(Y, a) with Y = X for c = 0 and
     Y = conj(X) for c = 1, the leading axes of Z and X broadcast as in
-    :func:`cyclic_scorer`: one FFT of Z (taken here, once) and two of X."""
+    :func:`cyclic_scorer`: one FFT of Z (taken here, once) and one call for
+    the FFTs of conj(X) and X."""
     fz = np.fft.fft(np.conj(Z))[..., None, :]
-    return lambda X: np.fft.ifft(
-        fz * np.conj(np.stack([np.fft.fft(np.conj(X)), np.fft.fft(X)], axis=-2)))
+    return lambda X: np.fft.ifft(fz * np.conj(np.fft.fft(np.stack([np.conj(X), X], axis=-2))))
 
 
 def _shift_conjugate_first(corr: np.ndarray, tol) -> tuple:
@@ -465,7 +462,8 @@ def _shift_conjugate_first(corr: np.ndarray, tol) -> tuple:
     best, first = _first_within(np.abs(corr), tol)
     if first is None:
         return best, None
-    w = np.take_along_axis(corr, first[..., None], -1)[..., 0]
+    rows = np.arange(0, corr.size, 2 * n).reshape(corr.shape[:-1])   # where each pair starts
+    w = corr.reshape(-1)[rows + first]
     return best, (first % n, first >= n, _unit_phase(w))
 
 
@@ -478,16 +476,9 @@ def shift_conjugate_pairs(group, Z, X, tol):
     return _shift_conjugate_first(shift_conjugate_scorer(Z)(X), tol)[1]
 
 
-def shift_conjugate_ties(group, z, x, tol):
-    """Witnesses (shift, conjugation flag, unit phase) in order of (flag, shift)."""
-    corr = shift_conjugate_scorer(z)(x).ravel()
-    best, idx = _all_within(np.abs(corr), tol)
-    n = group.n
-    return best, [(int(i % n), bool(i >= n), complex(_unit_phase(corr[i]))) for i in idx]
-
-
 def _shift_conjugate_witnesses(group, x, y, tol, cap):
-    """As :func:`shift_conjugate_ties`, with the phases of :func:`_phases_within`."""
+    """(shift, conjugation flag, unit phase) in order of (flag, shift), as
+    ``max_filter`` lists them, with the phases of :func:`_phases_within`."""
     corr_plain, corr_conj = shift_conjugate_scorer(x)(y)
     best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
     out = []
@@ -584,14 +575,6 @@ def sliding_window_pairs(group, Z, X, tol):
     return (t0 - _first_within(scores, tol)[1]) % t
 
 
-def sliding_window_ties(group, z, x, tol):
-    """Cyclic slice shifts a, in order of the position ``p = (t0 - a) mod T``
-    that the template's first occupied slice t0 is matched with."""
-    scores, t0 = window_scorer(z[None])
-    best, positions = _all_within(scores(x[None])[0, 0], tol)
-    return best, [int((t0[0] - p) % group.t) for p in positions]
-
-
 # Window templates live on a single slice: training keeps them there, so
 # random templates start on slice 0 and a subgradient step only ever touches
 # each template's own slice.
@@ -671,12 +654,6 @@ def enumerated_bank(group, Z):
 def enumerated_pairs(group, Z, X, tol):
     scores = np.matmul(_pulled_back(np.stack(group.matrices), Z), X[:, :, None])[..., 0]
     return _first_within(scores, tol)[1]
-
-
-def enumerated_ties(group, z, x, tol):
-    scores = enumerated_scorer(np.stack(group.matrices), z[None])(x[None])[0, 0]
-    best, idx = _all_within(scores, tol)
-    return best, [int(i) for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -905,17 +882,14 @@ class Kind:
       default of :func:`from_spec` does not.
     * ``bank``, ``pairs`` and ``images``: the bulk form, the paired form and
       the witness images (see the module docstring).
-    * ``ties(group, z, x, tol)``: for kinds whose ``max_filter`` lists every
-      witness within the tie tolerance, ``(value, witnesses)`` of one pair,
-      scored as by the bulk form; other kinds have one witness per pair.
     * ``witnesses(group, x, y, tol, cap)``: :func:`maxfilt.calculus.witness_set`
-      where ``ties`` is not it: tie blocks expanded (at most ``cap``), or
-      representatives of a continuum.  Kinds with neither take ``max_filter``'s.
+      where the bulk form's tie list is not it: tie blocks expanded (at most
+      ``cap``), or representatives of a continuum.
     * ``element(group, rng)``: a random element in witness encoding (Haar
       for continuous kinds).
     * ``oracle(group, z, x, tol, resolution, cap)``: :func:`maxfilt.core.brute_force_max_filter`
       on validated operands.  An independent reference, it calls no record's
-      ``bank``, ``pairs``, ``ties``, ``images`` or ``witnesses``, nor their helpers.
+      ``bank``, ``pairs``, ``images`` or ``witnesses``, nor their helpers.
     * ``width(group)``: elements the bulk form's arrays hold per (input,
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
@@ -938,7 +912,6 @@ class Kind:
     images: Callable
     element: Callable
     oracle: Callable
-    ties: Optional[Callable] = None
     witnesses: Optional[Callable] = None
     width: Callable = lambda group: group.dim
     paired_width: Optional[Callable] = None
@@ -955,11 +928,10 @@ KINDS = {
             np.stack(group.matrices)[np.asarray(W, dtype=int)], X[:, None, :, None])[..., 0],
         lambda group, rng: int(rng.integers(group.order)),
         _enumerator(None, lambda group, W, x: np.stack(group.matrices)[W] @ x),
-        ties=enumerated_ties,
         width=lambda group: group.dim * (1 + group.order), parse=_enumerated_from_file),
     "cyclic": Kind(
         "cyclic:N", cyclic_bank, cyclic_pairs, lambda group, W, X: _roll_last(X, W),
-        lambda group, rng: int(rng.integers(group.n)), _enumerator(None, _roll), ties=cyclic_ties),
+        lambda group, rng: int(rng.integers(group.n)), _enumerator(None, _roll)),
     "perm": Kind(
         "perm:D", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
         lambda group, rng: rng.permutation(group.d),
@@ -1010,7 +982,6 @@ KINDS = {
         _phase_search(lambda group, z, x: (
             ((a, conj), np.vdot(z, np.roll(np.conj(x) if conj else x, a)))
             for conj in (False, True) for a in range(group.n))),
-        ties=shift_conjugate_ties,
         witnesses=_shift_conjugate_witnesses, witness_keys=("shift", "conjugate", "phase")),
     "patchperm": Kind(
         "patchperm:S@HxW", sort_bank, sort_pairs, lambda group, W, X: _gather_last(X, W),
@@ -1021,7 +992,7 @@ KINDS = {
     "window": Kind(
         "window:[C]xWxT", sliding_window_bank, sliding_window_pairs,
         lambda group, W, X: _roll_last(X, W), lambda group, rng: int(rng.integers(group.t)),
-        _enumerator(None, _roll), ties=sliding_window_ties, width=lambda group: group.t,
+        _enumerator(None, _roll), width=lambda group: group.t,
         paired_width=lambda group: group.dim + 2 * group.c * group.w * (group.t // 2 + 1),
         parse=_window_from_spec, template=_window_template,
         training=WindowSlices),

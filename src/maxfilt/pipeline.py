@@ -379,12 +379,14 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     projected subgradient descent (step eta_0 / sqrt(t), full batch).
 
     The settings are checked first: ValidationError for fewer than one
-    template or epoch, or a learning rate or ridge that is not finite.  The
-    samples are validated and their norms taken once.  The templates train
-    in the form the kind record's ``training`` gives them (see
-    :class:`maxfilt.groups.Kind`): whole templates prepare the bank of each
-    epoch's templates (:class:`maxfilt.core.FilterBank`); sliding-window
-    templates train as the one slice each lives on, and their (c, w, T)
+    template or epoch, a learning rate that is not positive and finite, or
+    a ridge that is not non-negative and finite (a negative one leaves the
+    objective unbounded below).  The samples are validated and their norms
+    taken once.  The templates train in the form the kind record's
+    ``training`` gives them (see :class:`maxfilt.groups.Kind`): whole
+    templates prepare the bank of each epoch's templates
+    (:class:`maxfilt.core.FilterBank`); sliding-window templates train as
+    the one slice each lives on, and their (c, w, T)
     tensors are built once, for the returned model.  Each epoch evaluates
     the templates on all samples in one engine call (what
     :func:`maxfilt.core.bank_argmax` runs) and forms the template
@@ -397,9 +399,11 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         raise ValidationError(f"n_templates must be at least 1, got {n_templates!r}")
     if _require_integer("epochs", config.epochs) < 1:
         raise ValidationError(f"epochs must be at least 1, got {config.epochs!r}")
-    for name in ("learning_rate", "ridge"):
-        if not math.isfinite(getattr(config, name)):
-            raise ValidationError(f"{name} must be finite, got {getattr(config, name)!r}")
+    if not 0 < config.learning_rate < math.inf:
+        raise ValidationError(
+            f"learning_rate must be positive and finite, got {config.learning_rate!r}")
+    if not 0 <= config.ridge < math.inf:
+        raise ValidationError(f"ridge must be non-negative and finite, got {config.ridge!r}")
     labels = dataset.labels
     classes = sorted(set(labels))
     if len(classes) != 2:

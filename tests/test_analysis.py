@@ -47,6 +47,67 @@ class TestLipschitz:
         with pytest.raises(mf.ValidationError):
             estimate_lipschitz(sign_group(2), [], samples=10, rng_seed=0)
 
+    @staticmethod
+    def per_pair_extremes(group, bank, samples, rng_seed):
+        """The ratios one pair at a time, in draw order, each block's
+        distances and features taken as the estimator takes them."""
+        rng = np.random.default_rng(rng_seed)
+        lower, upper, argmin_pair, argmax_pair, used = math.inf, -math.inf, None, None, 0
+        for xs, ys in analysis._pair_blocks(group, samples, rng):
+            dists = mf.quotient_distances(group, xs, ys)
+            kept = np.flatnonzero(dists > 1e-8)
+            if not len(kept):
+                continue
+            feats = mf.bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
+            for j, i in enumerate(kept):
+                used += 1
+                ratio = float(np.linalg.norm(feats[j] - feats[len(kept) + j])) / float(dists[i])
+                if ratio < lower:
+                    lower, argmin_pair = ratio, (xs[i], ys[i])
+                if ratio > upper:
+                    upper, argmax_pair = ratio, (xs[i], ys[i])
+        return lower, upper, used, argmin_pair, argmax_pair
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("group, templates, samples", [
+        (mf.CyclicShift(256), 64, 100), (mf.FullPermutation(8), 12, 60),
+        (mf.SignFlips(5), 8, 60), (mf.FullOrthogonal(3), 4, 40),
+        (mf.ColumnPermutation(2, 4), 6, 40), (mf.ShiftAndConjugate(6), 8, 40),
+        (mf.SlidingWindowShift(2, 3, 8), 5, 40)], ids=lambda v: getattr(v, "kind", None))
+    def test_extremes_match_a_per_pair_loop(self, group, templates, samples, seed):
+        bank = random_bank(group, templates, rng_seed=seed)
+        report = estimate_lipschitz(group, bank, samples, rng_seed=50 + seed)
+        lower, upper, used, argmin_pair, argmax_pair = self.per_pair_extremes(
+            group, bank, samples, 50 + seed)
+        assert (repr(report.lower_est), repr(report.upper_est), report.samples) == \
+            (repr(lower), repr(upper), used)
+        for got, want in ((report.argmin_pair, argmin_pair), (report.argmax_pair, argmax_pair)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_first_extremes_across_blocks(self, monkeypatch):
+        # Three pairs drawn over and over, two to a block: every ratio recurs
+        # in later blocks, and the report names the first draw of each extreme.
+        group = mf.CyclicShift(8)
+        bank = random_bank(group, 3, rng_seed=0)
+        base = [sample_point(group, np.random.default_rng(s)) for s in range(6)]
+        drawn = []
+
+        def cycling_sampler(group, rng):
+            drawn.append(base[len(drawn) % 6].copy())
+            return drawn[-1]
+
+        def draw_indices(*pairs):
+            return [next(k for k, p in enumerate(drawn) if p is x) for x, _ in pairs]
+        monkeypatch.setattr(analysis, "sample_point", cycling_sampler)
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", 4 * group.dim)
+        report = estimate_lipschitz(group, bank, 9, rng_seed=0)
+        got = draw_indices(report.argmin_pair, report.argmax_pair)
+        drawn.clear()
+        lower, upper, used, argmin_pair, argmax_pair = self.per_pair_extremes(group, bank, 9, 0)
+        assert got == draw_indices(argmin_pair, argmax_pair)
+        assert max(got) < 6 and report.samples == used == 9
+        assert (report.lower_est, report.upper_est) == (lower, upper)
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_samples_rejected(self, samples):
         group = mf.CyclicShift(4)

@@ -430,7 +430,8 @@ class TestTrainPredict:
     @pytest.mark.parametrize("setting, value, name", [
         ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
         ("--templates", "0", "n_templates"), ("--lr", "nan", "learning_rate"),
-        ("--ridge", "inf", "ridge")])
+        ("--ridge", "inf", "ridge"), ("--lr", "-0.5", "learning_rate"),
+        ("--lr", "0", "learning_rate"), ("--ridge", "-1", "ridge")])
     def test_bad_training_settings_exit_3(self, tmp_path, capsys, setting, value, name):
         rng = np.random.default_rng(8)
         motif = rng.standard_normal((2, 6))

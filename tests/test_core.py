@@ -177,7 +177,7 @@ class TestBruteForceOracle:
             raise AssertionError("the oracle reached a fast path")
         for name, kind in groups.KINDS.items():
             monkeypatch.setitem(groups.KINDS, name, dataclasses.replace(
-                kind, bank=refuse, pairs=refuse, ties=refuse, images=refuse, witnesses=refuse))
+                kind, bank=refuse, pairs=refuse, images=refuse, witnesses=refuse))
         got = results()
         assert len(got) == 24
         for want, have in zip(expected, got):

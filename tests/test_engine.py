@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maxfilt as mf
-from maxfilt import calculus
+from maxfilt import calculus, groups
 from maxfilt.analysis import random_bank, random_template, sample_point
+from maxfilt.core import _vector_norms
 from maxfilt.groups import KINDS, template_slice_index
 from maxfilt.pipeline import (LabeledDataset, TrainConfig, _hinge_loss,
                               make_planted_window_dataset, train_one_vs_rest_templates,
@@ -510,6 +511,26 @@ def test_window_bank_keeps_its_stream():
     assert [(t.vector[0, 0, 0], t.vector[2, 9, 0]) for t in bank] == pinned
     rng = np.random.default_rng(7)
     np.testing.assert_array_equal(random_template(group, rng), bank[0].vector)
+
+
+def test_window_training_takes_the_whole_tensors_norms(monkeypatch):
+    # The tie tolerances of window training use the norms of the whole
+    # (c, w, T) tensors, as a FilterBank of them does; the norm of a slice
+    # alone can differ in the last bit, and here does for some template.
+    group = mf.SlidingWindowShift(3, 10, 200)
+    rng = np.random.default_rng(5)
+    Z = np.zeros((16,) + group.shape)
+    Z[np.arange(16), :, :, rng.integers(0, group.t, 16)] = rng.standard_normal((16, 3, 10))
+    run = KINDS["window"].training(group, Z)
+    handed = []
+    evaluate = groups._evaluate
+    monkeypatch.setattr(groups, "_evaluate",
+                        lambda bulk, norms, *rest: handed.append(norms) or evaluate(bulk, norms, *rest))
+    X = rng.standard_normal((5,) + group.shape)
+    run.evaluate(run.params, X, _vector_norms(X))
+    whole = _vector_norms(run.templates(run.params))
+    assert handed[0].tolist() == whole.tolist()
+    assert (_vector_norms(run.params) != whole).any()
 
 
 # ---------------------------------------------------------------------------

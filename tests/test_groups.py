@@ -743,6 +743,48 @@ class TestTiesAgainstOracle:
             assert sorted(res.witnesses) == oracle.witnesses
             assert len(res.witnesses) >= 3
 
+    # The oracle of shiftconj searches a phase grid for one witness, so the
+    # tie list is checked against every (shift, flag) correlation formed
+    # directly.  Gaussian-integer signals of period 3 tie exactly at every
+    # third shift; a real input ties under both flags too.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_shift_conjugate_lists_every_tie(self, seed):
+        rng = np.random.default_rng(800 + seed)
+        n = 12
+        group = mf.ShiftAndConjugate(n)
+
+        def periodic(imag=1):
+            return np.tile(rng.integers(-2, 3, 3) + imag * 1j * rng.integers(-2, 3, 3), n // 3)
+        for z, x in ((periodic(), periodic()), (periodic(), periodic(imag=0))):
+            res = mf.max_filter(group, z, x)
+            corr = {(a, flag): np.vdot(z, np.roll(np.conj(x) if flag else x, a))
+                    for flag in (False, True) for a in range(n)}
+            best = max(abs(w) for w in corr.values())
+            assert res.value == pytest.approx(best, rel=1e-12)
+            tol = mf.core.tie_tolerance(z, x)
+            want = [key for key, w in corr.items() if abs(w) >= best - tol]
+            assert [(a, flag) for a, flag, _ in res.witnesses] == want
+            assert len(want) >= (4 if x.imag.any() else 8)
+            for a, flag, phase in res.witnesses:
+                assert (type(a), type(flag), type(phase)) == (int, bool, complex)
+                w = corr[a, flag]
+                assert phase == pytest.approx(np.conj(w) / abs(w), abs=1e-12)
+                assert mf.core.inner(z, mf.apply_witness(group, (a, flag, phase), x)) == \
+                    pytest.approx(best, rel=1e-12)
+
+    def test_shift_conjugate_zero_template_lists_each_shift_and_flag_once(self):
+        # Every element attains 0 at a zero template; max_filter lists each
+        # (shift, flag) once with phase 1, where witness_set stands four
+        # phases in for the circle.
+        n = 5
+        group = mf.ShiftAndConjugate(n)
+        x = np.random.default_rng(9).standard_normal(n) * (1 + 2j)
+        res = mf.max_filter(group, np.zeros(n, complex), x)
+        assert res.value == 0.0
+        assert res.witnesses == [(a, flag, 1 + 0j) for flag in (False, True) for a in range(n)]
+        assert all(type(p) is complex for _, _, p in res.witnesses)
+        assert len(mf.witness_set(group, np.zeros(n, complex), x)) == 4 * 2 * n
+
 
 def test_kinds_do_not_branch_on_the_descriptor_type():
     # Per-kind code lives in the kind records; type tests on ``group`` are the
@@ -788,7 +830,7 @@ def test_descriptor_states_its_operand_space(kind):
 
 def test_kind_record_leaves_the_operand_space_to_the_descriptor():
     fields = {f.name for f in dataclasses.fields(mf.groups.Kind)}
-    assert len(fields) == 14 and not fields & {"dtype", "shape", "layout"}
+    assert len(fields) == 13 and not fields & {"dtype", "shape", "layout"}
     assert not any(hasattr(mf.groups.Kind, name) for name in ("dtype", "shape", "layout"))
     for cls in mf.groups.DESCRIPTORS.values():
         if issubclass(cls, mf.core._Sizes):    # a size descriptor is its fields

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import (ValidationError, _tie_list, apply_witness, as_operand, inner, max_filter,
-                   norm)
+from .core import (EnumerationCapExceeded, ValidationError, _tie_list, apply_witness,
+                   as_operand, inner, max_filter, norm)
 
 
 @dataclass
@@ -45,7 +45,8 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     Continuous kinds return the analytic maximizer; when that set is a
     continuum (zero inputs, vanishing correlations) a small symmetric set of
     representatives stands in for it, so that averaging still lands in the
-    hull.
+    hull.  Every kind raises EnumerationCapExceeded where the set holds more
+    than ``max_witnesses``.
     """
     x = as_operand(group, x)
     y = as_operand(group, y)
@@ -53,8 +54,13 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         tol = default_tie_tolerance(x, y)
     kind = groups.kind_of(group)
     if kind.witnesses is not None:
-        return kind.witnesses(group, x, y, tol, max_witnesses)
-    return _tie_list(kind, group, x, y, tol)[1]
+        wits = kind.witnesses(group, x, y, tol, max_witnesses)
+    else:
+        wits = _tie_list(kind, group, x, y, tol)[1]
+    if len(wits) > max_witnesses:
+        raise EnumerationCapExceeded(f"{group.kind} tie set of {len(wits)} larger than cap "
+                                     f"{max_witnesses}")
+    return wits
 
 
 def directional_derivative(group, x, y, v) -> float:

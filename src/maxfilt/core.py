@@ -337,8 +337,9 @@ def max_filter(group: GroupAction, z, x) -> FilterResult:
     ambient space.  The kinds that pick a witness by the tie tolerance
     (cyclic, enumerated, window, shiftconj) list every witness within
     :func:`tie_tolerance`, in index order; the others give their one
-    witness.  Scalar witness parts are Python ``int``, ``bool`` and
-    ``complex``.
+    witness.  This tie list is not capped: on those four kinds a zero
+    template lists every element.  Scalar witness parts are Python ``int``,
+    ``bool`` and ``complex``.
     """
     kind = groups.kind_of(group)
     z = as_operand(group, z)

@@ -7,18 +7,19 @@ colorings: each tree vertex keeps one table per color subset of its subtree's
 size, so an edge costs C(k, |subtree|) max-plus steps rather than one per
 color permutation.  The DP runs only on the covering sub-family: the
 colorings that are the first in the family to be rainbow on some k-subset of
-the graph's vertices, found per call by a bit-parallel scan (about 1 in 8 of
-the k e^k ln n colorings at the benchmark's sizes).  Value and witness are
-those of the whole family.  The result is exact whenever the family has the
-rainbow property, and a lower bound otherwise, flagged ``approximate``: also
-when the subsets are too many to scan.  The value convention matches
-the Frobenius inner product of the zero-padded template against the
-conjugated graph (each unordered edge counted twice), which is what the
-injection oracle computes.
+the graph's vertices, found once per coding by a bit-parallel scan (about 1
+in 8 of the k e^k ln n colorings at the benchmark's sizes).  Value and
+witness are those of the whole family.  The result is exact whenever the
+family has the rainbow property, and a lower bound otherwise, flagged
+``approximate``: also when the subsets are too many to scan.  The value
+convention matches the Frobenius inner product of the zero-padded template
+against the conjugated graph (each unordered edge counted twice), which is
+what the injection oracle computes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -153,17 +154,38 @@ class ColorCoding:
     """Family of colorings [n] -> [k] such that (when verified) every k-subset
     of vertices is rainbow under at least one member.
 
-    The family as drawn is the definition; :func:`mf_tree_dp` finds per call
-    which members are the first rainbow one for some k-subset and runs on
-    those alone."""
+    The family as drawn is the definition; :func:`mf_tree_dp` runs on its
+    :attr:`cover` alone, found on first use and kept.  ``colorings`` is a
+    read-only copy of the array given, so the cover cannot go stale."""
 
     n: int
     k: int
     colorings: np.ndarray    # (N, n) ints in [0, k)
 
+    def __post_init__(self):
+        colorings = np.array(self.colorings)
+        colorings.flags.writeable = False
+        object.__setattr__(self, "colorings", colorings)
+
     @property
     def size(self) -> int:
         return self.colorings.shape[0]
+
+    @functools.cached_property
+    def cover(self) -> tuple:
+        """``(kept, exact)``: the covering sub-family, i.e. the indices,
+        ascending, of the colorings that are the first in the family to be
+        rainbow on some k-subset (:func:`_first_rainbow`), and whether every
+        k-subset is covered.  Where C(n, k) exceeds N·n·2^k the scan is
+        skipped: every coloring is kept and ``exact`` is False."""
+        # The scan's arrays hold one entry per k-subset, the DP's tables
+        # N·n·2^k at most: scan only while the first does not outgrow the second.
+        if math.comb(self.n, self.k) <= self.size * self.n * 2 ** self.k:
+            kept, exact = _first_rainbow(self.colorings, self.k)
+        else:
+            kept, exact = np.arange(self.size), False
+        kept.flags.writeable = False
+        return kept, exact
 
 
 def coding_size(n: int, k: int, multiplier: float = 1.0) -> int:
@@ -238,9 +260,12 @@ def _first_rainbow(colorings, k):
 def make_color_coding(n: int, k: int, rng_seed: int, multiplier: float = 1.0) -> ColorCoding:
     """Draw ceil(k e^k log n) uniform colorings.
 
-    For n <= 12 and k <= 4 the rainbow property is verified exhaustively and
-    the family is redrawn (fresh seed derivation) on failure, up to 16
-    attempts; exhaustion signals a broken RNG rather than bad luck.
+    For n <= 12 and k <= 4 the rainbow property is verified exhaustively, by
+    the coding's own :attr:`ColorCoding.cover`, and the family is redrawn
+    (fresh seed derivation) on failure, up to 16 attempts; exhaustion signals
+    a broken RNG rather than bad luck.  At these sizes a family too small for
+    the cover's scan is also too small to cover: a coloring is rainbow on at
+    most (n/k)^k < n·2^k subsets.
     """
     if not 1 <= k <= n:
         raise ValidationError("need n >= k >= 1")
@@ -249,9 +274,9 @@ def make_color_coding(n: int, k: int, rng_seed: int, multiplier: float = 1.0) ->
     verify = n <= 12 and k <= 4
     for attempt in range(16):
         rng = np.random.default_rng(children[attempt])
-        colorings = rng.integers(0, k, size=(size, n))
-        if not verify or is_rainbow_family(colorings, n, k):
-            return ColorCoding(n=n, k=k, colorings=colorings)
+        coding = ColorCoding(n=n, k=k, colorings=rng.integers(0, k, size=(size, n)))
+        if not verify or coding.cover[1]:
+            return coding
     raise ValidationError("rainbow verification failed 16 times; RNG is broken")
 
 
@@ -273,9 +298,10 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
     symmetric Frobenius inner product of the zero-padded template with the
     conjugated graph.  A coloring leaving a color empty contributes -inf.
 
-    The DP runs on the covering sub-family: the colorings that are the first
-    in the family to be rainbow on some k-subset (:func:`_first_rainbow`).
-    They cover exactly the k-subsets the whole family covers and each
+    The DP runs on the covering sub-family, the coding's
+    :attr:`ColorCoding.cover`: the colorings that are the first in the family
+    to be rainbow on some k-subset, found on the coding's first use.  They
+    cover exactly the k-subsets the whole family covers and each
     coloring's row is computed alone, so the maximum is the whole family's
     float.  The first kept coloring reaching it is the whole family's first:
     an earlier one would reach it on some image S, and the first coloring
@@ -284,7 +310,8 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
     verified exact.
 
     Witness: the injection of tree vertices into graph vertices realizing the
-    optimum, traced back through the tables of the winning coloring alone.
+    optimum, traced back through the winning coloring's row of the DP's own
+    tables.
 
     ``return_stats`` adds ``{"pairs", "colorings", "color_sets"}``: the
     (coloring, parent vertex, child vertex) terms of the whole family's dense
@@ -301,26 +328,21 @@ def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,
         raise ValidationError("graph must have at least as many vertices as the tree")
     edges = validate_post_order(tree)
 
-    colorings = coding.colorings
-    big_n = colorings.shape[0]
-    # The scan's arrays hold one entry per k-subset, the DP's tables N·n·2^k
-    # at most: scan only while the first does not outgrow the second.
-    if math.comb(n, k) <= big_n * n * 2 ** k:
-        kept, exact = _first_rainbow(colorings, k)
-    else:
-        kept, exact = np.arange(big_n), False
+    kept, exact = coding.cover
     if not len(kept):
         raise ValidationError("no coloring assigns every color; coding unusable")
-    root, color_sets = _color_set_dp(a, b, edges, colorings[kept], k)
+    history = []
+    root, color_sets = _color_set_dp(a, b, edges, coding.colorings[kept], k, history)
     root_scores = root.max(axis=1)
     i = int(np.argmax(root_scores))
     best_val = float(root_scores[i])
     if not np.isfinite(best_val):
         raise ValidationError("no coloring assigns every color; coding unusable")
 
-    sigma = _traceback(a, b, edges, colorings[kept[i]], k)
+    sigma = _traceback(a, b, edges, root, history, i)
     result = FilterResult(value=2.0 * best_val, witnesses=[sigma], approximate=not exact)
     if return_stats:
+        big_n = coding.size
         stats = {"pairs": color_sets * big_n * n * n, "colorings": big_n,
                  "color_sets": color_sets}
         return result, stats
@@ -343,8 +365,10 @@ def _color_set_dp(a, b, edges, colorings, k, history=None):
     copy of the child table, with the row maxima as row n, one slot at a
     time: slot j holds the j-th term of each column that has one, a prefix
     of the columns once they are ordered by term count, so no temporary
-    exceeds (n, N).  With ``history`` a list, each edge appends (child
-    table, parent table before the merge) for the traceback.
+    exceeds (n, N).  Every step is elementwise per coloring, so row i of
+    each table is the DP of coloring i alone.  With ``history`` a list, each
+    edge appends (child table, parent table before the merge) for the
+    traceback: references to tables the DP built, not copies.
     """
     big_n, n = colorings.shape
     leaf = {1 << c: np.where(colorings == c, 0.0, -np.inf) for c in range(k)}
@@ -383,15 +407,15 @@ def _color_set_dp(a, b, edges, colorings, k, history=None):
     return tables[k - 1][(1 << k) - 1], color_sets
 
 
-def _traceback(a, b, edges, coloring, k):
-    """Re-run the DP for the winning coloring alone and walk the edges back
-    from the root, taking at each the first (subset split, child vertex)
-    that attains the parent's table entry."""
-    history = []
-    root, _ = _color_set_dp(a, b, edges, coloring[None, :], k, history)
+def _traceback(a, b, edges, root, history, i):
+    """Walk the edges back from the root through row i of the tables that
+    :func:`_color_set_dp` returned (``root``) and kept (``history``), taking
+    at each edge the first (subset split, child vertex) that attains the
+    parent's table entry."""
+    k = len(edges) + 1
     sigma = np.full(k, -1, dtype=int)
     colors = [0] * k
-    sigma[k - 1] = int(np.argmax(root[0]))
+    sigma[k - 1] = int(np.argmax(root[i]))
     colors[k - 1] = (1 << k) - 1
     for (u, pu), (child, part) in zip(reversed(edges), reversed(history)):
         x, r = sigma[pu], colors[pu]
@@ -401,7 +425,7 @@ def _traceback(a, b, edges, coloring, k):
             s = r & ~t
             if t & ~r or s not in part:
                 continue
-            vals = part[s][0, x] + (table[0] + w)
+            vals = part[s][i, x] + (table[i] + w)
             y = int(np.argmax(vals))
             if vals[y] > best:
                 best, sigma[u], colors[u] = vals[y], y, t

@@ -107,6 +107,39 @@ class TestWitnessSet:
         assert len(witness_set(group, np.zeros(group.shape), np.ones(group.shape),
                                max_witnesses=mf.group_order(group))) == mf.group_order(group)
 
+    @staticmethod
+    def cap_cases():
+        """(group, x, y, size of the witness set) on the kinds whose set is
+        the tie list or shiftconj's ``witnesses`` form: zero templates,
+        constant windows and periodic inputs."""
+        rng = np.random.default_rng(11)
+        shifts = mf.Enumerated(tuple(np.roll(np.eye(3), a, axis=0) for a in range(3)))
+        window = mf.SlidingWindowShift(2, 3, 5)
+        single = draw_window_template(window, rng)
+        constant = np.repeat(rng.standard_normal((2, 3, 1)), 5, axis=2)
+        shiftconj = mf.ShiftAndConjugate(4)
+        return [
+            (mf.CyclicShift(6), np.zeros(6), rng.standard_normal(6), 6),
+            (mf.CyclicShift(6), np.tile([1.0, 0.0], 3), np.eye(6)[0], 3),
+            (shifts, np.zeros(3), rng.standard_normal(3), 3),
+            (shifts, np.ones(3), rng.standard_normal(3), 3),
+            (window, np.zeros(window.shape), rng.standard_normal(window.shape), 5),
+            (window, single, constant, 5),
+            # every (shift, flag) ties, each with the four phase representatives
+            (shiftconj, np.zeros(4, dtype=complex), draw_operand(shiftconj, rng), 32),
+            (shiftconj, np.array([1, 0, 1, 0], dtype=complex), np.eye(4)[0] + 0j, 4),
+        ]
+
+    def test_tie_lists_keep_the_cap(self):
+        for group, x, y, size in self.cap_cases():
+            assert len(witness_set(group, x, y)) == size, group.kind
+            for cap in (size, size + 1):
+                assert len(witness_set(group, x, y, max_witnesses=cap)) == size, group.kind
+            with pytest.raises(mf.EnumerationCapExceeded, match="larger than cap"):
+                witness_set(group, x, y, max_witnesses=size - 1)
+        with pytest.raises(mf.EnumerationCapExceeded):            # the default cap, 4096
+            witness_set(mf.CyclicShift(5000), np.zeros(5000), np.ones(5000))
+
     def test_optimum_survives_zero_tolerance_at_scale(self):
         # the enumerator reproduces the optimum's own summation order, so the
         # in-order pairing is never pruned, even with no slack at all

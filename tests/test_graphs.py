@@ -477,6 +477,16 @@ def whole_family(colorings, k):
     return np.arange(len(colorings)), True
 
 
+def calls_of(monkeypatch, name):
+    """Wrap ``graphs.<name>`` for the rest of the test; the returned list
+    gains one entry per call."""
+    from maxfilt import graphs
+
+    calls, func = [], getattr(graphs, name)
+    monkeypatch.setattr(graphs, name, lambda *args: calls.append(args) or func(*args))
+    return calls
+
+
 class TestCoveringSubFamily:
     """mf_tree_dp runs on the colorings that are the first rainbow one for
     some k-subset; values, sign bits and witnesses must be the whole
@@ -533,12 +543,17 @@ class TestCoveringSubFamily:
 
     @staticmethod
     def assert_same_as_whole_family(tree, graph, coding, monkeypatch):
+        # The cover is the coding's, found on first use: the reference runs
+        # on a fresh coding of the same family, whose cover the patch makes
+        # the whole family.
         from maxfilt import graphs
 
         res = mf_tree_dp(tree, graph, coding)
         with monkeypatch.context() as m:
             m.setattr(graphs, "_first_rainbow", whole_family)
-            ref = mf_tree_dp(tree, graph, coding)
+            fresh = ColorCoding(n=coding.n, k=coding.k, colorings=coding.colorings)
+            ref = mf_tree_dp(tree, graph, fresh)
+        np.testing.assert_array_equal(fresh.cover[0], np.arange(coding.size))
         assert res.value == ref.value
         assert math.copysign(1.0, res.value) == math.copysign(1.0, ref.value)
         np.testing.assert_array_equal(res.witnesses[0], ref.witnesses[0])
@@ -598,8 +613,6 @@ class TestCoveringSubFamily:
         # C(57, 2) = 1596 = 7·57·2²: seven codes are scanned, six exceed the
         # guard and run as a whole family, reported approximate though they
         # cover.
-        from maxfilt import graphs
-
         n = 57
         colorings = (np.arange(n) >> np.arange(bits)[:, None]) & 1
         assert is_rainbow_family(colorings, n, 2)
@@ -608,18 +621,142 @@ class TestCoveringSubFamily:
         res = self.assert_same_as_whole_family(TreeTemplate.path(2), graph, coding, monkeypatch)
         assert res.approximate is approximate
         assert res.value == 2.0 * graph.adj.max()
-        scans = []
-        with monkeypatch.context() as m:
-            scan = graphs._first_rainbow
-            m.setattr(graphs, "_first_rainbow", lambda c, k: scans.append(k) or scan(c, k))
-            mf_tree_dp(TreeTemplate.path(2), graph, coding)
-        assert scans == ([] if approximate else [2])
+        scans = calls_of(monkeypatch, "_first_rainbow")
+        fresh = ColorCoding(n=n, k=2, colorings=colorings)
+        mf_tree_dp(TreeTemplate.path(2), graph, fresh)
+        assert [k for _, k in scans] == ([] if approximate else [2])
+        mf_tree_dp(TreeTemplate.path(2), graph, fresh)
+        assert [k for _, k in scans] == ([] if approximate else [2])
 
     def test_empty_cover_rejected(self):
         graph = random_graph(6, np.random.default_rng(26))
         coding = ColorCoding(n=6, k=3, colorings=np.tile([0, 1, 0, 1, 0, 1], (70, 1)))
         with pytest.raises(mf.ValidationError, match="no coloring assigns every color"):
             mf_tree_dp(TreeTemplate.path(3), graph, coding)
+
+
+class TestCoverOncePerCoding:
+    """The covering sub-family is the coding's: scanned at most once per
+    ColorCoding, and the color-set DP runs once per mf_tree_dp call."""
+
+    def test_one_coding_on_two_graphs_scans_once(self, monkeypatch):
+        rng = np.random.default_rng(1700)
+        coding = make_color_coding(16, 4, rng_seed=3)       # n > 12: not verified
+        scans = calls_of(monkeypatch, "_first_rainbow")
+        dps = calls_of(monkeypatch, "_color_set_dp")
+        tree = branching_tree(4, rng)
+        for calls, graph in enumerate((sparse_graph(16, rng), random_graph(16, rng)), 1):
+            res = mf_tree_dp(tree, graph, coding)
+            assert len(scans) == 1 and len(dps) == calls
+            assert injection_value(tree, graph, res.witnesses[0]) == pytest.approx(res.value,
+                                                                                    rel=1e-12)
+        assert len(coding.cover[0]) == len(dps[0][3]) < coding.size
+
+    def test_verified_coding_adds_no_scan(self, monkeypatch):
+        scans = calls_of(monkeypatch, "_first_rainbow")
+        coding = make_color_coding(8, 4, rng_seed=5)        # n <= 12, k <= 4: verified
+        made = len(scans)
+        assert made >= 1 and coding.cover[1]
+        res = mf_tree_dp(TreeTemplate.path(4), random_graph(8, np.random.default_rng(1701)),
+                         coding)
+        assert len(scans) == made and res.approximate is False
+
+    def test_colorings_are_a_read_only_copy(self):
+        colorings = np.random.default_rng(1702).integers(0, 3, size=(40, 6))
+        coding = ColorCoding(n=6, k=3, colorings=colorings)
+        with pytest.raises(ValueError):
+            coding.colorings[0, 0] = 1
+        with pytest.raises(ValueError):
+            coding.cover[0][0] = 1
+        colorings[:] = 0                                    # the caller's array stays writable
+        assert coding.colorings.any()
+        assert coding.cover is coding.cover
+        assert coding.cover[1] == is_rainbow_family(coding.colorings, 6, 3)
+
+
+def per_call_tree_dp(tree, graph, coding):
+    """Reference: mf_tree_dp with the covering scan on every call and the
+    traceback re-running the DP for the winning coloring alone, as
+    ``(value, witness, approximate, stats)``."""
+    from maxfilt import graphs
+
+    a, b, k, n = tree.adj, graph.adj, tree.k, graph.n
+    edges = validate_post_order(tree)
+    colorings = coding.colorings
+    big_n = len(colorings)
+    if math.comb(n, k) <= big_n * n * 2 ** k:
+        kept, exact = graphs._first_rainbow(colorings, k)
+    else:
+        kept, exact = np.arange(big_n), False
+    root, color_sets = graphs._color_set_dp(a, b, edges, colorings[kept], k)
+    root_scores = root.max(axis=1)
+    i = int(np.argmax(root_scores))
+    history = []
+    one, _ = graphs._color_set_dp(a, b, edges, colorings[kept[i]][None, :], k, history)
+    sigma = np.full(k, -1, dtype=int)
+    colors = [0] * k
+    sigma[k - 1] = int(np.argmax(one[0]))
+    colors[k - 1] = (1 << k) - 1
+    for (u, pu), (child, part) in zip(reversed(edges), reversed(history)):
+        x, r = sigma[pu], colors[pu]
+        w = a[u, pu] * b[:, x]
+        best = -np.inf
+        for t, table in child.items():
+            s = r & ~t
+            if t & ~r or s not in part:
+                continue
+            vals = part[s][0, x] + (table[0] + w)
+            y = int(np.argmax(vals))
+            if vals[y] > best:
+                best, sigma[u], colors[u] = vals[y], y, t
+        colors[pu] = r & ~colors[u]
+    stats = {"pairs": color_sets * big_n * n * n, "colorings": big_n, "color_sets": color_sets}
+    return 2.0 * float(root_scores[i]), sigma, not exact, stats
+
+
+def traceback_cases(rng):
+    """(tree, graph, coding): branching trees, unit-weight ties, integer and
+    negative weights, isolated vertices, a guard-skipped coding and a family
+    that misses a k-subset."""
+    for k, n in [(2, 6), (3, 8), (4, 10), (5, 9), (6, 8)]:
+        coding = make_color_coding(n, k, rng_seed=int(rng.integers(2 ** 31)))
+        yield branching_tree(k, rng), random_graph(n, rng), coding
+        yield branching_tree(k, rng, integer=True), random_graph(n, rng, integer=True), coding
+        adj = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+        yield TreeTemplate.path(k), WeightedGraph(adj + adj.T), coding
+        yield branching_tree(k, rng), sparse_graph(n, rng, p=0.5, negative=2, isolated=2), coding
+        yield (TreeTemplate(np.abs(branching_tree(k, rng).adj)),
+               sparse_graph(n, rng, isolated=n // 2), coding)
+    skipped = ColorCoding(n=20, k=4, colorings=rng.integers(0, 4, size=(10, 20)))
+    assert math.comb(20, 4) > 10 * 20 * 2 ** 4
+    yield branching_tree(4, rng), sparse_graph(20, rng, negative=2), skipped
+    for k, n in [(4, 7), (5, 8)]:
+        uncovered = ColorCoding(n=n, k=k, colorings=one_subset_uncovered(n, k, rng))
+        yield branching_tree(k, rng, integer=True), random_graph(n, rng, integer=True), uncovered
+
+
+class TestTableTraceback:
+    """The witness is read from the batch DP's own tables; value with its
+    sign bit, witness, ``approximate`` and stats must equal the per-call
+    scan and single-coloring re-run's."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_matches_single_coloring_rerun(self, dense, monkeypatch):
+        from maxfilt import graphs
+
+        if dense:
+            monkeypatch.setattr(graphs, "_color_set_dp", dense_color_set_dp)
+        rng = np.random.default_rng(1800)
+        approximate = set()
+        for tree, graph, coding in traceback_cases(rng):
+            value, sigma, approx, stats = per_call_tree_dp(tree, graph, coding)
+            res, got_stats = mf_tree_dp(tree, graph, coding, return_stats=True)
+            assert res.value == value
+            assert math.copysign(1.0, res.value) == math.copysign(1.0, value)
+            np.testing.assert_array_equal(res.witnesses[0], sigma)
+            assert res.approximate is approx and got_stats == stats
+            approximate.add(approx)
+        assert approximate == {False, True}
 
 
 class TestIsomorphismCertificate:

@@ -64,35 +64,13 @@ def _load_json(path: str):
 
 
 def load_operand(path: str, group: GroupAction) -> np.ndarray:
-    """Load a vector/matrix/tensor operand; template files may wrap the array
-    in a {vector: ...} template document."""
-    data = _load_json(path)
+    """Load a vector/matrix/tensor operand at the group's dtype and shape;
+    template files may wrap the array in a {vector: ...} template document."""
+    data, dtype = _load_json(path), group.dtype
     if isinstance(data, dict) and "vector" in data:
-        return tmod.Template.from_dict(data).vector
-    arr = np.asarray(data, dtype=float)
-    if group.dtype is complex:
-        if arr.ndim == 2 and arr.shape[1] == 2:
-            return arr[:, 0] + 1j * arr[:, 1]
-        raise ValidationError("complex operand must be a list of [re, im] pairs")
-    return arr
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):
-            return [[float(v.real), float(v.imag)] for v in value.ravel()]
-        return value.tolist()
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (bool, int, float, str)) or value is None:
-        return value
-    return repr(value)
+        # A template's vector may also be real where the group is complex.
+        data, dtype = data["vector"], None if dtype is complex else float
+    return tmod.array_from_jsonable(data, dtype, len(group.shape))
 
 
 def witness_jsonable(group: GroupAction, witness):
@@ -100,8 +78,8 @@ def witness_jsonable(group: GroupAction, witness):
     ``witness_keys``, everything else as nested lists and numbers."""
     keys = groups.kind_of(group).witness_keys
     if keys:
-        return {key: _jsonable(part) for key, part in zip(keys, witness)}
-    return _jsonable(witness)
+        return {key: tmod.to_jsonable(part) for key, part in zip(keys, witness)}
+    return tmod.to_jsonable(witness)
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -132,7 +110,7 @@ def _render_table(doc: dict, out) -> None:
 
 
 def emit(args: argparse.Namespace, doc: dict, to_stdout: bool = False) -> None:
-    doc = _jsonable(doc)
+    doc = tmod.to_jsonable(doc)
     fmt = getattr(args, "format", "json")
     if not to_stdout and getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:

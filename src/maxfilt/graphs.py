@@ -151,8 +151,9 @@ def validate_post_order(tree: TreeTemplate) -> list:
 
 @dataclass(frozen=True, eq=False)
 class ColorCoding:
-    """Family of colorings [n] -> [k] such that (when verified) every k-subset
-    of vertices is rainbow under at least one member.
+    """Family of colorings [n] -> [k], drawn so that every k-subset of
+    vertices is likely rainbow under at least one member (``cover[1]`` says
+    whether it is).
 
     The family as drawn is the definition; :func:`mf_tree_dp` runs on its
     :attr:`cover` alone, found on first use and kept.  ``colorings`` is a
@@ -258,26 +259,22 @@ def _first_rainbow(colorings, k):
 
 
 def make_color_coding(n: int, k: int, rng_seed: int, multiplier: float = 1.0) -> ColorCoding:
-    """Draw ceil(k e^k log n) uniform colorings.
+    """Draw ceil(k e^k log n) uniform colorings, once, from the first child
+    of ``SeedSequence(rng_seed)``.
 
-    For n <= 12 and k <= 4 the rainbow property is verified exhaustively, by
-    the coding's own :attr:`ColorCoding.cover`, and the family is redrawn
-    (fresh seed derivation) on failure, up to 16 attempts; exhaustion signals
-    a broken RNG rather than bad luck.  At these sizes a family too small for
-    the cover's scan is also too small to cover: a coloring is rainbow on at
-    most (n/k)^k < n·2^k subsets.
+    For n <= 12 and k <= 4 the coding's :attr:`ColorCoding.cover` is scanned
+    here, when the family is drawn.  A family that misses some k-subset is
+    kept as drawn: :func:`mf_tree_dp` then reports its value ``approximate``,
+    as it does for larger n.
     """
     if not 1 <= k <= n:
         raise ValidationError("need n >= k >= 1")
     size = coding_size(n, k, multiplier)
-    children = np.random.SeedSequence(rng_seed).spawn(16)
-    verify = n <= 12 and k <= 4
-    for attempt in range(16):
-        rng = np.random.default_rng(children[attempt])
-        coding = ColorCoding(n=n, k=k, colorings=rng.integers(0, k, size=(size, n)))
-        if not verify or coding.cover[1]:
-            return coding
-    raise ValidationError("rainbow verification failed 16 times; RNG is broken")
+    rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
+    coding = ColorCoding(n=n, k=k, colorings=rng.integers(0, k, size=(size, n)))
+    if n <= 12 and k <= 4:
+        coding.cover                    # scanned now, not in the first mf_tree_dp call
+    return coding
 
 
 def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,

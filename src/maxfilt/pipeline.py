@@ -21,18 +21,18 @@ from . import groups
 from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
                    _vector_norms, as_operands)
-from .templates import HermiteSpec, Template, _hermite_grid, _require_integer
+from .templates import (HermiteSpec, Template, _hermite_grid, _require_integer,
+                        array_from_jsonable, to_jsonable)
 
 MODEL_FORMAT = "maxfilt-model/1"
 
 
 @dataclass(eq=False)
 class LabeledDataset:
-    """Raw samples with string labels; features attach after extraction."""
+    """Raw samples with string labels."""
 
     samples: list                      # list of (raw object, label)
     format: str = ""
-    feature_matrix: Optional[np.ndarray] = None
 
     @property
     def labels(self) -> list:
@@ -549,20 +549,12 @@ class PipelineModel:
             raise ValidationError(f"SVM weights of shape {weights} for {n_feats} features")
 
 
-def _field_jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, tuple):
-        return [_field_jsonable(v) for v in value]
-    return value
-
-
 def group_to_jsonable(group: Optional[GroupAction]) -> Optional[dict]:
     """``{"kind": ..., field: value, ...}`` over the descriptor's fields."""
     if group is None:
         return None
     groups.kind_of(group)                        # unsupported kinds raise
-    return {"kind": group.kind, **{f.name: _field_jsonable(getattr(group, f.name))
+    return {"kind": group.kind, **{f.name: to_jsonable(getattr(group, f.name))
                                    for f in dataclasses.fields(group)}}
 
 
@@ -585,55 +577,18 @@ def group_from_jsonable(data: Optional[dict]) -> Optional[GroupAction]:
         raise ValidationError(f"malformed model group {data!r}: {exc!r}") from exc
 
 
-def _array_to_jsonable(arr):
-    if arr is None:
-        return None
-    arr = np.asarray(arr)
-    if np.iscomplexobj(arr):
-        return {"complex": True, "re": arr.real.tolist(), "im": arr.imag.tolist()}
-    return arr.tolist()
-
-
-def _array_from_jsonable(data):
-    if data is None:
-        return None
-    if isinstance(data, dict) and data.get("complex"):
-        return np.asarray(data["re"]) + 1j * np.asarray(data["im"])
-    return np.asarray(data, dtype=float)
-
-
-def _template_to_jsonable(t: Template) -> dict:
-    d = t.to_dict()
-    vec = np.asarray(t.vector)
-    if vec.ndim > 1:
-        d["vector"] = _array_to_jsonable(vec)
-        d["shape"] = list(vec.shape)
-    return d
-
-
-def _template_from_jsonable(d: dict) -> Template:
-    if "shape" in d:
-        vec = _array_from_jsonable(d["vector"])
-        return Template(vector=vec, group_kind=d.get("group_kind"),
-                        support=tuple(d["support"]) if d.get("support") else None,
-                        label=d.get("label", ""))
-    return Template.from_dict(d)
-
-
 def save_model(model: PipelineModel, path: str) -> None:
     doc = {
         "format": MODEL_FORMAT,
         "group": group_to_jsonable(model.group),
-        "templates": [_template_to_jsonable(t) for t in model.templates],
+        "templates": [t.to_dict() for t in model.templates],
         "pca": None if model.pca_mean is None else {
-            "mean": _array_to_jsonable(model.pca_mean),
-            "basis": _array_to_jsonable(model.pca_basis)},
-        "classifier": {k: _array_to_jsonable(v) if isinstance(v, np.ndarray) else v
-                       for k, v in model.classifier.items()},
+            "mean": model.pca_mean, "basis": model.pca_basis},
+        "classifier": model.classifier,
         "config": model.config,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(to_jsonable(doc), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -642,19 +597,20 @@ def load_model(path: str) -> PipelineModel:
         doc = json.load(fh)
     if doc.get("format") != MODEL_FORMAT:
         raise ValidationError(f"unsupported model format {doc.get('format')!r}")
+    # Classifier and PCA arrays have at most two axes: none of their lists is a pair.
     classifier = dict(doc["classifier"])
     for key in ("weights", "means", "precision", "log_priors"):
         if key in classifier:
-            classifier[key] = _array_from_jsonable(classifier[key])
+            classifier[key] = array_from_jsonable(classifier[key], ndim=2)
     pca = doc.get("pca")
-    basis = None if pca is None else _array_from_jsonable(pca["basis"])
+    basis = None if pca is None else array_from_jsonable(pca["basis"], ndim=2)
     if basis is not None:
         gram = basis.T @ basis
         if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-9:
             raise ValidationError("model PCA basis columns are not orthonormal")
     return PipelineModel(
-        templates=[_template_from_jsonable(t) for t in doc["templates"]],
-        pca_mean=None if pca is None else _array_from_jsonable(pca["mean"]),
+        templates=[Template.from_dict(t) for t in doc["templates"]],
+        pca_mean=None if pca is None else array_from_jsonable(pca["mean"], ndim=2),
         pca_basis=basis,
         classifier=classifier,
         group=group_from_jsonable(doc.get("group")),

@@ -36,26 +36,69 @@ class Template:
         self.vector = vec
 
     def to_dict(self) -> dict:
-        vec = self.vector
-        if np.iscomplexobj(vec):
-            ser = [[float(v.real), float(v.imag)] for v in vec]
-        else:
-            ser = np.asarray(vec, dtype=float).tolist()
-        return {"group_kind": self.group_kind, "vector": ser,
-                "support": list(self.support) if self.support is not None else None,
-                "label": self.label}
+        """The template document: ``vector`` as :func:`to_jsonable` writes it
+        (a real vector as floats), plus ``shape`` for a matrix or tensor."""
+        vec = np.asarray(self.vector)
+        vec = vec if np.iscomplexobj(vec) else np.asarray(vec, dtype=float)
+        doc = {"group_kind": self.group_kind, "vector": to_jsonable(vec),
+               "support": list(self.support) if self.support is not None else None,
+               "label": self.label}
+        if vec.ndim > 1:
+            doc["shape"] = list(vec.shape)
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "Template":
-        vec = data["vector"]
-        if vec and isinstance(vec[0], (list, tuple)):
-            arr = np.array([complex(re, im) for re, im in vec])
-        else:
-            arr = np.asarray(vec, dtype=float)
+        """The template :meth:`to_dict` wrote.  Without ``shape`` a list of
+        ``[re, im]`` pairs is a complex vector."""
+        shape = data.get("shape")
+        vec = array_from_jsonable(data["vector"], ndim=1 if shape is None else len(shape))
+        if shape is not None and vec.shape != tuple(shape):
+            raise ValidationError(f"template vector of shape {vec.shape} "
+                                  f"does not match its shape {tuple(shape)}")
         support = data.get("support")
-        return cls(vector=arr, group_kind=data.get("group_kind"),
+        return cls(vector=vec, group_kind=data.get("group_kind"),
                    support=tuple(support) if support is not None else None,
                    label=data.get("label", ""))
+
+
+def to_jsonable(value):
+    """``value`` in JSON types: arrays as nested lists, complex numbers as
+    ``[re, im]`` pairs (one level deeper in an array), numpy scalars as
+    Python ones, tuples as lists, dicts by value, anything else by ``repr``."""
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return np.stack((value.real, value.imag), axis=-1).tolist()
+        return value.tolist()
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, (np.floating, np.integer, np.bool_)):
+        return value.item()
+    if isinstance(value, (list, tuple)):
+        return [to_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (bool, int, float, str)) or value is None:
+        return value
+    return repr(value)
+
+
+def array_from_jsonable(data, dtype=None, ndim: int = 1) -> np.ndarray:
+    """The ``ndim``-axis array :func:`to_jsonable` wrote, whose complex
+    entries are ``[re, im]`` pairs one level deeper.  ``dtype`` says which:
+    float reads every list as real, complex requires the pairs, and None
+    takes lists ``ndim + 1`` deep whose last has length 2 for pairs.  Unless
+    ``dtype`` is float, the older ``{"complex": true, "re": [...], "im":
+    [...]}`` object is read too."""
+    if dtype is not float and isinstance(data, dict) and data.get("complex"):
+        return np.asarray(data["re"]) + 1j * np.asarray(data["im"])
+    arr = np.asarray(data, dtype=float)
+    pairs = arr.ndim == ndim + 1 and arr.shape[-1] == 2
+    if dtype is complex and not pairs:
+        raise ValidationError("complex operand must be a list of [re, im] pairs")
+    if dtype is float or not pairs:
+        return arr
+    return np.ascontiguousarray(arr).view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------

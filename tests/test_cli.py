@@ -169,6 +169,36 @@ class TestFilterCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("spec, z", [
+        ("colperm:2x3", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+        ("colperm:3x2", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),   # not a complex 3-vector
+    ])
+    @pytest.mark.parametrize("with_shape", [False, True])
+    def test_matrix_template_documents(self, tmp_path, capsys, spec, z, with_shape):
+        group = parse_group_spec(spec)
+        x = np.arange(6.0).reshape(group.shape)[::-1] - 2.0
+        doc = {"vector": z, "shape": list(group.shape)} if with_shape else {"vector": z}
+        code, out, err = run_cli(capsys, "filter", "--group", spec,
+                                 "--template", write_json(tmp_path / "t.json", doc),
+                                 "--input", write_json(tmp_path / "x.json", x.tolist()))
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == mf.max_filter(group, np.array(z), x).value
+
+    def test_window_template_from_a_model_file(self, tmp_path, capsys):
+        group = mf.SlidingWindowShift(2, 3, 7)
+        rng = np.random.default_rng(8)
+        samples = [(rng.standard_normal(group.shape), "ab"[i % 2]) for i in range(6)]
+        model = train_svm_templates(LabeledDataset(samples, "window"), group, 2,
+                                    TrainConfig(epochs=2))
+        save_model(model, str(tmp_path / "model.json"))
+        doc = json.loads((tmp_path / "model.json").read_text())["templates"][1]
+        x = rng.standard_normal(group.shape)
+        code, out, err = run_cli(capsys, "filter", "--group", "window:2x3x7",
+                                 "--template", write_json(tmp_path / "t.json", doc),
+                                 "--input", write_json(tmp_path / "x.json", x.tolist()))
+        assert code == 0 and err == ""
+        assert json.loads(out)["value"] == mf.max_filter(group, model.templates[1].vector, x).value
+
     def test_complex_group_operands(self, tmp_path, capsys):
         t = write_json(tmp_path / "t.json", [[1.0, 0.0], [0.0, 0.0]])
         x = write_json(tmp_path / "x.json", [[0.0, 1.0], [0.0, 0.0]])
@@ -260,6 +290,20 @@ class TestGraphFilterCommand:
                                  "--seed", "7", f"--coding-multiplier={multiplier}")
         assert code == 3 and out == ""
         assert err.startswith("validation error: coding multiplier must be positive and finite")
+
+    def test_family_missing_a_subset_is_approximate(self, tmp_path, capsys):
+        # 23 colorings (multiplier 0.05) for the 70 4-subsets of 8 vertices:
+        # the one family drawn misses some, and the value is a lower bound.
+        star = write_json(tmp_path / "star.json",
+                          {"n": 4, "edges": [[0, 3, 1], [1, 3, 2], [2, 3, -1]]})
+        graph = write_json(tmp_path / "g8.json", {"n": 8, "edges": [
+            [0, 1, 2], [0, 2, 1], [1, 2, 3], [1, 3, -1], [2, 4, 2], [3, 4, 1], [4, 5, 3],
+            [4, 6, -2], [5, 6, 1], [6, 7, 2], [2, 7, 1]]})
+        code, out, err = run_cli(capsys, "graph-filter", "--tree", star, "--graph", graph,
+                                 "--seed", "7", "--coding-multiplier", "0.05")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["approximate"] is True and doc["coding_size"] == 23
 
     @pytest.mark.parametrize("multiplier, approximate", [("1", False), ("0.05", True)])
     def test_report_says_whether_exact(self, tmp_path, capsys, multiplier, approximate):

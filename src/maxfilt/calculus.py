@@ -3,13 +3,14 @@
 The max filter is convex in the template; its subdifferential at x is the
 convex hull of {g y : g maximizing <x, g y>}.  ``witness_set`` looks the
 maximizer set up in the kind's record (:mod:`maxfilt.groups`): exact for
-finite/structured kinds (tie blocks expanded under a cap), canonical finite
+finite/structured kinds (tie blocks expanded, up to one cap), canonical finite
 representatives for continuous kinds, whose degenerate tie sets are
 infinite.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,14 @@ def default_tie_tolerance(x, y) -> float:
 def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096) -> list:
     """All g with <x, g y> >= max - tol, in per-kind witness encoding.
 
-    The kind record's ``witnesses`` form gives the set where it has one;
-    the other kinds give the tie list of ``max_filter`` taken at ``tol``.
-    Continuous kinds return the analytic maximizer; when that set is a
-    continuum (zero inputs, vanishing correlations) a small symmetric set of
+    The kind record's ``witnesses`` form enumerates the set where it has
+    one; the other kinds give the tie list of ``max_filter`` taken at
+    ``tol``.  Continuous kinds return the analytic maximizer; when that set is
+    a continuum (zero inputs, vanishing correlations) a small symmetric set of
     representatives stands in for it, so that averaging still lands in the
-    hull.  Every kind raises EnumerationCapExceeded where the set holds more
-    than ``max_witnesses``.
+    hull.  The cap is applied here alone, for every kind: at most
+    ``max_witnesses + 1`` witnesses are drawn, and EnumerationCapExceeded is
+    raised if there were more than ``max_witnesses``.
     """
     x = as_operand(group, x)
     y = as_operand(group, y)
@@ -54,12 +56,12 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         tol = default_tie_tolerance(x, y)
     kind = groups.kind_of(group)
     if kind.witnesses is not None:
-        wits = kind.witnesses(group, x, y, tol, max_witnesses)
+        found = kind.witnesses(group, x, y, tol)
     else:
-        wits = _tie_list(kind, group, x, y, tol)[1]
+        found = _tie_list(kind, group, x, y, tol)[1]
+    wits = list(itertools.islice(found, max(0, max_witnesses + 1)))
     if len(wits) > max_witnesses:
-        raise EnumerationCapExceeded(f"{group.kind} tie set of {len(wits)} larger than cap "
-                                     f"{max_witnesses}")
+        raise EnumerationCapExceeded(f"{group.kind} tie set larger than cap {max_witnesses}")
     return wits
 
 

@@ -296,9 +296,13 @@ def as_operands(group: GroupAction, xs) -> np.ndarray:
     within ``_BULK`` entries)."""
     dtype, shape = group.dtype, group.shape
     try:
-        arr = np.asarray(xs, dtype=dtype)
+        arr = np.asarray(xs)
+        if arr.dtype.kind != "c" or dtype is complex:    # complex on a real group: below
+            arr = arr.astype(dtype, copy=False)
     except ValueError as exc:
         raise DimensionMismatch(f"operands do not all have shape {shape}") from exc
+    if arr.dtype != dtype:
+        raise ValidationError(f"complex operand for the real group {group.kind}")
     if arr.shape == (0,):                       # an empty sequence: no rows
         arr = arr.reshape((0,) + shape)
     if arr.shape[1:] != shape or arr.ndim != len(shape) + 1:

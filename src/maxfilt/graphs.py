@@ -262,19 +262,15 @@ def make_color_coding(n: int, k: int, rng_seed: int, multiplier: float = 1.0) ->
     """Draw ceil(k e^k log n) uniform colorings, once, from the first child
     of ``SeedSequence(rng_seed)``.
 
-    For n <= 12 and k <= 4 the coding's :attr:`ColorCoding.cover` is scanned
-    here, when the family is drawn.  A family that misses some k-subset is
-    kept as drawn: :func:`mf_tree_dp` then reports its value ``approximate``,
-    as it does for larger n.
+    The coding's :attr:`ColorCoding.cover` is found on its first use.  A
+    family that misses some k-subset is kept as drawn: :func:`mf_tree_dp`
+    then reports its value ``approximate``.
     """
     if not 1 <= k <= n:
         raise ValidationError("need n >= k >= 1")
     size = coding_size(n, k, multiplier)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])
-    coding = ColorCoding(n=n, k=k, colorings=rng.integers(0, k, size=(size, n)))
-    if n <= 12 and k <= 4:
-        coding.cover                    # scanned now, not in the first mf_tree_dp call
-    return coding
+    return ColorCoding(n=n, k=k, colorings=rng.integers(0, k, size=(size, n)))
 
 
 def mf_tree_dp(tree: TreeTemplate, graph: WeightedGraph, coding: ColorCoding,

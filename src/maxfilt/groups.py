@@ -29,7 +29,9 @@ from the helpers of the kind's bulk form and is reached through
 
 The record also holds the kind's tie enumeration for
 :func:`maxfilt.calculus.witness_set` where the bulk form's tie list is not
-it, its spec grammar (``cyclic:N``, read by :func:`from_spec`), its
+it (``witnesses(group, x, y, tol)``: an iterable of every witness within
+tol, which never raises for its size; ``witness_set`` alone caps it), its
+spec grammar (``cyclic:N``, read by :func:`from_spec`), its
 brute-force oracle (the independent reference behind
 :func:`maxfilt.core.brute_force_max_filter`, built from none of the forms
 above) and, for sliding windows, the single-slice template
@@ -52,9 +54,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._assignment import max_profit_assignments
-from .core import (Enumerated, EnumerationCapExceeded, FilterResult, FullPermutation,
-                   GroupAction, NumericFailure, PatchPermutation, SlidingWindowShift,
-                   ValidationError, _chunk_rows, _evaluate, _haar_orthogonal,
+from .core import (Enumerated, EnumerationCapExceeded, FilterResult, GroupAction,
+                   NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
+                   _chunk_rows, _evaluate, _haar_orthogonal,
                    _vector_norms, _WholeTemplates, max_filter)
 
 
@@ -182,9 +184,11 @@ def sign_flips_pairs(group, Z, X, tol):
     return np.where(Z * X >= 0, 1.0, -1.0)
 
 
-def _tie_pairings(x, y, tol, cap):
-    """All rank pairings rho with sum xs[r] * ys[rho(r)] >= max - tol, where
-    xs, ys are the descending sorts.  Future completions are bounded by the
+def _tie_pairings(x, y, tol):
+    """Every permutation perm with sum x[i] * y[perm[i]] >= max - tol, lazily,
+    as ``(perm, deficit)`` pairs: the deficit is max minus that sum, both
+    summed serially in rank order of the descending sorts, so the in-order
+    pairing's deficit is exactly 0.  Future completions are bounded by the
     rearrangement inequality, so the search is exact."""
     ox = np.argsort(-x, kind="stable")
     oy = np.argsort(-y, kind="stable")
@@ -195,7 +199,6 @@ def _tie_pairings(x, y, tol, cap):
     best = 0.0
     for r in range(d):
         best += xs[r] * ys[r]
-    pairings = []
 
     # `remaining` holds unassigned y-ranks in descending y order, so the best
     # completion of a partial pairing is the in-order (rearrangement) pairing.
@@ -208,9 +211,9 @@ def _tie_pairings(x, y, tol, cap):
         prefix, remaining, acc = stack.pop()
         r = len(prefix)
         if r == d:
-            if len(pairings) >= cap:
-                raise EnumerationCapExceeded("permutation tie set larger than cap")
-            pairings.append(list(prefix))
+            perm = np.empty(d, dtype=int)
+            perm[ox] = oy[list(prefix)]
+            yield perm, best - acc
             continue
         survivors = []
         for pos, s in enumerate(remaining):
@@ -222,26 +225,6 @@ def _tie_pairings(x, y, tol, cap):
                 break
             survivors.append((prefix + (s,), rem2, acc + xs[r] * ys[s]))
         stack.extend(reversed(survivors))   # keep in-order exploration first
-    return [(ox, oy, p) for p in pairings]
-
-
-def _pairing_to_perm(pairing):
-    ox, oy, rho = pairing
-    perm = np.empty(len(ox), dtype=int)
-    for r, s in enumerate(rho):
-        perm[ox[r]] = oy[s]
-    return perm
-
-
-def _capped(items, cap: int, what: str, out: list) -> list:
-    """Append items to ``out`` and return it; EnumerationCapExceeded in place
-    of an item that would make more than ``cap`` (earlier finds in ``out``
-    count)."""
-    for item in items:
-        if len(out) >= cap:
-            raise EnumerationCapExceeded(f"{what} tie set larger than cap")
-        out.append(item)
-    return out
 
 
 def _sign_flips_within(contrib: np.ndarray, budget: float):
@@ -264,55 +247,34 @@ def _sign_flips_within(contrib: np.ndarray, budget: float):
     return rec(0, budget, [])
 
 
-def sort_witnesses(group, x, y, tol, cap):
+def sort_witnesses(group, x, y, tol):
     """Every permutation within tol of the optimum, from the tie pairings."""
-    return [_pairing_to_perm(pairing) for pairing in _tie_pairings(x, y, tol, cap)]
+    return (perm for perm, _ in _tie_pairings(x, y, tol))
 
 
-def _signed_perm_witnesses(group, x, y, tol, cap):
+def _signed_perm_witnesses(group, x, y, tol):
     """(perm, signs) within tol: each tie pairing of |x| and |y| with the
     sign flips its deficit leaves room for.  Distinct pairings give distinct
     perms and distinct flip sets distinct signs, so no witness repeats."""
-    ax, ay = np.abs(x), np.abs(y)
-    best = float(np.sort(ax) @ np.sort(ay))
-    out = []
-    for perm in sort_witnesses(group, ax, ay, tol, cap):
-        deficit = best - float(ax @ ay[perm])
-        flips = _sign_flips_within(x * y[perm], max(0.0, tol - deficit))
-        _capped(((perm.copy(), signs) for signs in flips), cap, "signed permutation", out)
-    return out
+    for perm, deficit in _tie_pairings(np.abs(x), np.abs(y), tol):
+        for signs in _sign_flips_within(x * y[perm], max(0.0, tol - deficit)):
+            yield perm.copy(), signs
 
 
-def _sign_flip_witnesses(group, x, y, tol, cap):
-    return _capped(_sign_flips_within(x * y, tol), cap, "sign-flip", [])
-
-
-def _patch_witnesses(group, x, y, tol, cap):
-    """Products of per-patch tie permutations whose deficits sum to at most tol."""
-    per_patch = []
-    for p in group.patches:
-        idx = np.asarray(p)
-        best = max_filter(FullPermutation(len(idx)), x[idx], y[idx]).value
-        per_patch.append((idx, [(perm, best - float(x[idx] @ y[idx][perm]))
-                                for perm in sort_witnesses(group, x[idx], y[idx], tol, cap)]))
-    out = []
-
-    def rec(pi, budget, acc):
-        if len(out) >= cap:
-            raise EnumerationCapExceeded("patch permutation tie set larger than cap")
-        if pi == len(per_patch):
-            perm = np.empty(len(x), dtype=int)
-            for idx, local_perm in acc:
-                perm[idx] = idx[local_perm]
-            out.append(perm)
+def _patch_witnesses(group, x, y, tol):
+    """Products of per-patch tie permutations whose deficits sum to at most
+    tol: each patch's ties within the budget the earlier patches leave."""
+    def rec(patches, budget, perm):
+        if not patches:
+            yield perm.copy()
             return
-        idx, options = per_patch[pi]
-        for perm, deficit in options:
-            if deficit <= budget:
-                rec(pi + 1, budget - deficit, acc + [(idx, perm)])
-
-    rec(0, tol, [])
-    return out
+        idx = np.asarray(patches[0])
+        for local, deficit in _tie_pairings(x[idx], y[idx], budget):
+            perm[idx] = idx[local]
+            # A deficit that passed the patch's own test may round a hair
+            # above the budget; the later patches' best pairings still fit.
+            yield from rec(patches[1:], max(0.0, budget - deficit), perm)
+    return rec(group.patches, tol, np.empty(len(x), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +356,7 @@ def column_permutation_pairs(group, Z, X, tol):
     return max_profit_assignments(np.matmul(np.swapaxes(Z, -1, -2), X))[1]
 
 
-def _colperm_witnesses(group, x, y, tol, cap):
+def _colperm_witnesses(group, x, y, tol):
     """Every column permutation within tol, by enumeration up to n = 8.
     Beyond enumeration scale only the assignment optimum is reported; tie
     enumeration for degenerate assignment polytopes is not attempted."""
@@ -405,7 +367,7 @@ def _colperm_witnesses(group, x, y, tol, cap):
     perms = np.array(list(itertools.permutations(range(n))))
     vals = profit[np.arange(n), perms].sum(axis=1)
     ties = np.flatnonzero(vals >= vals.max() - tol)
-    return _capped((perms[i].copy() for i in ties), cap, "column permutation", [])
+    return (perms[i].copy() for i in ties)
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +403,6 @@ def _phases_within(w, tol) -> list:
     return [complex(np.conj(w) / abs(w))]
 
 
-def _phase_witnesses(group, x, y, tol, cap):
-    return _phases_within(np.vdot(x, y), tol)
-
-
 def shift_conjugate_scorer(Z: np.ndarray):
     """X -> scores[..., c, a] = Z^* roll(Y, a) with Y = X for c = 0 and
     Y = conj(X) for c = 1, the leading axes of Z and X broadcast as in
@@ -476,32 +434,19 @@ def shift_conjugate_pairs(group, Z, X, tol):
     return _shift_conjugate_first(shift_conjugate_scorer(Z)(X), tol)[1]
 
 
-def _shift_conjugate_witnesses(group, x, y, tol, cap):
+def _shift_conjugate_witnesses(group, x, y, tol):
     """(shift, conjugation flag, unit phase) in order of (flag, shift), as
     ``max_filter`` lists them, with the phases of :func:`_phases_within`."""
     corr_plain, corr_conj = shift_conjugate_scorer(x)(y)
     best = max(float(np.abs(corr_plain).max()), float(np.abs(corr_conj).max()))
-    out = []
     for conj_flag, corr in ((False, corr_plain), (True, corr_conj)):
         for a in np.flatnonzero(np.abs(corr) >= best - tol):
-            out.extend((int(a), conj_flag, c) for c in _phases_within(corr[a], tol))
-    return out
+            yield from ((int(a), conj_flag, c) for c in _phases_within(corr[a], tol))
 
 
 # ---------------------------------------------------------------------------
 # Sliding windows
 # ---------------------------------------------------------------------------
-
-def template_slice_index(z: np.ndarray) -> int:
-    """Index of the single slice a sliding-window template is supported on."""
-    occupancy = np.abs(z).sum(axis=(0, 1))
-    nonzero = np.flatnonzero(occupancy > 0)
-    if len(nonzero) == 0:
-        return 0
-    if len(nonzero) > 1:
-        raise ValidationError("sliding-window template must be supported on a single slice")
-    return int(nonzero[0])
-
 
 def window_scores(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """scores[n, k, p] = <S[k], X[n][:, :, p]> for template slices S (K, c, w)
@@ -882,9 +827,11 @@ class Kind:
       default of :func:`from_spec` does not.
     * ``bank``, ``pairs`` and ``images``: the bulk form, the paired form and
       the witness images (see the module docstring).
-    * ``witnesses(group, x, y, tol, cap)``: :func:`maxfilt.calculus.witness_set`
-      where the bulk form's tie list is not it: tie blocks expanded (at most
-      ``cap``), or representatives of a continuum.
+    * ``witnesses(group, x, y, tol)``: :func:`maxfilt.calculus.witness_set`
+      where the bulk form's tie list is not it: an iterable of every witness
+      within tol (tie blocks expanded, lazily where they can grow large), or
+      representatives of a continuum.  It never raises for the set's size;
+      ``witness_set`` applies the cap.
     * ``element(group, rng)``: a random element in witness encoding (Haar
       for continuous kinds).
     * ``oracle(group, z, x, tol, resolution, cap)``: :func:`maxfilt.core.brute_force_max_filter`
@@ -951,7 +898,7 @@ KINDS = {
         lambda group, rng: rng.choice([-1.0, 1.0], size=group.d),
         _enumerator(lambda group: _table(itertools.product([-1.0, 1.0], repeat=group.d)),
                     lambda group, W, x: W * x, ("d", 16, "sign-flip")),
-        witnesses=_sign_flip_witnesses),
+        witnesses=lambda group, x, y, tol: _sign_flips_within(x * y, tol)),
     "orth": Kind(
         "orth:D", orthogonal_bank, orthogonal_pairs,
         lambda group, W, X: np.matmul(np.asarray(W, dtype=float), X[:, None, :, None])[..., 0],
@@ -975,7 +922,8 @@ KINDS = {
         "phase:R", phase_bank, phase_pairs,
         lambda group, W, X: np.asarray(W, dtype=complex)[..., None] * X[:, None],
         lambda group, rng: _unit_complex(rng),
-        _phase_search(lambda group, z, x: [(None, np.vdot(z, x))]), witnesses=_phase_witnesses),
+        _phase_search(lambda group, z, x: [(None, np.vdot(z, x))]),
+        witnesses=lambda group, x, y, tol: _phases_within(np.vdot(x, y), tol)),
     "shiftconj": Kind(
         "shiftconj:N", shift_conjugate_bank, shift_conjugate_pairs, _shift_conjugate_images,
         _shift_conjugate_element,

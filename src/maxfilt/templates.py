@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CyclicShift, ValidationError, bank_values, max_filter
+from .core import CyclicShift, ValidationError, bank_values
 
 
 @dataclass(eq=False)
@@ -460,9 +460,6 @@ class GMMClassifier:
         high, low = ("A", "B") if self.metadata["swapped"] else ("B", "A")
         scores = self.scores(draws)
         return np.where(scores > self.threshold, high, low)
-
-    def filter_value(self, x) -> float:
-        return max_filter(CyclicShift(len(self.template)), self.template, x).value
 
 
 def gmm_classifier(a: np.ndarray, b: np.ndarray, contrast: float) -> GMMClassifier:

@@ -1,7 +1,11 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
 import maxfilt as mf
+from maxfilt import groups
 from maxfilt.calculus import default_tie_tolerance, directional_derivative, subgradient, witness_set
 from conftest import draw_operand, draw_window_template, sign_group
 
@@ -33,7 +37,8 @@ def integer_operand(group, rng):
 
 def witness_inputs(group, rng):
     """(x, y) pairs: random, integer with repeated entries, y = g x (an exact
-    tie with the identity's orbit), zero operands and 1e8-norm operands."""
+    tie with the identity's orbit), zero operands, constant and periodic
+    templates against integer inputs, and 1e8-norm operands."""
     pairs = [(draw_operand(group, rng), draw_operand(group, rng)) for _ in range(3)]
     for _ in range(4):
         x = integer_operand(group, rng)
@@ -41,6 +46,9 @@ def witness_inputs(group, rng):
                   (x, mf.apply_witness(group, mf.random_element(group, rng), x))]
     zero = np.zeros_like(draw_operand(group, rng))
     pairs += [(zero, draw_operand(group, rng)), (draw_operand(group, rng), zero), (zero, zero)]
+    periodic = np.indices(group.shape).sum(axis=0) % 2 + zero
+    pairs += [(zero + 1, integer_operand(group, rng)), (periodic, integer_operand(group, rng)),
+              (periodic, periodic)]
     x = integer_operand(group, rng)
     pairs += [(1e8 * draw_operand(group, rng), draw_operand(group, rng)),
               (1e8 * x, 1e8 * mf.apply_witness(group, mf.random_element(group, rng), x))]
@@ -167,16 +175,92 @@ class TestWitnessSet:
                     val = float(np.real(np.vdot(x, mf.apply_witness(group, g, y))))
                     assert val >= best - 2 * tol, group.kind
 
-    # Kinds whose oracle lists every witness within the tie tolerance.
+    # Kinds whose oracle lists every witness within the tie tolerance: at the
+    # core's tolerance, and on integer operands at 2.5, between the scores,
+    # so that near-ties spend a budget.  With the cap at the oracle's count,
+    # or one above, the sets are equal; one below, witness_set raises.
     @pytest.mark.parametrize("kind", ["enumerated", "cyclic", "perm", "signedperm",
                                       "signflips", "colperm", "window"])
     def test_witness_set_is_the_oracles_tie_set(self, kind):
         group = WITNESS_GROUPS[kind]
-        for x, y in witness_inputs(group, np.random.default_rng(2)):
-            tol = mf.core.tie_tolerance(x, y)
-            got = [witness_key(g) for g in witness_set(group, x, y, tol=tol)]
-            want = {witness_key(g) for g in mf.brute_force_max_filter(group, x, y).witnesses}
-            assert len(got) == len(set(got)) and set(got) == want
+        rng = np.random.default_rng(2)
+        cases = [(x, y, mf.core.tie_tolerance(x, y)) for x, y in witness_inputs(group, rng)]
+        cases += [(integer_operand(group, rng), integer_operand(group, rng), 2.5)
+                  for _ in range(4)]
+        for x, y, tol in cases:
+            oracle = groups.kind_of(group).oracle(group, x, y, tol, 64, 2_000_000)
+            want = {witness_key(g) for g in oracle.witnesses}
+            for cap in (len(want), len(want) + 1, 4096):
+                got = [witness_key(g) for g in witness_set(group, x, y, tol=tol,
+                                                           max_witnesses=cap)]
+                assert len(got) == len(set(got)) and set(got) == want
+            with pytest.raises(mf.EnumerationCapExceeded,
+                               match=f"{kind} tie set larger than cap {len(want) - 1}$"):
+                witness_set(group, x, y, tol=tol, max_witnesses=len(want) - 1)
+
+    @staticmethod
+    def patch_products(group, x, y, tol):
+        """Reference: every product of per-patch permutations whose per-patch
+        shortfalls from the patch optimum sum to at most tol."""
+        options = []
+        for patch in group.patches:
+            idx = np.asarray(patch)
+            scores = {p: float(x[idx] @ y[idx][list(p)])
+                      for p in itertools.permutations(range(len(idx)))}
+            best = max(scores.values())
+            options.append([(idx[list(p)], best - v) for p, v in scores.items()])
+        found = set()
+        for combo in itertools.product(*options):
+            if sum(deficit for _, deficit in combo) <= tol:
+                perm = np.empty(len(x), dtype=int)
+                for patch, (image, _) in zip(group.patches, combo):
+                    perm[list(patch)] = image
+                found.add(witness_key(perm))
+        return found
+
+    def test_patch_witnesses_are_the_products_of_patch_ties(self):
+        rng = np.random.default_rng(12)
+        group = mf.PatchPermutation(((2, 0), (4, 1, 3), (5, 6, 7, 8)))
+        # The first patch's swap falls 2 short of its best (x = 0, 1 against
+        # y = 0, 2): with tol 2.5 it leaves 0.5, so the later patches may
+        # then only tie exactly.
+        spent = (np.array([0, 1, 1, 1, 0, 2, 2, 0, 0.0]), np.array([0, 1, 2, 3, 1, 1, 1, 0, 2.0]))
+        cases = [(*spent, 2.5)]
+        for _ in range(6):
+            x = rng.integers(-1, 2, 9).astype(float)
+            y = rng.integers(-2, 3, 9).astype(float)
+            cases += [(x, y, 0.5), (x, y, 2.5), (np.zeros(9), y, 0.5)]
+        for x, y, tol in cases:
+            want = self.patch_products(group, x, y, tol)
+            for cap in (len(want), len(want) + 1):
+                got = [witness_key(g) for g in witness_set(group, x, y, tol=tol,
+                                                           max_witnesses=cap)]
+                assert len(got) == len(set(got)) and set(got) == want
+            with pytest.raises(mf.EnumerationCapExceeded, match="patchperm tie set larger"):
+                witness_set(group, x, y, tol=tol, max_witnesses=len(want) - 1)
+        wide, narrow = (self.patch_products(group, *spent, tol) for tol in (2.5, 0.5))
+        assert len(wide) > len(narrow)
+        # Every first-patch pairing within tol completes: the later patches'
+        # best pairings cost nothing, even where rounding puts the first
+        # patch's deficit a hair above tol.
+        group = mf.PatchPermutation(((0, 1, 2), (3, 4, 5), (6, 7)))
+        head = np.asarray(group.patches[0])
+        for _ in range(5):
+            x = rng.standard_normal(8) * np.array([1e3] * 3 + [1.0] * 3 + [1e-3] * 2)
+            y = rng.standard_normal(8)
+            for _, deficit in groups._tie_pairings(x[head], y[head], np.inf):
+                for tol in deficit + np.spacing(deficit) * np.arange(-2, 3):
+                    got = {witness_key(g[head]) for g in witness_set(group, x, y, tol=tol)}
+                    want = {witness_key(head[p]) for p, _ in
+                            groups._tie_pairings(x[head], y[head], tol)}
+                    assert got == want
+
+    def test_two_large_zero_patches_raise_at_the_default_cap(self):
+        group = mf.PatchPermutation((tuple(range(12)), tuple(range(12, 24))))
+        start = time.perf_counter()
+        with pytest.raises(mf.EnumerationCapExceeded):
+            witness_set(group, np.zeros(24), np.random.default_rng(13).standard_normal(24))
+        assert time.perf_counter() - start < 1.0
 
     def test_orthogonal_zero_input_gives_the_identity(self):
         for x, y in ((np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(3))):

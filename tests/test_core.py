@@ -243,6 +243,23 @@ class TestOperandValidation:
             with pytest.raises(mf.ValidationError, match="NaN or infinity"):
                 mf.core.as_operands(group, stack)
 
+    def test_complex_operand_on_a_real_group_rejected(self):
+        # The imaginary parts are not dropped: every entry point refuses.
+        group, z = mf.CyclicShift(3), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(mf.ValidationError, match="complex"):
+            mf.max_filter(group, [1 + 1j, 2, 3], z)
+        with pytest.raises(mf.ValidationError, match="complex"):
+            mf.bank_values(group, [[1 + 5j, 2, 3]], [z])
+        with pytest.raises(mf.ValidationError, match="complex"):
+            mf.quotient_distance(group, [1 + 1j, 2, 3], z)
+
+    def test_real_operands_on_complex_groups_keep_their_values(self):
+        z, x = [1.0, 2.0, 3.0], [1.0, 0.0, 1.0]
+        assert mf.max_filter(mf.PhaseCircle(3), z, x).value == pytest.approx(4.0)
+        assert mf.max_filter(mf.ShiftAndConjugate(3), z, x).value == pytest.approx(5.0)
+        stack = np.ones((4, 3))
+        assert mf.core.as_operands(mf.CyclicShift(3), stack) is stack     # not copied
+
     def test_check_holds_one_block_at_a_time(self):
         # One bool per entry of a block, not of the whole 8-block stack.
         group = mf.CyclicShift(1000)

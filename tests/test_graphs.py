@@ -653,13 +653,16 @@ class TestCoverOncePerCoding:
         assert len(coding.cover[0]) == len(dps[0][3]) < coding.size
 
     def test_verified_coding_adds_no_scan(self, monkeypatch):
+        # A small coding is scanned on its first use, not when it is drawn,
+        # and a second use adds no scan.
         scans = calls_of(monkeypatch, "_first_rainbow")
-        coding = make_color_coding(8, 4, rng_seed=5)        # n <= 12, k <= 4: verified
-        made = len(scans)
-        assert made >= 1 and coding.cover[1]
-        res = mf_tree_dp(TreeTemplate.path(4), random_graph(8, np.random.default_rng(1701)),
-                         coding)
-        assert len(scans) == made and res.approximate is False
+        coding = make_color_coding(8, 4, rng_seed=5)
+        assert len(scans) == 0
+        graph_rng = np.random.default_rng(1701)
+        for _ in range(2):
+            res = mf_tree_dp(TreeTemplate.path(4), random_graph(8, graph_rng), coding)
+            assert len(scans) == 1 and res.approximate is False
+        assert coding.cover[1]
 
     def test_colorings_are_a_read_only_copy(self):
         colorings = np.random.default_rng(1702).integers(0, 3, size=(40, 6))

@@ -11,6 +11,7 @@ infinite.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,13 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     representatives stands in for it, so that averaging still lands in the
     hull.  The cap is applied here alone, for every kind: at most
     ``max_witnesses + 1`` witnesses are drawn, and EnumerationCapExceeded is
-    raised if there were more than ``max_witnesses``.
+    raised if there were more than ``max_witnesses``.  A cap that is not a
+    non-negative integer raises ValidationError.
     """
+    if (isinstance(max_witnesses, bool) or not isinstance(max_witnesses, numbers.Integral)
+            or max_witnesses < 0):
+        raise ValidationError(
+            f"max_witnesses must be a non-negative integer, got {max_witnesses!r}")
     x = as_operand(group, x)
     y = as_operand(group, y)
     if tol is None:
@@ -59,7 +65,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
         found = kind.witnesses(group, x, y, tol)
     else:
         found = _tie_list(kind, group, x, y, tol)[1]
-    wits = list(itertools.islice(found, max(0, max_witnesses + 1)))
+    wits = list(itertools.islice(found, max_witnesses + 1))
     if len(wits) > max_witnesses:
         raise EnumerationCapExceeded(f"{group.kind} tie set larger than cap {max_witnesses}")
     return wits

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -103,6 +104,20 @@ class TestWitnessSet:
     def test_tie_cap_raises(self):
         with pytest.raises(mf.EnumerationCapExceeded):
             witness_set(mf.FullPermutation(10), np.ones(10), np.ones(10))
+
+    @pytest.mark.parametrize("cap", [-2, -1, 2.5, 3.0, "3", None, True])
+    def test_bad_cap_rejected(self, cap):
+        # A negative cap is not a tie set too large: the error names the cap.
+        x = np.arange(4.0)
+        with pytest.raises(mf.ValidationError, match=re.escape(f"max_witnesses must be a "
+                                                               f"non-negative integer, got {cap!r}")):
+            witness_set(mf.FullPermutation(4), x, x, max_witnesses=cap)
+
+    def test_integer_caps_accepted(self):
+        x = np.arange(4.0)
+        assert len(witness_set(mf.FullPermutation(4), x, x, max_witnesses=np.int64(1))) == 1
+        with pytest.raises(mf.EnumerationCapExceeded, match="larger than cap 0"):
+            witness_set(mf.FullPermutation(4), x, x, max_witnesses=0)
 
     @pytest.mark.parametrize("group", [
         mf.FullPermutation(6), mf.SignedPermutation(4), mf.SignFlips(8),

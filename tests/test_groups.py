@@ -387,11 +387,12 @@ class TestBatchedAssignment:
                     max_profit_assignments(profits)
 
     @pytest.mark.parametrize("size, n, lockstep", [
-        (4, 48, False), (6, 48, False), (16, 48, True), (48, 48, True),
-        (16, 8, False), (48, 8, False), (100, 8, True), (4, 100, False), (5, 100, True),
+        (4, 48, False), (6, 48, False), (7, 48, True), (16, 48, True), (48, 48, True),
+        (16, 8, False), (39, 8, False), (40, 8, True), (48, 8, True), (100, 8, True),
+        (3, 100, False), (4, 100, True), (5, 100, True),
         (24, 4, False), (32, 4, True), (64, 4, True), (6, 1, False), (7, 1, True)])
     def test_solver_chosen_by_stack_entries(self, size, n, lockstep, monkeypatch):
-        # Lockstep overtakes the list solver near B * n = 450 from n = 8 up,
+        # Lockstep overtakes the list solver near B * n = 320 from n = 8 up,
         # and near B = 7n below.
         from maxfilt import _assignment
 
@@ -474,6 +475,59 @@ class TestAssignmentAtTrafficShapes:
         for profit in colperm_profits(3, 48, 4, np.random.default_rng(748)):
             np.testing.assert_array_equal(min_cost_assignment(-profit),
                                           scalar_min_cost_assignment(-profit))
+
+
+class TestLockstepWalks:
+    """A lockstep step where at most ``_SCALAR_WALK_MAX`` problems reach a free
+    column walks their paths one at a time; one where more do walks them
+    together.  Cutoffs 0 (every walk on arrays), 1, 3, the default and
+    unbounded (every walk one at a time) must all give the scalar
+    reference's columns and the list solver's potentials."""
+
+    CUTOFFS = (0, 1, 3, None, 10**6)
+
+    @staticmethod
+    def stacks(n, rng):
+        """Stacks where one problem, several problems or every problem
+        reaches a free column in the same step."""
+        kinds = {"colperm": lambda: colperm_profits(3, n, 1, rng)[0],
+                 "integer": lambda: rng.integers(-2, 3, size=(n, n)).astype(float),
+                 "zero": lambda: np.zeros((n, n)),
+                 "constant": lambda: np.full((n, n), 2.5)}
+        out = [np.stack([make()]) for make in kinds.values()]               # B = 1
+        out.append(colperm_profits(3, n, 12, rng))      # real, zero, integer, 1e8
+        out.append(np.stack([kinds[k]() for k in rng.choice(list(kinds), 15)]))
+        out.append(np.stack([kinds["zero"]() for _ in range(10)]))          # all at once
+        out.append(np.stack([kinds["constant"]() for _ in range(11)]))
+        return out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 48])
+    def test_both_walks_give_the_reference_columns_and_duals(self, n, monkeypatch):
+        from maxfilt import _assignment
+
+        duals = []
+        monkeypatch.setattr(_assignment, "_dual_hook", lambda *d: duals.append(d))
+        default = _assignment._SCALAR_WALK_MAX
+        for profits in self.stacks(n, np.random.default_rng(900 + n)):
+            duals.clear()
+            want = []
+            for profit in profits:
+                _assignment.max_profit_assignment(profit)
+                want.append(duals[-1][1:])
+            # The numpy-scalar reference is slow at n = 48: the first three.
+            for b in range(len(profits) if n < 48 else min(3, len(profits))):
+                np.testing.assert_array_equal(want[b][0], scalar_min_cost_assignment(-profits[b]))
+            for cutoff in self.CUTOFFS:
+                monkeypatch.setattr(_assignment, "_SCALAR_WALK_MAX",
+                                    default if cutoff is None else cutoff)
+                duals.clear()
+                cols = _assignment._lockstep_min_cost(-profits)
+                (_, hook_cols, u, v), = duals
+                np.testing.assert_array_equal(hook_cols, cols)
+                for b, (col, u_list, v_list) in enumerate(want):
+                    np.testing.assert_array_equal(cols[b], col)
+                    # equal as numbers: at most the sign of a zero differs
+                    assert np.array_equal(u[b], u_list) and np.array_equal(v[b], v_list)
 
 
 # LP duality for the assignment problem: potentials u, v with every reduced

@@ -11,6 +11,7 @@ regime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -19,9 +20,9 @@ import numpy as np
 
 from . import groups
 from .core import (CyclicShift, FilterBank, GroupAction, ValidationError, _bank_operands,
-                   _vector_norms, as_operands, bank_values, group_order, max_filter,
+                   _require_integer, _vector_norms, group_order, max_filter,
                    quotient_distances)
-from .templates import random_bank_log_delta
+from .templates import Template, random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
 _PAIR_BLOCK = 1_000_000
@@ -39,11 +40,20 @@ _PAIR_BLOCK = 1_000_000
 _MARGIN_UNITS = 64
 
 
+def _standard_normal(group: GroupAction, lead: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Standard normal operands of shape ``lead + group.shape`` in one
+    ``rng.standard_normal`` call.  A complex kind's draw has one more axis
+    after ``lead``: the real parts of each point, then its imaginary parts."""
+    if group.dtype is not complex:
+        return rng.standard_normal(lead + group.shape)
+    re, im = np.moveaxis(rng.standard_normal(lead + (2,) + group.shape), len(lead), 0)
+    return re + 1j * im
+
+
 def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
     """Standard normal draw in the group's operand layout; a complex draw
-    takes its real parts first."""
-    x = rng.standard_normal(group.shape)
-    return x + 1j * rng.standard_normal(group.shape) if group.dtype is complex else x
+    takes its real parts first (:func:`_standard_normal` at one point)."""
+    return _standard_normal(group, (), rng)
 
 
 def bank_frobenius(bank: Sequence) -> float:
@@ -63,21 +73,20 @@ def random_template(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
 
 def random_bank(group: GroupAction, n: int, rng_seed: int) -> list:
     """n unit-norm random templates (see :func:`random_template`)."""
-    from .templates import Template
-
     rng = np.random.default_rng(rng_seed)
     return [Template(vector=random_template(group, rng), group_kind=group.kind,
-                     label=f"bank-{i}") for i in range(n)]
+                     label=f"bank-{i}") for i in range(_require_integer("n", n, 0))]
 
 
 def _pair_blocks(group: GroupAction, count: int, rng: np.random.Generator):
     """Draw ``count`` random pairs (x, y) in order, x before y, and yield them
-    a block at a time as two lists ``(xs, ys)``."""
+    a block at a time as ``(X, Y)``: views of one :func:`_standard_normal`
+    draw of ``(m, 2)`` points, with the numbers, and the ``rng`` state after,
+    of 2m :func:`sample_point` calls."""
     block = max(1, _PAIR_BLOCK // (2 * group.dim))
     for start in range(0, count, block):
-        pairs = [(sample_point(group, rng), sample_point(group, rng))
-                 for _ in range(min(block, count - start))]
-        yield [x for x, _ in pairs], [y for _, y in pairs]
+        pairs = _standard_normal(group, (min(block, count - start), 2), rng)
+        yield pairs[:, 0], pairs[:, 1]
 
 
 @dataclass
@@ -108,30 +117,30 @@ def estimate_lipschitz(group: GroupAction, bank: Sequence, samples: int,
     and, for finite groups, the lower-bound constant the random-bank
     prescription would certify at its own (astronomical) sample size.
     Pairs are drawn a block at a time (:func:`_pair_blocks`): the quotient
-    distances of a block take one paired engine call, and the bank
-    features of its pairs kept one more.
+    distances of a block take one paired engine call, and the features of
+    its pairs kept one more, on the bank prepared once; the reported pairs
+    are copies.  An empty bank, then a ``samples`` that is not a positive
+    integer, is a ValidationError.
     """
-    if len(bank) == 0:
-        raise ValidationError("filter bank is empty")
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples}")
+    prepared = FilterBank(group, bank)
+    samples = _require_integer("samples", samples, 1)
     rng = np.random.default_rng(rng_seed)
     lower, upper = math.inf, -math.inf
     argmin_pair = argmax_pair = None
     used = 0
-    for xs, ys in _pair_blocks(group, samples, rng):
-        dists = quotient_distances(group, xs, ys)
+    for X, Y in _pair_blocks(group, samples, rng):
+        dists = quotient_distances(group, X, Y)
         kept = np.flatnonzero(dists > 1e-8)
         if not len(kept):
             continue
-        feats = bank_values(group, bank, [xs[i] for i in kept] + [ys[i] for i in kept])
+        feats = prepared.evaluate(np.concatenate([X[kept], Y[kept]]), None)[0]
         ratios = _vector_norms(feats[:len(kept)] - feats[len(kept):]) / dists[kept]
         used += len(kept)
         i, j = ratios.argmin(), ratios.argmax()
         if ratios[i] < lower:
-            lower, argmin_pair = float(ratios[i]), (xs[kept[i]], ys[kept[i]])
+            lower, argmin_pair = float(ratios[i]), (X[kept[i]].copy(), Y[kept[i]].copy())
         if ratios[j] > upper:
-            upper, argmax_pair = float(ratios[j]), (xs[kept[j]], ys[kept[j]])
+            upper, argmax_pair = float(ratios[j]), (X[kept[j]].copy(), Y[kept[j]].copy())
     if used == 0:
         raise ValidationError("degenerate sampler: every pair fell in one orbit")
     order = group_order(group)
@@ -178,12 +187,13 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
     the one the full evaluation makes.  A pair is closed once both hold.
     The exact distance is taken only where no template proved it, and all
     the bank's features only for checked pairs no template separated: only
-    those can be violations.  Pairs are drawn as for
-    :func:`estimate_lipschitz`, and ``violating_pairs`` keeps the first 8
-    violations in draw order.
+    those can be violations.  Each chunk's bank, and the whole bank, is
+    prepared once, on first use.  Pairs are drawn as for
+    :func:`estimate_lipschitz`, and ``violating_pairs`` keeps copies of the
+    first 8 violations in draw order.  A ``trials`` that is not a
+    non-negative integer is a ValidationError.
     """
-    if trials < 0:
-        raise ValidationError(f"trials must be non-negative, got {trials}")
+    trials = _require_integer("trials", trials, 0)
     min_dist = 1e-6
     rng = np.random.default_rng(rng_seed)
     report = SeparationReport(trials=trials, checked=0, violations=0)
@@ -191,9 +201,8 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
         return report
     Z = _bank_operands(group, bank)
     norms = _vector_norms(Z)
-    chunks = {}                                 # a FilterBank per chunk, built on first use
-    for xs, ys in _pair_blocks(group, trials, rng):
-        X, Y = as_operands(group, xs), as_operands(group, ys)
+    prepared = functools.cache(lambda lo, hi: FilterBank(group, Z[lo:hi]))  # on first use
+    for X, Y in _pair_blocks(group, trials, rng):
         # The margin per unit of template norm, per pair.
         unit = (_MARGIN_UNITS * group.dim * np.finfo(float).eps
                 * np.maximum(_vector_norms(X), _vector_norms(Y)))
@@ -203,9 +212,7 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
         lo = 0
         while lo < len(Z) and len(open_):
             hi = min(len(Z), 4 * lo + 1)            # chunks of 1, 4, 16, ... templates
-            if lo not in chunks:
-                chunks[lo] = FilterBank(group, Z[lo:hi])
-            F = chunks[lo].evaluate(np.concatenate([X[open_], Y[open_]]), None)[0]
+            F = prepared(lo, hi).evaluate(np.concatenate([X[open_], Y[open_]]), None)[0]
             gap = np.abs(F[:len(open_)] - F[len(open_):])
             margin = unit[open_, None] * norms[lo:hi]
             separated[open_] |= np.any(gap > report.threshold + margin, axis=1)
@@ -217,11 +224,11 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
             far[unproved] = quotient_distances(group, X[unproved], Y[unproved]) > min_dist
         suspects = np.flatnonzero(far & ~separated)
         if len(suspects):
-            F = bank_values(group, bank, np.concatenate([X[suspects], Y[suspects]]))
+            F = prepared(0, len(Z)).values(np.concatenate([X[suspects], Y[suspects]]))
             gaps = np.max(np.abs(F[:len(suspects)] - F[len(suspects):]), axis=1)
             hits = suspects[gaps <= report.threshold]
             report.violations += len(hits)
-            report.violating_pairs += [(xs[i], ys[i])
+            report.violating_pairs += [(X[i].copy(), Y[i].copy())
                                        for i in hits[:8 - len(report.violating_pairs)]]
         report.checked += int(np.count_nonzero(far))
     return report

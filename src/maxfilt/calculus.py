@@ -11,14 +11,13 @@ infinite.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import groups
-from .core import (EnumerationCapExceeded, ValidationError, _tie_list, apply_witness,
-                   as_operand, inner, max_filter, norm)
+from .core import (EnumerationCapExceeded, ValidationError, _require_integer, _tie_list,
+                   apply_witness, as_operand, inner, max_filter, norm)
 
 
 @dataclass
@@ -52,10 +51,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     raised if there were more than ``max_witnesses``.  A cap that is not a
     non-negative integer raises ValidationError.
     """
-    if (isinstance(max_witnesses, bool) or not isinstance(max_witnesses, numbers.Integral)
-            or max_witnesses < 0):
-        raise ValidationError(
-            f"max_witnesses must be a non-negative integer, got {max_witnesses!r}")
+    max_witnesses = _require_integer("max_witnesses", max_witnesses, 0)
     x = as_operand(group, x)
     y = as_operand(group, y)
     if tol is None:

@@ -49,6 +49,16 @@ class EnumerationCapExceeded(ValidationError):
     """Requested enumeration is larger than the configured cap."""
 
 
+def _require_integer(name: str, value, floor: int) -> int:
+    """``value`` as a Python int: the one rule for counts and sizes.  Bools,
+    floats and other non-integers are a ValidationError naming ``name``, and
+    so is a value below ``floor`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        kind = ("non-negative", "positive")[floor]
+        raise ValidationError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Group action descriptors
 # ---------------------------------------------------------------------------
@@ -75,11 +85,8 @@ class _Sizes(_Space):
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValidationError(
-                    f"{type(self).__name__}.{f.name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name, _require_integer(
+                f"{type(self).__name__}.{f.name}", getattr(self, f.name), 1))
 
     @functools.cached_property
     def shape(self) -> tuple:

@@ -20,9 +20,8 @@ import numpy as np
 from . import groups
 from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
-                   _vector_norms, as_operands)
-from .templates import (HermiteSpec, Template, _hermite_grid, _require_integer,
-                        array_from_jsonable, to_jsonable)
+                   _require_integer, _vector_norms, as_operands)
+from .templates import HermiteSpec, Template, _hermite_grid, array_from_jsonable, to_jsonable
 
 MODEL_FORMAT = "maxfilt-model/1"
 
@@ -194,6 +193,7 @@ def _ingest_ecg(path: str) -> LabeledDataset:
 def district_embed(polygon: np.ndarray, n_samples: int) -> np.ndarray:
     """Arc-length resampling of a closed polygon to a complex signal:
     n equally spaced boundary points, centroid at 0, unit perimeter."""
+    n_samples = _require_integer("n_samples", n_samples, 1)
     verts = np.asarray(polygon, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise ValidationError("polygon needs at least 3 planar vertices")
@@ -221,11 +221,12 @@ def district_embed(polygon: np.ndarray, n_samples: int) -> np.ndarray:
 def ecg_lift(x: np.ndarray, w: int) -> np.ndarray:
     """Lift a (c, t) matrix to the (c, w, t - w + 1) tensor of sliding windows,
     each window de-meaned per channel (discards trend)."""
+    w = _require_integer("w", w, 1)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValidationError("expected a channels x time matrix")
     c, t = x.shape
-    if not 1 <= w <= t:
+    if w > t:
         raise ValidationError("need t >= w >= 1")
     tensor = np.empty((c, w, t - w + 1))
     for j in range(w):
@@ -251,12 +252,10 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
     side = img.shape[0]
     if side & (side - 1):
         raise ValidationError("image side must be a power of two")
-    levels = [_require_integer("level", lev) for lev in levels]
+    levels = [_require_integer("level", lev, 0) for lev in levels]
     degrees = list(degrees)
     if not levels or not degrees:
         raise ValidationError("levels and degrees must be nonempty")
-    if min(levels) < 0:
-        raise ValidationError("need levels >= 0")
     if side < 2 ** max(levels):
         raise ValidationError("image smaller than the largest patch scale")
     if hermite:
@@ -395,10 +394,8 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     losses of the averaged one are recorded in the config snapshot.
     """
     config = config or TrainConfig()
-    if _require_integer("n_templates", n_templates) < 1:
-        raise ValidationError(f"n_templates must be at least 1, got {n_templates!r}")
-    if _require_integer("epochs", config.epochs) < 1:
-        raise ValidationError(f"epochs must be at least 1, got {config.epochs!r}")
+    n_templates = _require_integer("n_templates", n_templates, 1)
+    _require_integer("epochs", config.epochs, 1)
     if not 0 < config.learning_rate < math.inf:
         raise ValidationError(
             f"learning_rate must be positive and finite, got {config.learning_rate!r}")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CyclicShift, ValidationError, bank_values
+from .core import CyclicShift, ValidationError, _require_integer, bank_values
 
 
 @dataclass(eq=False)
@@ -243,13 +243,6 @@ def normal_quantile(p) -> float | np.ndarray:
 # Probabilist's Hermite polynomials and eigenfunction templates
 # ---------------------------------------------------------------------------
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an int; bools, floats and other non-integers are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class HermiteSpec:
     """Degree and discretization length for an eigenfunction template."""
@@ -258,10 +251,8 @@ class HermiteSpec:
     length: int
 
     def __post_init__(self):
-        for name in ("degree", "length"):
-            _require_integer(name, getattr(self, name))
-        if self.degree < 0 or self.length < 1:
-            raise ValidationError("need degree >= 0 and length >= 1")
+        _require_integer("degree", self.degree, 0)
+        _require_integer("length", self.length, 1)
         if self.degree > 16:
             raise ValidationError("degree capped at 16 by quantile accuracy")
 

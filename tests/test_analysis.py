@@ -87,18 +87,22 @@ class TestLipschitz:
     def test_first_extremes_across_blocks(self, monkeypatch):
         # Three pairs drawn over and over, two to a block: every ratio recurs
         # in later blocks, and the report names the first draw of each extreme.
+        # Each recurrence is scaled by a power of two, which tags its draws
+        # and leaves every ratio's bits unchanged.
         group = mf.CyclicShift(8)
         bank = random_bank(group, 3, rng_seed=0)
         base = [sample_point(group, np.random.default_rng(s)) for s in range(6)]
         drawn = []
 
-        def cycling_sampler(group, rng):
-            drawn.append(base[len(drawn) % 6].copy())
-            return drawn[-1]
+        def cycling_draw(group, lead, rng):
+            for _ in range(math.prod(lead)):
+                drawn.append(base[len(drawn) % 6] * 2.0 ** (len(drawn) // 6))
+            return np.reshape(drawn[len(drawn) - math.prod(lead):], lead + group.shape)
 
         def draw_indices(*pairs):
-            return [next(k for k, p in enumerate(drawn) if p is x) for x, _ in pairs]
-        monkeypatch.setattr(analysis, "sample_point", cycling_sampler)
+            return [next(k for k, p in enumerate(drawn) if np.array_equal(p, x))
+                    for x, _ in pairs]
+        monkeypatch.setattr(analysis, "_standard_normal", cycling_draw)
         monkeypatch.setattr(analysis, "_PAIR_BLOCK", 4 * group.dim)
         report = estimate_lipschitz(group, bank, 9, rng_seed=0)
         got = draw_indices(report.argmin_pair, report.argmax_pair)
@@ -216,6 +220,85 @@ def vectors(bank):
     return [t.vector for t in bank]
 
 
+def point_by_point(group, rng):
+    """A point drawn as one call per part: its real parts, then its
+    imaginary parts."""
+    x = rng.standard_normal(group.shape)
+    return x + 1j * rng.standard_normal(group.shape) if group.dtype is complex else x
+
+
+class TestPairBlocks:
+    """Each block of pairs is one draw, equal to its points drawn one at a time."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_blocks_repeat_point_draws(self, kind, monkeypatch):
+        # Blocks of 3, 3 and 1 pairs, and sample_point, against the per-point draw.
+        group = KINDS[kind]
+        monkeypatch.setattr(analysis, "_PAIR_BLOCK", 6 * group.dim)
+        block_rng, point_rng, sample_rng = (np.random.default_rng(60) for _ in range(3))
+        blocks = list(analysis._pair_blocks(group, 7, block_rng))
+        assert [(len(X), len(Y)) for X, Y in blocks] == [(3, 3), (3, 3), (1, 1)]
+        for X, Y in blocks:
+            for pair in zip(X, Y):
+                for got in pair:
+                    want = point_by_point(group, point_rng)
+                    for x in (got, sample_point(group, sample_rng)):
+                        assert x.dtype == want.dtype and np.array_equal(x, want)
+        after = [rng.standard_normal(5) for rng in (block_rng, point_rng, sample_rng)]
+        assert np.array_equal(after[0], after[1]) and np.array_equal(after[2], after[1])
+
+    @pytest.mark.parametrize("kind", ["cyclic", "phase", "window"])
+    def test_reported_pairs_are_copies(self, kind, monkeypatch):
+        group = KINDS[kind]
+        blocks, pair_blocks = [], analysis._pair_blocks
+
+        def recorded_blocks(*args):
+            for X, Y in pair_blocks(*args):
+                blocks.extend((X, Y))
+                yield X, Y
+
+        monkeypatch.setattr(analysis, "_pair_blocks", recorded_blocks)
+        lip = estimate_lipschitz(group, random_bank(group, 4, 62), 40, rng_seed=63)
+        sep = separation_test(group, [np.zeros(group.shape)] * 2, 40, rng_seed=64)
+        kept = [*lip.argmin_pair, *lip.argmax_pair] + [a for p in sep.violating_pairs for a in p]
+        assert len(kept) == 4 + 2 * 8 and len(blocks) == 4
+        assert not any(np.shares_memory(a, B) for a in kept for B in blocks)
+
+
+class TestCountRule:
+    """Counts are integers at or above their floor; anything else is a
+    ValidationError that names the setting."""
+
+    @pytest.mark.parametrize("trials", [True, 2.5, -1, "3"])
+    def test_trials(self, trials):
+        group = mf.CyclicShift(4)
+        with pytest.raises(mf.ValidationError, match="trials must be a non-negative integer"):
+            separation_test(group, random_bank(group, 2, rng_seed=0), trials, rng_seed=0)
+
+    @pytest.mark.parametrize("samples", [True, 2.5, 0, np.float64(3.0)])
+    def test_samples(self, samples):
+        group = mf.CyclicShift(4)
+        with pytest.raises(mf.ValidationError, match="samples must be a positive integer"):
+            estimate_lipschitz(group, random_bank(group, 2, rng_seed=0), samples, rng_seed=0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, -1])
+    def test_bank_size(self, n):
+        with pytest.raises(mf.ValidationError, match="n must be a non-negative integer"):
+            random_bank(mf.CyclicShift(4), n, 0)
+
+    def test_numpy_integers_count(self):
+        group = mf.CyclicShift(4)
+        bank = random_bank(group, np.int64(2), 0)
+        assert len(bank) == 2
+        report = separation_test(group, bank, np.int32(5), rng_seed=1)
+        assert report.to_dict()["trials"] == 5 and type(report.trials) is int
+        assert estimate_lipschitz(group, bank, np.int64(5), rng_seed=1).samples <= 5
+
+    def test_empty_bank_is_checked_before_the_count(self):
+        with pytest.raises(mf.ValidationError, match="filter bank is empty"):
+            estimate_lipschitz(mf.CyclicShift(4), [], samples=0, rng_seed=0)
+
+
 class TestSeparationEarlyDecisions:
     """separation_test against the full evaluation it replaced, on every kind."""
 
@@ -257,8 +340,9 @@ class TestSeparationEarlyDecisions:
         rng = np.random.default_rng(40)
         pairs = [(sample_point(group, rng), sample_point(group, rng)) for _ in range(64)]
         scale = 1e-6 / np.median(mf.quotient_distances(group, *zip(*pairs)))
-        monkeypatch.setattr(analysis, "sample_point",
-                            lambda g, r: scale * sample_point(g, r))
+        draw = analysis._standard_normal
+        monkeypatch.setattr(analysis, "_standard_normal",
+                            lambda g, lead, r: scale * draw(g, lead, r))
         for k, seed in ((1, 41), (2 * group.dim, 42)):
             want = assert_same_separation(group, random_bank(group, k, seed), trials, seed)
             if trials == 50:
@@ -275,7 +359,8 @@ class TestSeparationEarlyDecisions:
         y_dist = np.array([1.0 + np.ceil(1e-6 / ulp) * ulp, 0.0, -1.0])
         rows = count_rows(monkeypatch)
         draws = iter([x, y_gap, x, y_dist])
-        monkeypatch.setattr(analysis, "sample_point", lambda g, r: next(draws))
+        monkeypatch.setattr(analysis, "_standard_normal", lambda g, lead, r: np.reshape(
+            [next(draws) for _ in range(math.prod(lead))], lead + g.shape))
         got = separation_test(group, [np.eye(3)[0]], trials=2, rng_seed=0)
         assert rows == {"distances": [2], "features": [2]}
         draws = iter([x, y_gap, x, y_dist])
@@ -309,21 +394,22 @@ class TestSeparationEarlyDecisions:
 
 
 def count_rows(monkeypatch):
-    """Record the rows of each ``quotient_distances`` and ``bank_values`` call
-    that ``separation_test`` makes."""
+    """Record the rows of each ``quotient_distances`` call and each
+    evaluation of all the bank's features (``FilterBank.values``) that
+    ``separation_test`` makes."""
     rows = {"distances": [], "features": []}
-    quotient_distances, bank_values = analysis.quotient_distances, analysis.bank_values
+    quotient_distances, values = analysis.quotient_distances, mf.FilterBank.values
 
     def counted_distances(group, X, Y):
         rows["distances"].append(len(X))
         return quotient_distances(group, X, Y)
 
-    def counted_values(group, bank, xs):
+    def counted_values(self, xs):
         rows["features"].append(len(xs))
-        return bank_values(group, bank, xs)
+        return values(self, xs)
 
     monkeypatch.setattr(analysis, "quotient_distances", counted_distances)
-    monkeypatch.setattr(analysis, "bank_values", counted_values)
+    monkeypatch.setattr(mf.FilterBank, "values", counted_values)
     return rows
 
 

@@ -562,6 +562,20 @@ class TestDistrictCommand:
         assert rows[0] == "label,pc1,pc2"
         assert len(rows) == 4
 
+    def test_zero_samples_exit_3(self, tmp_path):
+        # Checked before any resampling: no numpy warning on the way.
+        src = write_json(tmp_path / "polys.json",
+                         [{"label": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}])
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(mf.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "maxfilt.cli", "district", "--polygons",
+                               src, "--samples", "0", "--templates", "4", "--seed", "0"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "n_samples must be a positive integer, got 0" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 class TestTextureCommand:
     def test_extract_and_train(self, tmp_path, capsys):

@@ -150,6 +150,15 @@ class TestDistrictEmbed:
         other = district_embed(relabeled, n)
         assert mf.quotient_distance(group, base, other) <= 1e-6
 
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "8"])
+    def test_sample_count_is_a_positive_integer(self, n_samples):
+        with pytest.raises(mf.ValidationError, match="n_samples must be a positive integer"):
+            district_embed(self.UNIT_SQUARE, n_samples)
+
+    def test_numpy_sample_count(self):
+        assert np.array_equal(district_embed(self.UNIT_SQUARE, np.int64(6)),
+                              district_embed(self.UNIT_SQUARE, 6))
+
 
 class TestEcgLift:
     def test_constant_channel_zeroes_out(self):
@@ -172,6 +181,11 @@ class TestEcgLift:
     def test_window_too_long_rejected(self):
         with pytest.raises(mf.ValidationError):
             ecg_lift(np.zeros((1, 3)), 4)
+
+    @pytest.mark.parametrize("w", [0, -1, 2.0, False])
+    def test_width_is_a_positive_integer(self, w):
+        with pytest.raises(mf.ValidationError, match="w must be a positive integer"):
+            ecg_lift(np.zeros((1, 3)), w)
 
     def test_fiber_means_vanish(self):
         rng = np.random.default_rng(4)

@@ -18,10 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import groups
 from .core import (CyclicShift, FilterBank, GroupAction, ValidationError, _bank_operands,
                    _require_integer, _vector_norms, group_order, max_filter,
                    quotient_distances)
+# The random draws live beside the kind records; they stay names of this
+# module too, and _pair_blocks draws through this module's _standard_normal.
+from .groups import _standard_normal, random_template, sample_point  # noqa: F401
 from .templates import Template, random_bank_log_delta
 
 # Elements held per block of random pairs while their features are evaluated.
@@ -40,35 +42,8 @@ _PAIR_BLOCK = 1_000_000
 _MARGIN_UNITS = 64
 
 
-def _standard_normal(group: GroupAction, lead: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal operands of shape ``lead + group.shape`` in one
-    ``rng.standard_normal`` call.  A complex kind's draw has one more axis
-    after ``lead``: the real parts of each point, then its imaginary parts."""
-    if group.dtype is not complex:
-        return rng.standard_normal(lead + group.shape)
-    re, im = np.moveaxis(rng.standard_normal(lead + (2,) + group.shape), len(lead), 0)
-    return re + 1j * im
-
-
-def sample_point(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
-    """Standard normal draw in the group's operand layout; a complex draw
-    takes its real parts first (:func:`_standard_normal` at one point)."""
-    return _standard_normal(group, (), rng)
-
-
 def bank_frobenius(bank: Sequence) -> float:
     return math.sqrt(sum(float(np.linalg.norm(getattr(t, "vector", t))) ** 2 for t in bank))
-
-
-def random_template(group: GroupAction, rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm random template shaped for the group's ambient space:
-    the kind record's ``template`` where it sets one (sliding-window
-    templates start on slice 0), else a normalized :func:`sample_point`."""
-    template = groups.kind_of(group).template
-    if template is not None:
-        return template(group, rng)
-    z = sample_point(group, rng)
-    return z / np.linalg.norm(z)
 
 
 def random_bank(group: GroupAction, n: int, rng_seed: int) -> list:
@@ -191,15 +166,16 @@ def separation_test(group: GroupAction, bank: Sequence, trials: int,
     prepared once, on first use.  Pairs are drawn as for
     :func:`estimate_lipschitz`, and ``violating_pairs`` keeps copies of the
     first 8 violations in draw order.  A ``trials`` that is not a
-    non-negative integer is a ValidationError.
+    non-negative integer, then an empty bank (also at 0 trials), is a
+    ValidationError.
     """
     trials = _require_integer("trials", trials, 0)
     min_dist = 1e-6
     rng = np.random.default_rng(rng_seed)
     report = SeparationReport(trials=trials, checked=0, violations=0)
+    Z = _bank_operands(group, bank)
     if trials == 0:
         return report
-    Z = _bank_operands(group, bank)
     norms = _vector_norms(Z)
     prepared = functools.cache(lambda lo, hi: FilterBank(group, Z[lo:hi]))  # on first use
     for X, Y in _pair_blocks(group, trials, rng):

@@ -276,8 +276,7 @@ def cmd_predict(args) -> int:
     if featurizer == "texture":
         raw = pipeline.parse_pgm(args.input)
     elif "lift_w" in model.config:
-        mat = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        raw = pipeline.ecg_lift(mat, model.config["lift_w"])
+        raw = pipeline.ecg_lift(pipeline.read_ecg_csv(args.input), model.config["lift_w"])
     else:
         raw = load_operand(args.input, model.group)
     label = pipeline.model_predict(model, raw)

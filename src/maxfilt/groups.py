@@ -37,7 +37,8 @@ brute-force oracle (the independent reference behind
 above) and, for sliding windows, the single-slice template
 convention with the training form that keeps it (:class:`WindowSlices`:
 templates trained, and differentiated, as the one slice each lives on).
-Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
+Random operands and templates are drawn here too, in the kind's layout
+(:func:`sample_point`, :func:`random_template`).  Adding a kind takes a descriptor in :mod:`maxfilt.core` (a
 member of ``GroupAction``, which also states the operand space) and one
 ``KINDS`` entry here.
 """
@@ -953,3 +954,30 @@ def kind_of(group) -> Kind:
     if kind is None:
         raise ValidationError(f"unsupported group action: {group!r}")
     return kind
+
+
+def _standard_normal(group, lead: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Standard normal operands of shape ``lead + group.shape`` in one
+    ``rng.standard_normal`` call.  A complex kind's draw has one more axis
+    after ``lead``: the real parts of each point, then its imaginary parts."""
+    if group.dtype is not complex:
+        return rng.standard_normal(lead + group.shape)
+    re, im = np.moveaxis(rng.standard_normal(lead + (2,) + group.shape), len(lead), 0)
+    return re + 1j * im
+
+
+def sample_point(group, rng: np.random.Generator) -> np.ndarray:
+    """Standard normal draw in the group's operand layout; a complex draw
+    takes its real parts first (:func:`_standard_normal` at one point)."""
+    return _standard_normal(group, (), rng)
+
+
+def random_template(group, rng: np.random.Generator) -> np.ndarray:
+    """One unit-norm random template shaped for the group's ambient space:
+    the kind record's ``template`` where it sets one (sliding-window
+    templates start on slice 0), else a normalized :func:`sample_point`."""
+    template = kind_of(group).template
+    if template is not None:
+        return template(group, rng)
+    z = sample_point(group, rng)
+    return z / np.linalg.norm(z)

@@ -12,13 +12,13 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import groups
-from .analysis import random_template
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
                    _require_integer, _vector_norms, as_operands)
 from .templates import HermiteSpec, Template, _hermite_grid, array_from_jsonable, to_jsonable
@@ -173,11 +173,28 @@ def _ingest_polygons(path: str) -> LabeledDataset:
     return LabeledDataset(samples=samples, format="polygon_json")
 
 
+def read_ecg_csv(path: str) -> np.ndarray:
+    """One ECG sample: a (channels, time) matrix from a plain-text CSV file,
+    one channel per row.  The file is opened here and ``np.loadtxt`` reads
+    the open handle, so a ``.gz`` or URL path is neither decompressed nor
+    fetched.  A cell that is not a number, rows of unequal length, or a file
+    with no rows is a ValidationError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # no rows: rejected below
+        try:
+            mat = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"ecg file {path}: {exc}") from None
+    if mat.size == 0:
+        raise ValidationError(f"ecg file {path} holds no data")
+    return mat
+
+
 def _ingest_ecg(path: str) -> LabeledDataset:
     samples = []
     shape = None
     for p, label in _read_manifest(path):
-        mat = np.loadtxt(p, delimiter=",", ndmin=2)
+        mat = read_ecg_csv(p)
         if shape is None:
             shape = mat.shape
         elif mat.shape != shape:
@@ -192,8 +209,11 @@ def _ingest_ecg(path: str) -> LabeledDataset:
 
 def district_embed(polygon: np.ndarray, n_samples: int) -> np.ndarray:
     """Arc-length resampling of a closed polygon to a complex signal:
-    n equally spaced boundary points, centroid at 0, unit perimeter."""
+    n equally spaced boundary points, centroid at 0, unit perimeter.  One
+    point has no perimeter, so an ``n_samples`` below 2 is a ValidationError."""
     n_samples = _require_integer("n_samples", n_samples, 1)
+    if n_samples < 2:
+        raise ValidationError(f"n_samples must be at least 2, got {n_samples}")
     verts = np.asarray(polygon, dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
         raise ValidationError("polygon needs at least 3 planar vertices")
@@ -410,7 +430,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     nx = _vector_norms(xs)
     rng = np.random.default_rng(config.rng_seed)
     run = groups.kind_of(group).training(
-        group, np.stack([random_template(group, rng) for _ in range(n_templates)]))
+        group, np.stack([groups.random_template(group, rng) for _ in range(n_templates)]))
     params = run.params
     # Alternating nonzero weights break the cold start: template subgradients
     # are proportional to w, so an all-zero init would freeze the templates.

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -142,6 +141,8 @@ def random_bank_parameters(m: int, d: int) -> tuple:
     logarithm (``math.log`` accepts the integer m however large) and n_min as an
     exact integer.
     """
+    from fractions import Fraction      # on first use: no other caller needs it
+
     log_delta = random_bank_log_delta(m, d)
     delta = math.exp(log_delta)
     log_ratio = math.log(2.0) - log_delta + math.log1p(delta / 2.0)     # log(2/delta + 1)

@@ -165,14 +165,16 @@ class TestSeparation:
 def reference_separation_test(group, bank, trials, rng_seed):
     """separation_test as it was before pairs were decided early: the exact
     distance of every pair and all the bank's features of every pair with
-    d > 1e-6, with pairs drawn in the same blocks and order."""
+    d > 1e-6, with pairs drawn in the same blocks and order, a point at a
+    time through ``analysis._standard_normal`` (where tests patch the draw)."""
     if trials < 0:
         raise mf.ValidationError(f"trials must be non-negative, got {trials}")
     rng = np.random.default_rng(rng_seed)
     report = analysis.SeparationReport(trials=trials, checked=0, violations=0)
     block = max(1, analysis._PAIR_BLOCK // (2 * group.dim))
     for start in range(0, trials, block):
-        pairs = [(analysis.sample_point(group, rng), analysis.sample_point(group, rng))
+        pairs = [(analysis._standard_normal(group, (), rng),
+                  analysis._standard_normal(group, (), rng))
                  for _ in range(min(block, trials - start))]
         xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
         kept = np.flatnonzero(mf.quotient_distances(group, xs, ys) > 1e-6)
@@ -297,6 +299,10 @@ class TestCountRule:
     def test_empty_bank_is_checked_before_the_count(self):
         with pytest.raises(mf.ValidationError, match="filter bank is empty"):
             estimate_lipschitz(mf.CyclicShift(4), [], samples=0, rng_seed=0)
+
+    def test_empty_bank_is_checked_at_zero_trials(self):
+        with pytest.raises(mf.ValidationError, match="filter bank is empty"):
+            separation_test(mf.CyclicShift(4), [], trials=0, rng_seed=0)
 
 
 class TestSeparationEarlyDecisions:

@@ -383,6 +383,13 @@ class TestAnalysisCommands:
         assert out == ""
         assert argv[1].lstrip("-") in err
 
+    @pytest.mark.parametrize("trials", ["0", "1"])
+    def test_empty_bank_exits_3_at_any_trials(self, capsys, trials):
+        code, out, err = run_cli(capsys, "separation", "--group", "perm:4", "--n", "0",
+                                 "--trials", trials, "--seed", "0")
+        assert (code, out) == (3, "")
+        assert "filter bank is empty" in err
+
     def test_config_hash_does_not_depend_on_the_machine(self, capsys, monkeypatch):
         hashes = []
         for cpus in (1, 8):
@@ -490,6 +497,32 @@ class TestTrainPredict:
         assert f"validation error: {name} must be" in err
         assert not (tmp_path / "model.json").exists()
 
+    MALFORMED = {"bad-cell": "4,x,6\n", "ragged": "1,2\n3,4,5\n", "empty": ""}
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_ecg_file_exits_3_on_train(self, tmp_path, capsys, text):
+        rng = np.random.default_rng(8)
+        motif = rng.standard_normal((2, 6))
+        entries = [self._write_ecg(tmp_path, rng, ("mi", "ok")[i % 2], f"s{i}.csv", motif)
+                   for i in range(4)]
+        (tmp_path / "s2.csv").write_text(text)
+        manifest = write_json(tmp_path / "manifest.json", {"samples": entries})
+        code, out, err = run_cli(capsys, "train", "--data", manifest, "--group", "window:6x19",
+                                 "--templates", "2", "--epochs", "3", "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and "s2.csv" in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_ecg_file_exits_3_on_predict(self, tmp_path, capsys, text):
+        path, _ = self._model(tmp_path, capsys)
+        (tmp_path / "x.csv").write_text(text)
+        code, out, err = run_cli(capsys, "predict", "--model", str(path),
+                                 "--input", str(tmp_path / "x.csv"))
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and "x.csv" in err
+
     # A model is checked when it is loaded: exit 3, never a numpy error.
     def _model(self, tmp_path, capsys):
         rng = np.random.default_rng(11)
@@ -575,6 +608,14 @@ class TestDistrictCommand:
         assert proc.returncode == 3 and proc.stdout == ""
         assert "n_samples must be a positive integer, got 0" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_one_sample_exits_3_naming_the_count(self, tmp_path, capsys):
+        src = write_json(tmp_path / "polys.json",
+                         [{"label": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}])
+        code, out, err = run_cli(capsys, "district", "--polygons", src, "--samples", "1",
+                                 "--templates", "4", "--seed", "0")
+        assert (code, out) == (3, "")
+        assert "n_samples must be at least 2, got 1" in err
 
 
 class TestTextureCommand:

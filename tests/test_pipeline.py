@@ -112,6 +112,32 @@ class TestIngest:
             ingest("whatever", "parquet")
 
 
+class TestReadEcgCsv:
+    """``read_ecg_csv`` reads what ``np.loadtxt`` reads from the path."""
+
+    @pytest.mark.parametrize("fmt", ["%.9g", "%.18e"])
+    @pytest.mark.parametrize("shape", [(3, 20), (1, 7), (4, 1)])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_same_matrix_as_loadtxt(self, tmp_path, fmt, shape, final_newline):
+        path = tmp_path / "s.csv"
+        mat = np.random.default_rng(sum(shape)).standard_normal(shape) * 1e3
+        np.savetxt(str(path), mat, delimiter=",", fmt=fmt)
+        if not final_newline:
+            path.write_text(path.read_text().rstrip("\n"))
+        got = pipeline.read_ecg_csv(str(path))
+        want = np.loadtxt(str(path), delimiter=",", ndmin=2)
+        assert got.shape == want.shape == shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("text", ["1,2,3\n4,x,6\n", "1,2\n3,4,5\n", "1,,3\n", "", "\n\n"],
+                             ids=["bad-cell", "ragged", "blank-cell", "empty", "blank-lines"])
+    def test_malformed_file_names_itself(self, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(mf.ValidationError, match="bad.csv"):
+            pipeline.read_ecg_csv(str(path))
+
+
 class TestDistrictEmbed:
     UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -154,6 +180,11 @@ class TestDistrictEmbed:
     def test_sample_count_is_a_positive_integer(self, n_samples):
         with pytest.raises(mf.ValidationError, match="n_samples must be a positive integer"):
             district_embed(self.UNIT_SQUARE, n_samples)
+
+    def test_one_sample_is_rejected_by_name(self):
+        with pytest.raises(mf.ValidationError, match="n_samples must be at least 2, got 1"):
+            district_embed(self.UNIT_SQUARE, 1)
+        assert district_embed(self.UNIT_SQUARE, 2).shape == (2,)
 
     def test_numpy_sample_count(self):
         assert np.array_equal(district_embed(self.UNIT_SQUARE, np.int64(6)),

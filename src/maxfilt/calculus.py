@@ -5,7 +5,9 @@ convex hull of {g y : g maximizing <x, g y>}.  ``witness_set`` looks the
 maximizer set up in the kind's record (:mod:`maxfilt.groups`): exact for
 finite/structured kinds (tie blocks expanded, up to one cap), canonical finite
 representatives for continuous kinds, whose degenerate tie sets are
-infinite.
+infinite.  Each function below maps its whole witness list to the images
+g y in one call of the kind's ``images``, as :func:`maxfilt.core.apply_witness`
+does for one witness.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import groups
 from .core import (EnumerationCapExceeded, ValidationError, _require_integer, _tie_list,
-                   apply_witness, as_operand, inner, max_filter, norm)
+                   _witness_images, apply_witness, as_operand, max_filter, norm)
 
 
 @dataclass
@@ -75,14 +77,16 @@ def directional_derivative(group, x, y, v) -> float:
     v = as_operand(group, v)
     if norm(v) == 0:
         raise ValidationError("direction must be nonzero")
-    wits = witness_set(group, x, y)
-    return max(inner(v, apply_witness(group, g, y)) for g in wits)
+    images = _witness_images(group, witness_set(group, x, y), y)
+    # Stacked (1, d) @ (d, 1) blocks take np.vdot's BLAS dot; a gemv rounds otherwise.
+    dots = np.conj(v).reshape(1, 1, -1) @ images.reshape(len(images), -1, 1)
+    return float(np.real(dots).max())
 
 
 def subdifferential(group, x, y, tol: float | None = None) -> SubgradientSet:
     """The subdifferential at x of the max filter against y, as its generators."""
     wits = witness_set(group, x, y, tol=tol)
-    return SubgradientSet(generators=[apply_witness(group, g, y) for g in wits])
+    return SubgradientSet(generators=list(_witness_images(group, wits, y)))
 
 
 def subgradient(group, x, y, selection: str = "first") -> np.ndarray:
@@ -95,10 +99,7 @@ def subgradient(group, x, y, selection: str = "first") -> np.ndarray:
     if selection == "first":
         # Any single maximizer is a valid subgradient, so the specialized
         # evaluation's first witness suffices; no tie enumeration needed.
-        result = max_filter(group, x, y)
-        return apply_witness(group, result.witnesses[0], y)
+        return apply_witness(group, max_filter(group, x, y).witnesses[0], y)
     if selection == "average":
-        wits = witness_set(group, x, y)
-        images = [apply_witness(group, g, y) for g in wits]
-        return np.mean(images, axis=0)
+        return np.mean(subdifferential(group, x, y).generators, axis=0)
     raise ValidationError(f"unknown selection {selection!r}")

@@ -326,13 +326,6 @@ def as_operand(group: GroupAction, x) -> np.ndarray:
     return as_operands(group, [x])[0]
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Real inner product: Euclidean/Frobenius, or Re(x^* y) on complex arrays."""
-    if np.iscomplexobj(x) or np.iscomplexobj(y):
-        return float(np.real(np.vdot(x, y)))
-    return float(np.vdot(x, y))
-
-
 def norm(x) -> float:
     return float(np.linalg.norm(np.asarray(x)))
 
@@ -404,10 +397,12 @@ def _chunk_rows(group: GroupAction, n_templates: int, width) -> int:
     return max(1, _BULK // (n_templates * width(group)))
 
 
-def _concat(parts: list):
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(c) for c in zip(*parts))
-    return np.concatenate(parts)
+def _by_part(f, *ws):
+    """``f(*ws)`` for stacked witnesses ``ws``; for tuple witnesses, the
+    tuple of ``f`` applied to their parts, part by part."""
+    if isinstance(ws[0], tuple):
+        return tuple(f(*parts) for parts in zip(*ws))
+    return f(*ws)
 
 
 class FilterBank:
@@ -450,7 +445,8 @@ def _evaluate(bulk, norms: np.ndarray, step: int, X: np.ndarray, nx) -> tuple:
         v, w = bulk(X[s:s + step], tol)
         values.append(v)
         wits.append(w)
-    return np.concatenate(values), None if nx is None else _concat(wits)
+    wits = None if nx is None else _by_part(lambda *c: np.concatenate(c), *wits)
+    return np.concatenate(values), wits
 
 
 def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
@@ -509,8 +505,7 @@ class _WholeTemplates:
         step = _chunk_rows(self.group, len(Z), kind.width)
         for s in range(0, len(used), step):
             idx = used[s:s + step]
-            w = tuple(c[idx] for c in witnesses) if isinstance(witnesses, tuple) else witnesses[idx]
-            images = kind.images(self.group, w, X[idx])
+            images = kind.images(self.group, _by_part(lambda c: c[idx], witnesses), X[idx])
             out += np.einsum("nk,nk...->k...", coef[idx], images)
         return out
 
@@ -548,8 +543,8 @@ def quotient_distances(group: GroupAction, X, Y) -> np.ndarray:
     for s in range(0, len(X), step):
         x, y = X[s:s + step], Y[s:s + step]
         w = kind.pairs(group, x, y, _tie_tolerance(_vector_norms(x), _vector_norms(y)))
-        w = tuple(c[:, None] for c in w) if isinstance(w, tuple) else w[:, None]
-        out[s:s + step] = _vector_norms(x - kind.images(group, w, y)[:, 0])
+        images = kind.images(group, _by_part(lambda c: c[:, None], w), y)
+        out[s:s + step] = _vector_norms(x - images[:, 0])
     return out
 
 
@@ -563,13 +558,15 @@ def quotient_distance(group: GroupAction, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 def apply_witness(group: GroupAction, witness, x) -> np.ndarray:
-    """Materialize ``g x`` for a per-kind witness encoding ``g``."""
-    x = as_operand(group, x)
-    if isinstance(witness, tuple):
-        stacked = tuple(np.asarray(w)[None, None] for w in witness)
-    else:
-        stacked = np.asarray(witness)[None, None]
-    return groups.kind_of(group).images(group, stacked, x[None])[0, 0]
+    """Materialize ``g x`` for one witness ``g``: :func:`_witness_images` at m = 1."""
+    return _witness_images(group, [witness], x)[0]
+
+
+def _witness_images(group: GroupAction, witnesses: list, x) -> np.ndarray:
+    """The (m, ...) images ``g x`` of a non-empty list of m witnesses in the
+    kind's encoding, stacked over axes (1, m) for one call of its ``images``."""
+    stacked = _by_part(lambda *c: np.asarray(c)[None], *witnesses)
+    return groups.kind_of(group).images(group, stacked, as_operand(group, x)[None])[0]
 
 
 def random_element(group: GroupAction, rng: np.random.Generator):

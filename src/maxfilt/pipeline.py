@@ -140,6 +140,8 @@ def _read_manifest(path: str) -> list:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
     entries = manifest["samples"] if isinstance(manifest, dict) else manifest
+    if not entries:
+        raise ValidationError(f"manifest {path} lists no samples")
     out = []
     for entry in entries:
         p = entry["path"]
@@ -191,15 +193,9 @@ def read_ecg_csv(path: str) -> np.ndarray:
 
 
 def _ingest_ecg(path: str) -> LabeledDataset:
-    samples = []
-    shape = None
-    for p, label in _read_manifest(path):
-        mat = read_ecg_csv(p)
-        if shape is None:
-            shape = mat.shape
-        elif mat.shape != shape:
-            raise ValidationError("ecg sample files must share a common shape")
-        samples.append((mat, label))
+    samples = [(read_ecg_csv(p), label) for p, label in _read_manifest(path)]
+    if len({mat.shape for mat, _ in samples}) > 1:
+        raise ValidationError("ecg sample files must share a common shape")
     return LabeledDataset(samples=samples, format="ecg_csv")
 
 

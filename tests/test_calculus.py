@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import re
 import time
@@ -61,6 +62,28 @@ def witness_key(g):
     if isinstance(g, tuple):
         return tuple(witness_key(part) for part in g)
     return tuple(np.asarray(g).ravel().tolist())
+
+
+# Per-witness references, one apply_witness call and one np.vdot per witness,
+# which the calculus's single images call must equal bit for bit.
+def reference_subdifferential(group, x, y):
+    return [mf.apply_witness(group, g, y) for g in witness_set(group, x, y)]
+
+
+def reference_subgradient(group, x, y, selection):
+    if selection == "first":
+        return mf.apply_witness(group, mf.max_filter(group, x, y).witnesses[0], y)
+    return np.mean(reference_subdifferential(group, x, y), axis=0)
+
+
+def reference_directional_derivative(group, x, y, v):
+    v = mf.core.as_operand(group, v)
+    return max(float(np.real(np.vdot(v, image)))
+               for image in reference_subdifferential(group, x, y))
+
+
+def same_array(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def finite_difference(group, x, y, v, t=1e-6):
@@ -421,3 +444,37 @@ class TestSubgradient:
             h[:, :, slice_idx] = rng.standard_normal((2, 3))
             assert mf.max_filter(group, x + h, y).value >= \
                 fx + float(np.sum(h * u)) - 1e-9
+
+
+class TestOneImagesCall:
+    @pytest.mark.parametrize("kind", sorted(WITNESS_GROUPS))
+    def test_equal_to_the_per_witness_loops(self, kind):
+        group = WITNESS_GROUPS[kind]
+        rng = np.random.default_rng(7)
+        for x, y in witness_inputs(group, rng):
+            got = mf.subdifferential(group, x, y).generators
+            want = reference_subdifferential(group, x, y)
+            assert len(got) == len(want) and all(map(same_array, got, want))
+            for selection in ("first", "average"):
+                assert same_array(subgradient(group, x, y, selection),
+                                  reference_subgradient(group, x, y, selection))
+            for v in (draw_operand(group, rng), integer_operand(group, rng) + 3):
+                assert directional_derivative(group, x, y, v) == \
+                    reference_directional_derivative(group, x, y, v)
+
+    def test_one_images_call_on_a_six_way_tie(self, monkeypatch):
+        # Six equal entries of x tie perm:8 at 6! = 720 witnesses.
+        group = mf.FullPermutation(8)
+        x, y = [1.0] * 6 + [2.0, 3.0], np.arange(8.0)
+        record = groups.KINDS["perm"]
+        calls = []
+
+        def images(group, W, X):
+            calls.append(np.shape(W)[:2])
+            return record.images(group, W, X)
+        monkeypatch.setitem(groups.KINDS, "perm", dataclasses.replace(record, images=images))
+        assert len(mf.subdifferential(group, x, y).generators) == 720
+        subgradient(group, x, y, "average")
+        directional_derivative(group, x, y, np.ones(8))
+        subgradient(group, x, y, "first")
+        assert calls == [(1, 720)] * 3 + [(1, 1)]

@@ -514,6 +514,29 @@ class TestTrainPredict:
         assert err.startswith("validation error: ") and "s2.csv" in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("manifest", [{"samples": []}, []], ids=["dict", "list"])
+    @pytest.mark.parametrize("command", [
+        ("train", "--data-format", "ecg_csv", "--group", "window:6x19", "--data"),
+        ("texture", "--manifest")], ids=["train-ecg", "texture-pgm"])
+    def test_empty_manifest_exits_3(self, tmp_path, capsys, manifest, command):
+        path = write_json(tmp_path / "manifest.json", manifest)
+        code, out, err = run_cli(capsys, *command, path, "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert (code, out) == (3, "")
+        assert err == f"validation error: manifest {path} lists no samples\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_ecg_files_of_two_shapes_exit_3(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        entries = [self._write_ecg(tmp_path, rng, "ab"[i], f"s{i}.csv", 1.0, t=24 + i)
+                   for i in range(2)]
+        manifest = write_json(tmp_path / "manifest.json", {"samples": entries})
+        code, out, err = run_cli(capsys, "train", "--data", manifest, "--group", "window:6x19",
+                                 "--templates", "2", "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert (code, out) == (3, "")
+        assert err == "validation error: ecg sample files must share a common shape\n"
+
     @pytest.mark.parametrize("text", MALFORMED.values(), ids=list(MALFORMED))
     def test_malformed_ecg_file_exits_3_on_predict(self, tmp_path, capsys, text):
         path, _ = self._model(tmp_path, capsys)

@@ -823,7 +823,7 @@ class TestTiesAgainstOracle:
                 assert (type(a), type(flag), type(phase)) == (int, bool, complex)
                 w = corr[a, flag]
                 assert phase == pytest.approx(np.conj(w) / abs(w), abs=1e-12)
-                assert mf.core.inner(z, mf.apply_witness(group, (a, flag, phase), x)) == \
+                assert np.real(np.vdot(z, mf.apply_witness(group, (a, flag, phase), x))) == \
                     pytest.approx(best, rel=1e-12)
 
     def test_shift_conjugate_zero_template_lists_each_shift_and_flag_once(self):

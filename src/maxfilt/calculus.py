@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import groups
-from .core import (EnumerationCapExceeded, ValidationError, _require_integer, _tie_list,
+from .core import (EnumerationCapExceeded, ValidationError, _require_integer,
                    _witness_images, apply_witness, as_operand, max_filter, norm)
 
 
@@ -35,20 +35,20 @@ class SubgradientSet:
 
 
 def default_tie_tolerance(x, y) -> float:
-    # Looser than the core witness tolerance: training loops hit near-ties
-    # constantly, and averaging needs them grouped stably.
+    # 100 times the core tie tolerance: the tie enumerators sum in their own
+    # order, so exact ties can round apart by more than the core allows, and a
+    # witness set needs them grouped stably.  (Training reads no witness set.)
     return 1e-7 * (1.0 + norm(x) * norm(y))
 
 
 def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096) -> list:
     """All g with <x, g y> >= max - tol, in per-kind witness encoding.
 
-    The kind record's ``witnesses`` form enumerates the set where it has
-    one; the other kinds give the tie list of ``max_filter`` taken at
-    ``tol``.  Continuous kinds return the analytic maximizer; when that set is
-    a continuum (zero inputs, vanishing correlations) a small symmetric set of
-    representatives stands in for it, so that averaging still lands in the
-    hull.  The cap is applied here alone, for every kind: at most
+    The kind record's ``witnesses`` form enumerates the set; by default it
+    is the tie list of ``max_filter`` taken at ``tol``.  Continuous kinds
+    return the analytic maximizer; when that set is a continuum (zero
+    inputs, vanishing correlations) a small symmetric set of representatives
+    stands in for it, so that averaging still lands in the hull.  The cap is applied here alone, for every kind: at most
     ``max_witnesses + 1`` witnesses are drawn, and EnumerationCapExceeded is
     raised if there were more than ``max_witnesses``.  A cap that is not a
     non-negative integer raises ValidationError.
@@ -58,11 +58,7 @@ def witness_set(group, x, y, tol: float | None = None, max_witnesses: int = 4096
     y = as_operand(group, y)
     if tol is None:
         tol = default_tie_tolerance(x, y)
-    kind = groups.kind_of(group)
-    if kind.witnesses is not None:
-        found = kind.witnesses(group, x, y, tol)
-    else:
-        found = _tie_list(kind, group, x, y, tol)[1]
+    found = groups.kind_of(group).witnesses(group, x, y, tol)
     wits = list(itertools.islice(found, max_witnesses + 1))
     if len(wits) > max_witnesses:
         raise EnumerationCapExceeded(f"{group.kind} tie set larger than cap {max_witnesses}")

@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, analysis, graphs, groups, pipeline, templates as tmod
+import maxfilt                  # maxfilt.analysis and maxfilt.graphs load on first use
+from . import __version__, groups, pipeline, templates as tmod
 from .core import (GroupAction, NumericFailure, ShiftAndConjugate, SlidingWindowShift,
                    ValidationError, bank_values, brute_force_max_filter, max_filter, norm)
 
@@ -109,21 +110,19 @@ def _render_table(doc: dict, out) -> None:
         print(f"{key:24s} {val}", file=out)
 
 
+def _render_json(doc: dict, out) -> None:
+    json.dump(doc, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
 def emit(args: argparse.Namespace, doc: dict, to_stdout: bool = False) -> None:
     doc = tmod.to_jsonable(doc)
-    fmt = getattr(args, "format", "json")
+    render = _render_table if getattr(args, "format", "json") == "table" else _render_json
     if not to_stdout and getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            if fmt == "table":
-                _render_table(doc, fh)
-            else:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    elif fmt == "table":
-        _render_table(doc, sys.stdout)
+            render(doc, fh)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        render(doc, sys.stdout)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +155,13 @@ def cmd_filter(args) -> int:
 
 
 def cmd_graph_filter(args) -> int:
-    tree = graphs.TreeTemplate.from_dict(_load_json(args.tree))
-    graph = graphs.WeightedGraph.from_dict(_load_json(args.graph))
-    coding = graphs.make_color_coding(graph.n, tree.k, args.seed,
-                                      multiplier=args.coding_multiplier)
-    result, stats = graphs.mf_tree_dp(tree, graph, coding, return_stats=True)
+    tree = maxfilt.graphs.TreeTemplate.from_dict(_load_json(args.tree))
+    graph = maxfilt.graphs.WeightedGraph.from_dict(_load_json(args.graph))
+    coding = maxfilt.graphs.make_color_coding(graph.n, tree.k, args.seed,
+                                              multiplier=args.coding_multiplier)
+    result, stats = maxfilt.graphs.mf_tree_dp(tree, graph, coding, return_stats=True)
     if args.oracle:
-        oracle = graphs.brute_force_tree_filter(tree, graph)
+        oracle = maxfilt.graphs.brute_force_tree_filter(tree, graph)
         if abs(oracle - result.value) > 1e-9:
             raise OracleMismatch(f"dp value {result.value} != injection max {oracle}")
     doc = make_report(args, {
@@ -206,30 +205,30 @@ def cmd_templates(args) -> int:
     return 0
 
 
-def cmd_lipschitz(args) -> int:
+def _random_bank_experiment(args, experiment, count: int) -> int:
+    """Emit the report of ``experiment(group, bank, count, seed + 1)`` on a
+    random bank of ``--n`` templates drawn with ``--seed``."""
     group = parse_group_spec(args.group)
-    bank = analysis.random_bank(group, args.n, args.seed)
-    report = analysis.estimate_lipschitz(group, bank, args.samples, args.seed + 1)
-    doc = make_report(args, report.to_dict(), stochastic=True)
-    emit(args, doc)
+    bank = maxfilt.analysis.random_bank(group, args.n, args.seed)
+    report = experiment(group, bank, count, args.seed + 1)
+    emit(args, make_report(args, report.to_dict(), stochastic=True))
     return 0
+
+
+def cmd_lipschitz(args) -> int:
+    return _random_bank_experiment(args, maxfilt.analysis.estimate_lipschitz, args.samples)
 
 
 def cmd_separation(args) -> int:
-    group = parse_group_spec(args.group)
-    bank = analysis.random_bank(group, args.n, args.seed)
-    report = analysis.separation_test(group, bank, args.trials, args.seed + 1)
-    doc = make_report(args, report.to_dict(), stochastic=True)
-    emit(args, doc)
-    return 0
+    return _random_bank_experiment(args, maxfilt.analysis.separation_test, args.trials)
 
 
 def cmd_stability(args) -> int:
     grid = args.grid
-    h = analysis.gaussian_bump(grid, width=args.bump_width)
+    h = maxfilt.analysis.gaussian_bump(grid, width=args.bump_width)
     slopes = list(np.linspace(args.min_slope, args.max_slope, args.warps))
-    sweep = analysis.stability_sweep(h, grid, slopes, n_modes=args.modes,
-                                     rng_seed=args.seed)
+    sweep = maxfilt.analysis.stability_sweep(h, grid, slopes, n_modes=args.modes,
+                                             rng_seed=args.seed)
     doc = make_report(args, {
         "trend_slope": sweep["trend_slope"],
         "reports": [r.to_dict() for r in sweep["reports"]]}, stochastic=True)
@@ -288,7 +287,7 @@ def cmd_district(args) -> int:
     dataset = pipeline.ingest(args.polygons, "polygon_json")
     signals = [pipeline.district_embed(v, args.samples) for v in dataset.raws]
     group = ShiftAndConjugate(args.samples)
-    bank = analysis.random_bank(group, args.templates, args.seed)
+    bank = maxfilt.analysis.random_bank(group, args.templates, args.seed)
     feats = bank_values(group, bank, signals)
     k = min(args.pca, feats.shape[0] - 1, feats.shape[1])
     mean, basis = pipeline.pca_fit(feats, k)

@@ -242,7 +242,8 @@ class PatchPermutation(_Space):
     def square(cls, side: int, grid: tuple) -> "PatchPermutation":
         """Partition of a (h, w) pixel grid (row-major) into side x side blocks."""
         h, w = grid
-        if side < 1 or h % side or w % side:
+        side = _require_integer("side", side, 1)
+        if h % side or w % side:
             raise ValidationError("patch side must be positive and divide both grid dimensions")
         patches = []
         for bi in range(0, h, side):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FilterResult, ValidationError
+from .core import FilterResult, ValidationError, _require_integer
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +266,9 @@ def make_color_coding(n: int, k: int, rng_seed: int, multiplier: float = 1.0) ->
     family that misses some k-subset is kept as drawn: :func:`mf_tree_dp`
     then reports its value ``approximate``.
     """
-    if not 1 <= k <= n:
+    n = _require_integer("n", n, 1)
+    k = _require_integer("k", k, 1)
+    if k > n:
         raise ValidationError("need n >= k >= 1")
     size = coding_size(n, k, multiplier)
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed).spawn(1)[0])

@@ -28,9 +28,9 @@ from the helpers of the kind's bulk form and is reached through
 :func:`maxfilt.core.quotient_distances`.
 
 The record also holds the kind's tie enumeration for
-:func:`maxfilt.calculus.witness_set` where the bulk form's tie list is not
-it (``witnesses(group, x, y, tol)``: an iterable of every witness within
-tol, which never raises for its size; ``witness_set`` alone caps it), its
+:func:`maxfilt.calculus.witness_set` (``witnesses(group, x, y, tol)``: an
+iterable of every witness within tol, which never raises for its size;
+``witness_set`` alone caps it; by default the bulk form's tie list), its
 spec grammar (``cyclic:N``, read by :func:`from_spec`), its
 brute-force oracle (the independent reference behind
 :func:`maxfilt.core.brute_force_max_filter`, built from none of the forms
@@ -57,8 +57,8 @@ import numpy as np
 from ._assignment import max_profit_assignments
 from .core import (Enumerated, EnumerationCapExceeded, FilterResult, GroupAction,
                    NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
-                   _chunk_rows, _evaluate, _haar_orthogonal,
-                   _vector_norms, _WholeTemplates, max_filter)
+                   _chunk_rows, _evaluate, _haar_orthogonal, _tie_list,
+                   _vector_norms, _WholeTemplates)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -359,10 +359,10 @@ def column_permutation_pairs(group, Z, X, tol):
 
 def _colperm_witnesses(group, x, y, tol):
     """Every column permutation within tol, by enumeration up to n = 8.
-    Beyond enumeration scale only the assignment optimum is reported; tie
-    enumeration for degenerate assignment polytopes is not attempted."""
+    Beyond enumeration scale only the paired form's assignment optimum is
+    reported; tie enumeration for degenerate assignment polytopes is not."""
     if group.n > 8:
-        return max_filter(group, x, y).witnesses
+        return list(column_permutation_pairs(group, x[None], y[None], tol))
     profit = x.T @ y
     n = group.n
     perms = np.array(list(itertools.permutations(range(n))))
@@ -463,9 +463,8 @@ def window_scorer(Z: np.ndarray) -> tuple:
     is the witness of slice position p.
 
     A template on a single slice is matched by :func:`window_scores` (one
-    matmul of the slices).  Templates that occupy several slices are matched
-    by circular correlation along the slice axis: one real FFT along T of
-    the bank (taken here, once) and of the inputs, summed over c and w.
+    matmul of the slices), templates that occupy several slices by
+    :func:`_correlation_scorer`.
     """
     occupied = _occupied_slices(Z)                             # (K, T)
     t0 = occupied.argmax(axis=1)
@@ -474,14 +473,12 @@ def window_scorer(Z: np.ndarray) -> tuple:
     slices = Z[single, :, :, t0[single]]
     if len(multi) == 0:
         return (lambda X: window_scores(slices, X)), t0
-    t = Z.shape[-1]
-    fz = np.fft.rfft(Z[multi], axis=-1)
-    back = (t0[multi, None] - np.arange(t)) % t                # shift of each position
+    correlate = _correlation_scorer(Z[multi])[0]
 
     def scores(X):
-        out = np.empty((len(X), len(Z), t))
+        out = np.empty((len(X), len(Z), Z.shape[-1]))
         out[:, single] = window_scores(slices, X)
-        out[:, multi] = np.take_along_axis(_slice_correlation(fz, X[:, None]), back[None], axis=-1)
+        out[:, multi] = correlate(X[:, None])
         return out
     return scores, t0
 
@@ -491,11 +488,20 @@ def _occupied_slices(Z: np.ndarray) -> np.ndarray:
     return np.abs(Z).sum(axis=(-3, -2)) > 0
 
 
-def _slice_correlation(fz: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """corr[..., a] = <Z, roll(X, a)> along the slice axis, from the real FFTs
-    fz of the templates Z along that axis; leading axes broadcast."""
-    fx = np.conj(np.fft.rfft(X, axis=-1))
-    return np.fft.irfft(np.einsum("...cwf,...cwf->...f", fz, fx), n=X.shape[-1])
+def _correlation_scorer(Z: np.ndarray) -> tuple:
+    """:func:`window_scorer` by circular correlation along the slice axis, the
+    leading axes of Z and X broadcast as in :func:`cyclic_scorer`: one real
+    FFT along T of Z (taken here, once) and of X, summed over c and w."""
+    t = Z.shape[-1]
+    t0 = _occupied_slices(Z).argmax(axis=-1)
+    fz = np.fft.rfft(Z, axis=-1)
+    back = (t0[..., None] - np.arange(t)) % t                  # shift of each position
+
+    def scores(X):
+        fx = np.conj(np.fft.rfft(X, axis=-1))
+        corr = np.fft.irfft(np.einsum("...cwf,...cwf->...f", fz, fx), n=t)
+        return np.take_along_axis(corr, np.broadcast_to(back, corr.shape), axis=-1)
+    return scores, t0
 
 
 def sliding_window_bank(group, Z):
@@ -512,13 +518,8 @@ def _shift_of_first(scores, t0):
 
 
 def sliding_window_pairs(group, Z, X, tol):
-    """The scores of :func:`window_scorer` row against row, every template
-    matched by correlation along the slice axis."""
-    t = X.shape[-1]
-    t0 = _occupied_slices(Z).argmax(axis=-1)
-    back = (t0[:, None] - np.arange(t)) % t                   # shift of each position
-    scores = np.take_along_axis(_slice_correlation(np.fft.rfft(Z, axis=-1), X), back, axis=-1)
-    return (t0 - _first_within(scores, tol)[1]) % t
+    """The witnesses of :func:`_correlation_scorer`, row against row."""
+    return _shift_of_first(*_correlation_scorer(Z))(X, tol)[1]
 
 
 # Window templates live on a single slice: training keeps them there, so
@@ -816,6 +817,11 @@ def from_spec(name: str, rest: str, channels: Optional[int] = None):
     return parse(rest, channels) if parse is not None else DESCRIPTORS[name](*_sizes(rest))
 
 
+def _unit_sample_point(group, rng):
+    z = sample_point(group, rng)
+    return z / np.linalg.norm(z)
+
+
 @dataclass(frozen=True)
 class Kind:
     """One group kind, defined once; :data:`KINDS` maps each descriptor's
@@ -828,11 +834,11 @@ class Kind:
       default of :func:`from_spec` does not.
     * ``bank``, ``pairs`` and ``images``: the bulk form, the paired form and
       the witness images (see the module docstring).
-    * ``witnesses(group, x, y, tol)``: :func:`maxfilt.calculus.witness_set`
-      where the bulk form's tie list is not it: an iterable of every witness
-      within tol (tie blocks expanded, lazily where they can grow large), or
-      representatives of a continuum.  It never raises for the set's size;
-      ``witness_set`` applies the cap.
+    * ``witnesses(group, x, y, tol)``: :func:`maxfilt.calculus.witness_set`,
+      an iterable of every witness within tol (tie blocks expanded, lazily
+      where they can grow large), or representatives of a continuum; by
+      default the bulk form's tie list at tol.  It never raises for the
+      set's size; ``witness_set`` applies the cap.
     * ``element(group, rng)``: a random element in witness encoding (Haar
       for continuous kinds).
     * ``oracle(group, z, x, tol, resolution, cap)``: :func:`maxfilt.core.brute_force_max_filter`
@@ -842,8 +848,8 @@ class Kind:
       template) pair; ``paired_width`` the same per pair of the paired form,
       where that differs.
     * ``witness_keys``: JSON names of the parts of a tuple witness.
-    * ``template(group, rng)``: a random unit-norm template, for kinds whose
-      templates keep a shape of their own (window).
+    * ``template(group, rng)``: a random unit-norm template; by default a
+      normalized :func:`sample_point` (window: on slice 0).
     * ``training(group, Z)``: what a training run, or
       :func:`maxfilt.core.bank_subgradient`, keeps for validated templates
       Z.  ``params`` is the array that is trained, standing for the
@@ -860,12 +866,12 @@ class Kind:
     images: Callable
     element: Callable
     oracle: Callable
-    witnesses: Optional[Callable] = None
+    witnesses: Callable = lambda group, x, y, tol: _tie_list(kind_of(group), group, x, y, tol)[1]
     width: Callable = lambda group: group.dim
     paired_width: Optional[Callable] = None
     witness_keys: tuple = ()
     parse: Optional[Callable] = None
-    template: Optional[Callable] = None
+    template: Callable = _unit_sample_point
     training: Callable = _WholeTemplates
 
 
@@ -974,10 +980,6 @@ def sample_point(group, rng: np.random.Generator) -> np.ndarray:
 
 def random_template(group, rng: np.random.Generator) -> np.ndarray:
     """One unit-norm random template shaped for the group's ambient space:
-    the kind record's ``template`` where it sets one (sliding-window
-    templates start on slice 0), else a normalized :func:`sample_point`."""
-    template = kind_of(group).template
-    if template is not None:
-        return template(group, rng)
-    z = sample_point(group, rng)
-    return z / np.linalg.norm(z)
+    the kind record's ``template`` (sliding-window templates start on slice
+    0; every other kind's is a normalized :func:`sample_point`)."""
+    return kind_of(group).template(group, rng)

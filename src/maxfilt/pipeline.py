@@ -47,16 +47,17 @@ class LabeledDataset:
 # ---------------------------------------------------------------------------
 
 def ingest(path: str, format: str) -> LabeledDataset:
-    """Parse a dataset file per the declared format, with shape validation."""
-    if format == "csv":
-        return _ingest_csv(path)
-    if format == "pgm":
-        return _ingest_pgm(path)
-    if format == "polygon_json":
-        return _ingest_polygons(path)
-    if format == "ecg_csv":
-        return _ingest_ecg(path)
-    raise ValidationError(f"unknown format {format!r}")
+    """Parse a dataset file per the declared format, with shape validation.
+    A dataset with no samples, in any format, is a ValidationError naming
+    the file."""
+    readers = {"csv": _ingest_csv, "pgm": _ingest_pgm, "polygon_json": _ingest_polygons,
+               "ecg_csv": _ingest_ecg}
+    if format not in readers:
+        raise ValidationError(f"unknown format {format!r}")
+    dataset = readers[format](path)
+    if not dataset.samples:
+        raise ValidationError(f"dataset {path} holds no samples")
+    return dataset
 
 
 def _ingest_csv(path: str) -> LabeledDataset:
@@ -64,8 +65,6 @@ def _ingest_csv(path: str) -> LabeledDataset:
     dim = None
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.rstrip("\n") for line in fh if line.strip()]
-    if not rows:
-        raise ValidationError("empty csv file")
     for line in rows[1:]:                       # header row skipped
         if line.count(",") >= 1 and line.lstrip().startswith("\"["):
             # JSON-vector variant: "json array", label
@@ -135,30 +134,28 @@ def write_pgm(path: str, image: np.ndarray) -> None:
         fh.write(pixels.tobytes())
 
 
-def _read_manifest(path: str) -> list:
+def _read_manifest(path: str, read, what: str) -> list:
+    """``(read(file), label)`` for every sample the manifest at ``path``
+    lists (a ``{"samples": [...]}`` object or a bare list of ``{"path",
+    "label"}`` entries, paths relative to the manifest); a ValidationError
+    "<what> must share a common shape" when the samples' shapes differ."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
     entries = manifest["samples"] if isinstance(manifest, dict) else manifest
-    if not entries:
-        raise ValidationError(f"manifest {path} lists no samples")
-    out = []
-    for entry in entries:
-        p = entry["path"]
-        if not os.path.isabs(p):
-            p = os.path.join(base, p)
-        out.append((p, str(entry["label"])))
-    return out
+    # Every entry's keys are read before any file; null lists no samples.
+    listed = [(os.path.join(base, e["path"]), str(e["label"])) for e in entries or ()]
+    samples = [(read(p), label) for p, label in listed]
+    if len({raw.shape for raw, _ in samples}) > 1:
+        raise ValidationError(f"{what} must share a common shape")
+    return samples
 
 
 def _ingest_pgm(path: str) -> LabeledDataset:
     if path.endswith(".pgm"):
         label = os.path.splitext(os.path.basename(path))[0].split("-")[0]
         return LabeledDataset(samples=[(parse_pgm(path), label)], format="pgm")
-    samples = [(parse_pgm(p), lab) for p, lab in _read_manifest(path)]
-    if len({img.shape for img, _ in samples}) > 1:
-        raise ValidationError("pgm images must share a common shape")
-    return LabeledDataset(samples=samples, format="pgm")
+    return LabeledDataset(samples=_read_manifest(path, parse_pgm, "pgm images"), format="pgm")
 
 
 def _ingest_polygons(path: str) -> LabeledDataset:
@@ -193,10 +190,8 @@ def read_ecg_csv(path: str) -> np.ndarray:
 
 
 def _ingest_ecg(path: str) -> LabeledDataset:
-    samples = [(read_ecg_csv(p), label) for p, label in _read_manifest(path)]
-    if len({mat.shape for mat, _ in samples}) > 1:
-        raise ValidationError("ecg sample files must share a common shape")
-    return LabeledDataset(samples=samples, format="ecg_csv")
+    return LabeledDataset(samples=_read_manifest(path, read_ecg_csv, "ecg sample files"),
+                          format="ecg_csv")
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,8 @@ def unit_sphere_vectors(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_sphere_templates(n: int, d: int, rng_seed: int) -> list:
     """n templates drawn uniformly from S^{d-1}; deterministic per seed."""
-    if n < 1 or d < 1:
-        raise ValidationError("need n, d >= 1")
+    n = _require_integer("n", n, 1)
+    d = _require_integer("d", d, 1)
     rng = np.random.default_rng(rng_seed)
     vecs = unit_sphere_vectors(n, d, rng)
     return [Template(vector=vecs[i], label=f"sphere-{i}") for i in range(n)]
@@ -159,10 +159,10 @@ def projective_uniformity_estimate(templates: Sequence, k: int, num_probes: int,
     """
     vecs = np.stack([np.asarray(getattr(t, "vector", t), dtype=float) for t in templates])
     n, d = vecs.shape
-    if not 1 <= k <= n:
+    k = _require_integer("k", k, 1)
+    if k > n:
         raise ValidationError("need 1 <= k <= number of templates")
-    if num_probes < 1:
-        raise ValidationError("need at least one probe")
+    num_probes = _require_integer("num_probes", num_probes, 1)
     rng = np.random.default_rng(rng_seed)
     probes = [unit_sphere_vectors(num_probes, d, rng)]
     norms = np.linalg.norm(vecs, axis=1)
@@ -351,7 +351,7 @@ def indicator_templates(sets: Sequence[Sequence[int]], grid: int) -> list:
     Each template scores its own set strictly above every other distinct
     orbit under the cyclic shift group.
     """
-    length = int(grid)
+    length = _require_integer("grid", grid, 1)
     sets = [np.asarray(sorted(set(int(i) % length for i in s)), dtype=int) for s in sets]
     if any(len(s) == 0 for s in sets):
         raise ValidationError("indicator sets must be nonempty")
@@ -481,17 +481,13 @@ def gmm_classifier(a: np.ndarray, b: np.ndarray, contrast: float) -> GMMClassifi
     if dist < contrast:
         raise ValidationError(f"Thompson distance {dist:.4f} below required contrast {contrast}")
 
-    isq = matrix_inverse_sqrt(ak)
-    ratio = isq @ bk @ isq
-    vals, vecs = np.linalg.eigh(ratio)
-    swapped = False
-    if math.log(vals.max()) < contrast:
-        # The A-dominant direction carries the contrast; swap roles.
-        swapped = True
-        a, b, ak, bk = b, a, bk, ak
+    for swapped in (False, True):
         isq = matrix_inverse_sqrt(ak)
-        ratio = isq @ bk @ isq
-        vals, vecs = np.linalg.eigh(ratio)
+        vals, vecs = np.linalg.eigh(isq @ bk @ isq)
+        if swapped or math.log(vals.max()) >= contrast:
+            break
+        # The A-dominant direction carries the contrast; swap roles.
+        a, b, ak, bk = b, a, bk, ak
     v = vecs[:, -1]
     zk = isq @ v
     z = np.zeros(n)

@@ -288,6 +288,27 @@ class TestCountRule:
         with pytest.raises(mf.ValidationError, match="n must be a non-negative integer"):
             random_bank(mf.CyclicShift(4), n, 0)
 
+    # The same rule for the package's other counts and sizes.
+    CALLS = {
+        "coding-n": ("n", lambda v: mf.make_color_coding(v, 1, 0)),
+        "coding-k": ("k", lambda v: mf.make_color_coding(4, v, 0)),
+        "sphere-n": ("n", lambda v: mf.random_sphere_templates(v, 3, 0)),
+        "sphere-d": ("d", lambda v: mf.random_sphere_templates(2, v, 0)),
+        "uniformity-k": ("k", lambda v: mf.projective_uniformity_estimate(np.eye(3), v, 5, 0)),
+        "uniformity-probes": ("num_probes",
+                              lambda v: mf.projective_uniformity_estimate(np.eye(3), 1, v, 0)),
+        "indicator-grid": ("grid", lambda v: mf.indicator_templates([[0]], grid=v)),
+        "patch-side": ("side", lambda v: mf.PatchPermutation.square(v, (4, 4))),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.0, 8.7, 0])
+    @pytest.mark.parametrize("call", CALLS.values(), ids=list(CALLS))
+    def test_other_counts(self, call, value):
+        name, run = call
+        with pytest.raises(mf.ValidationError,
+                           match=f"^{name} must be a positive integer, got {value!r}$"):
+            run(value)
+
     def test_numpy_integers_count(self):
         group = mf.CyclicShift(4)
         bank = random_bank(group, np.int64(2), 0)

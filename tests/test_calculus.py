@@ -186,6 +186,17 @@ class TestWitnessSet:
         with pytest.raises(mf.EnumerationCapExceeded):            # the default cap, 4096
             witness_set(mf.CyclicShift(5000), np.zeros(5000), np.ones(5000))
 
+    # Past enumeration scale (n > 8) the set is the assignment optimum alone.
+    @pytest.mark.parametrize("k, n", [(2, 9), (3, 12)])
+    def test_colperm_past_enumeration_is_the_first_witness(self, k, n):
+        group = mf.ColumnPermutation(k, n)
+        x, y = np.random.default_rng(n).standard_normal((2, k, n))
+        for y in (y, x):
+            wits = mf.witness_set(group, x, y)
+            first = mf.bank_argmax(group, [x], [y])[1][0, 0]
+            assert len(wits) == 1 and wits[0].dtype == first.dtype
+            assert np.array_equal(wits[0], first)
+
     def test_optimum_survives_zero_tolerance_at_scale(self):
         # the enumerator reproduces the optimum's own summation order, so the
         # in-order pairing is never pruned, even with no slack at all

@@ -48,6 +48,14 @@ class TestGroupSpecGrammar:
             with pytest.raises(mf.ValidationError):
                 parse_group_spec(bad)
 
+    def test_window_spec_without_channels_exits_3(self, capsys):
+        with pytest.raises(mf.ValidationError, match="needs channel count"):
+            parse_group_spec("window:3x10")
+        code, out, err = run_cli(capsys, "separation", "--group", "window:3x10", "--n", "2",
+                                 "--seed", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and "needs channel count" in err
+
     def test_every_kind_parses_from_its_grammar(self, tmp_path):
         mats = write_json(tmp_path / "s2.json", [np.eye(2).tolist(), [[0.0, 1.0], [1.0, 0.0]]])
         samples = {"enumerated": "enumerated:" + mats, "cyclic": "cyclic:6", "perm": "perm:5",
@@ -523,8 +531,24 @@ class TestTrainPredict:
         code, out, err = run_cli(capsys, *command, path, "--seed", "0",
                                  "--output", str(tmp_path / "model.json"))
         assert (code, out) == (3, "")
-        assert err == f"validation error: manifest {path} lists no samples\n"
+        assert err == f"validation error: dataset {path} holds no samples\n"
         assert not (tmp_path / "model.json").exists()
+
+    # One rule in pipeline.ingest for every format: the file names no sample.
+    @pytest.mark.parametrize("name, text, command", [
+        ("polys.json", "[]", ("district", "--templates", "4", "--polygons")),
+        ("data.csv", "x0,x1,label\n", ("train", "--data-format", "csv", "--group", "perm:2",
+                                        "--data")),
+        ("data.csv", "", ("train", "--data-format", "csv", "--group", "perm:2", "--data"))],
+        ids=["polygons", "csv-header-only", "csv-empty"])
+    def test_empty_dataset_exits_3_naming_the_file(self, tmp_path, capsys, name, text, command):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, *command, str(path), "--seed", "0",
+                                 "--output", str(tmp_path / "out"))
+        assert (code, out) == (3, "")
+        assert err == f"validation error: dataset {path} holds no samples\n"
+        assert not (tmp_path / "out").exists()
 
     def test_ecg_files_of_two_shapes_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

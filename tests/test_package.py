@@ -45,16 +45,41 @@ assert not loaded, f"loaded on import: {loaded}"
 """
 
 
-def run_child(script):
+def run_child(script, *argv):
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(mf.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, env=env)
 
 
 def test_cold_import_loads_no_unused_module():
     proc = run_child(COLD)
+    assert proc.returncode == 0, proc.stderr
+
+
+# The CLI reaches analysis and graphs through the package: commands that use
+# neither never load them, and those that do still run.
+CLI_COLD = r"""
+import contextlib, io, json, sys
+import maxfilt.cli
+def loaded():
+    return [m for m in ("maxfilt.graphs", "maxfilt.analysis") if m in sys.modules]
+assert not loaded(), f"loaded on import: {loaded()}"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert maxfilt.cli.main(["templates", "--hermite", "2", "--dim", "8"]) == 0
+    assert not loaded(), f"loaded by templates: {loaded()}"
+    assert maxfilt.cli.main(["separation", "--group", "cyclic:4", "--n", "2",
+                             "--trials", "10", "--seed", "0"]) == 0
+    json.dump({"n": 2, "edges": [[0, 1, 1.0]]}, open(sys.argv[1], "w"))
+    json.dump({"n": 3, "edges": [[0, 1, 2.0], [1, 2, 1.0]]}, open(sys.argv[2], "w"))
+    assert maxfilt.cli.main(["graph-filter", "--tree", sys.argv[1], "--graph", sys.argv[2],
+                             "--seed", "0", "--oracle"]) == 0
+"""
+
+
+def test_cli_loads_analysis_and_graphs_on_first_use(tmp_path):
+    proc = run_child(CLI_COLD, str(tmp_path / "tree.json"), str(tmp_path / "graph.json"))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -286,6 +286,9 @@ def cmd_predict(args) -> int:
 def cmd_district(args) -> int:
     dataset = pipeline.ingest(args.polygons, "polygon_json")
     signals = [pipeline.district_embed(v, args.samples) for v in dataset.raws]
+    if len(signals) < 2:                    # PCA needs two points to span a direction
+        raise ValidationError(f"district needs at least 2 polygons, {args.polygons} "
+                              f"holds {len(signals)}")
     group = ShiftAndConjugate(args.samples)
     bank = maxfilt.analysis.random_bank(group, args.templates, args.seed)
     feats = bank_values(group, bank, signals)

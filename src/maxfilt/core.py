@@ -434,20 +434,15 @@ class FilterBank:
         """``(values, witnesses)`` on validated inputs X, chunk by chunk.  ``nx``
         holds the row norms of X for the tie tolerances (callers that evaluate
         the same inputs again take them once); ``None`` asks for values only."""
-        return _evaluate(self._bulk, self._norms, self._step, X, nx)
-
-
-def _evaluate(bulk, norms: np.ndarray, step: int, X: np.ndarray, nx) -> tuple:
-    """:meth:`FilterBank.evaluate` of the bulk form ``bulk`` of templates
-    with norms ``norms``, ``step`` rows of X at a time."""
-    values, wits = [], []
-    for s in range(0, max(len(X), 1), step):
-        tol = None if nx is None else _tie_tolerance(norms[None, :], nx[s:s + step, None])
-        v, w = bulk(X[s:s + step], tol)
-        values.append(v)
-        wits.append(w)
-    wits = None if nx is None else _by_part(lambda *c: np.concatenate(c), *wits)
-    return np.concatenate(values), wits
+        values, wits = [], []
+        for s in range(0, max(len(X), 1), self._step):
+            tol = None if nx is None else _tie_tolerance(self._norms[None, :],
+                                                         nx[s:s + self._step, None])
+            v, w = self._bulk(X[s:s + self._step], tol)
+            values.append(v)
+            wits.append(w)
+        wits = None if nx is None else _by_part(lambda *c: np.concatenate(c), *wits)
+        return np.concatenate(values), wits
 
 
 def bank_values(group: GroupAction, bank, xs) -> np.ndarray:
@@ -469,23 +464,35 @@ def bank_subgradient(group: GroupAction, bank, xs, witnesses, coef) -> np.ndarra
     g_nk of ``bank_argmax(group, bank, xs)``: a subgradient in the templates
     of ``sum_n coef[n, k] Phi_k(xs[n])`` where ``coef >= 0``.
 
-    The sum is formed by the kind record's ``training``: sliding-window
-    templates must stay on one slice, so only each template's own slice of
-    the sum is formed (the rest is zero), and a template on several slices
-    is a ValidationError.
+    The sum is formed by the kind record's ``training`` over the rows with
+    a nonzero coef: sliding-window templates must stay on one slice, so
+    only each template's own slice of the sum is formed (the rest is zero),
+    and a template on several slices is a ValidationError.
     """
     Z = _bank_operands(group, bank)
     X = as_operands(group, xs)
+    coef = np.asarray(coef, dtype=float)
+    rows = _used_rows(coef)
     run = groups.kind_of(group).training(group, Z)
-    return run.templates(run.subgradient(run.params, X, witnesses,
-                                         np.asarray(coef, dtype=float)))
+    return run.templates(run.subgradient(run.params, X, rows,
+                                         _by_part(lambda c: c[rows], witnesses), coef[rows]))
+
+
+def _used_rows(coef: np.ndarray) -> np.ndarray:
+    """The rows of an (N, K) coef that a bank subgradient reads: those with
+    a nonzero entry, in order."""
+    return np.flatnonzero(np.any(coef != 0, axis=1))
 
 
 class _WholeTemplates:
     """What a training run keeps for a bank of templates Z trained whole,
     the default ``training`` of a kind record (see :mod:`maxfilt.groups`):
     ``params`` is Z itself, and every evaluation prepares the bank of the
-    templates it is given."""
+    templates it is given.  An evaluation takes the witnesses of every row
+    in one pass and hands out the rows asked for: on some kinds (phase and
+    enumerated among them) a value's last bits depend on which rows share
+    its chunk, so the witnesses are taken in the public calls' chunks, not
+    for the asked rows alone."""
 
     def __init__(self, group: GroupAction, Z: np.ndarray):
         self.group = group
@@ -495,19 +502,21 @@ class _WholeTemplates:
         return Z
 
     def evaluate(self, Z: np.ndarray, X: np.ndarray, nx) -> tuple:
-        return FilterBank(self.group, Z).evaluate(X, nx)
+        values, wits = FilterBank(self.group, Z).evaluate(X, nx)
+        return values, None if nx is None else (lambda rows: _by_part(lambda c: c[rows], wits))
 
-    def subgradient(self, Z: np.ndarray, X: np.ndarray, witnesses, coef: np.ndarray):
-        """:func:`bank_subgradient` on validated operands: the witness
-        images of the rows with a nonzero coef, a chunk at a time."""
+    def subgradient(self, Z: np.ndarray, X: np.ndarray, rows, witnesses, coef: np.ndarray):
+        """:func:`bank_subgradient` on validated operands, over the rows
+        ``rows`` of X with their witnesses and coef: the witness images a
+        chunk at a time."""
         kind = groups.kind_of(self.group)
-        used = np.flatnonzero(np.any(coef != 0, axis=1))
         out = np.zeros(Z.shape, dtype=np.result_type(Z, X))
         step = _chunk_rows(self.group, len(Z), kind.width)
-        for s in range(0, len(used), step):
-            idx = used[s:s + step]
-            images = kind.images(self.group, _by_part(lambda c: c[idx], witnesses), X[idx])
-            out += np.einsum("nk,nk...->k...", coef[idx], images)
+        for s in range(0, len(rows), step):
+            part = slice(s, s + step)
+            images = kind.images(self.group, _by_part(lambda c: c[part], witnesses),
+                                 X[rows[part]])
+            out += np.einsum("nk,nk...->k...", coef[part], images)
         return out
 
 

@@ -57,8 +57,8 @@ import numpy as np
 from ._assignment import max_profit_assignments
 from .core import (Enumerated, EnumerationCapExceeded, FilterResult, GroupAction,
                    NumericFailure, PatchPermutation, SlidingWindowShift, ValidationError,
-                   _chunk_rows, _evaluate, _haar_orthogonal, _tie_list,
-                   _vector_norms, _WholeTemplates)
+                   _haar_orthogonal, _tie_list, _tie_tolerance, _vector_norms,
+                   _WholeTemplates)
 
 
 def _first_within(scores: np.ndarray, tol) -> tuple:
@@ -533,7 +533,11 @@ class WindowSlices:
     builds (c, w, T) tensors.  The slices are found in one pass over the
     bank; a template on several slices is a ValidationError.  Values,
     witnesses and subgradients are those of the bulk form and of the whole
-    tensors' subgradient restricted to each template's slice, bit for bit."""
+    tensors' subgradient restricted to each template's slice, bit for bit.
+
+    An evaluation keeps its (N, K, T) slice scores (K / (c w) the size of
+    the inputs) for its witnesses, and runs the tie test only on the rows
+    whose witnesses are asked for."""
 
     def __init__(self, group, Z):
         occupied = _occupied_slices(Z)
@@ -542,7 +546,6 @@ class WindowSlices:
         self.t0 = occupied.argmax(axis=1)             # 0 for a zero template
         self.params = Z[np.arange(len(Z)), :, :, self.t0]
         self._whole = np.zeros(Z.shape)               # for the template norms
-        self._step = _chunk_rows(group, len(Z), kind_of(group).width)
 
     def templates(self, S: np.ndarray) -> np.ndarray:
         Z = np.zeros(self._whole.shape)
@@ -550,23 +553,29 @@ class WindowSlices:
         return Z
 
     def evaluate(self, S: np.ndarray, X: np.ndarray, nx) -> tuple:
+        """``(values, witnesses_of)``: the (N, K) values, and unless ``nx``
+        is None a function from row indices to those rows' witnesses."""
         if not np.isfinite(S).all():
             raise ValidationError("operand contains NaN or infinity")
-        norms = None
-        if nx is not None:
-            # The norms of the whole tensors: a norm of the slice alone is
-            # the same number, but BLAS may sum it in another order.
-            self._whole[np.arange(len(S)), :, :, self.t0] = S
-            norms = _vector_norms(self._whole)
-        return _evaluate(_shift_of_first(lambda x: window_scores(S, x), self.t0),
-                         norms, self._step, X, nx)
+        scores = window_scores(S, X)              # one gemm per row: no chunks
+        values = scores.max(axis=-1)
+        if nx is None:
+            return values, None
+        # The norms of the whole tensors: a norm of the slice alone is the
+        # same number, but BLAS may sum it in another order.
+        self._whole[np.arange(len(S)), :, :, self.t0] = S
+        norms = _vector_norms(self._whole)
 
-    def subgradient(self, S: np.ndarray, X: np.ndarray, witnesses, coef: np.ndarray):
-        """Per template, the sum over n of ``coef[n, k]`` times the slice of
-        X[n] that the witness matches with slice t0[k]."""
-        used = np.flatnonzero(np.any(coef != 0, axis=1))
-        positions = (self.t0 - np.asarray(witnesses)[used]) % X.shape[-1]
-        return np.einsum("nk,nkcw->kcw", coef[used], X[used[:, None], :, :, positions])
+        def witnesses_of(rows):
+            tol = _tie_tolerance(norms[None, :], nx[rows, None])
+            return (self.t0 - _first_within(scores[rows], tol)[1]) % X.shape[-1]
+        return values, witnesses_of
+
+    def subgradient(self, S: np.ndarray, X: np.ndarray, rows, witnesses, coef: np.ndarray):
+        """Per template, the sum over the rows ``rows`` of X of ``coef[n, k]``
+        times the slice of X[n] that the witness matches with slice t0[k]."""
+        positions = (self.t0 - np.asarray(witnesses)) % X.shape[-1]
+        return np.einsum("nk,nkcw->kcw", coef, X[rows[:, None], :, :, positions])
 
 
 def _window_template(group, rng):
@@ -853,9 +862,13 @@ class Kind:
     * ``training(group, Z)``: what a training run, or
       :func:`maxfilt.core.bank_subgradient`, keeps for validated templates
       Z.  ``params`` is the array that is trained, standing for the
-      templates ``templates(P)``; ``evaluate(P, X, nx)`` is
-      :meth:`maxfilt.core.FilterBank.evaluate` on them and
-      ``subgradient(P, X, witnesses, coef)`` the bank subgradient, shaped
+      templates ``templates(P)``.  ``evaluate(P, X, nx)`` returns the
+      (N, K) values of :meth:`maxfilt.core.FilterBank.evaluate` on them
+      and, unless ``nx`` is None, ``witnesses_of(rows)``: the witnesses of
+      the rows ``rows`` of X from that same evaluation, stacked over
+      (len(rows), K), bit for bit those of the public calls.
+      ``subgradient(P, X, rows, witnesses, coef)`` is the bank subgradient
+      over the rows ``rows`` of X, given their witnesses and coef, shaped
       as P.  Templates are trained whole by default; window templates as
       the one slice each lives on (:class:`WindowSlices`).
     """

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import groups
 from .core import (FilterBank, GroupAction, NumericFailure, ValidationError,
-                   _require_integer, _vector_norms, as_operands)
+                   _require_integer, _used_rows, _vector_norms, as_operands)
 from .templates import HermiteSpec, Template, _hermite_grid, array_from_jsonable, to_jsonable
 
 MODEL_FORMAT = "maxfilt-model/1"
@@ -159,15 +159,24 @@ def _ingest_pgm(path: str) -> LabeledDataset:
 
 
 def _ingest_polygons(path: str) -> LabeledDataset:
+    """One ``{"label", "vertices"}`` object or a list of them.  Anything
+    else (``null``, an entry that is not such an object, vertices that are
+    not at least 3 planar points) is a ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValidationError(f"polygon file {path} must hold a polygon object or a list of them")
     samples = []
-    for entry in data:
-        verts = np.asarray(entry["vertices"], dtype=float)
-        if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
-            raise ValidationError("polygon needs at least 3 planar vertices")
+    for i, entry in enumerate(data):
+        try:
+            verts = np.asarray(entry["vertices"], dtype=float)
+        except (TypeError, KeyError, ValueError):
+            verts = None
+        if verts is None or verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
+            raise ValidationError(f"polygon file {path}: entry {i} is not an object with "
+                                  "at least 3 planar vertices")
         samples.append((verts, str(entry.get("label", ""))))
     return LabeledDataset(samples=samples, format="polygon_json")
 
@@ -399,10 +408,17 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     the one slice each lives on, and their (c, w, T)
     tensors are built once, for the returned model.  Each epoch evaluates
     the templates on all samples in one engine call (what
-    :func:`maxfilt.core.bank_argmax` runs) and forms the template
-    subgradients from its witnesses.  The returned model holds the averaged
-    iterates; the loss history of the running iterate and the initial/final
-    losses of the averaged one are recorded in the config snapshot.
+    :func:`maxfilt.core.bank_argmax` runs) and then takes, from that same
+    evaluation, the witnesses of only the samples the template subgradient
+    reads: those with a nonzero coefficient (below margin 1, with a
+    nonzero weight), and none under ``freeze_templates``.  Whole templates
+    take every sample's witness in the evaluation's one pass; window
+    templates run the tie test on the read samples alone.  Either way the
+    witnesses, and so the model, are those of the public calls bit for
+    bit; the next epoch's evaluation replaces this one's, and the model
+    keeps none.  The returned model holds the averaged iterates; the loss
+    history of the running iterate and the initial/final losses of the
+    averaged one are recorded in the config snapshot.
     """
     config = config or TrainConfig()
     n_templates = _require_integer("n_templates", n_templates, 1)
@@ -438,7 +454,7 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
     history = []
     n = len(xs)
     for t in range(1, config.epochs + 1):
-        feats, witnesses = run.evaluate(params, xs, nx)
+        feats, witnesses_of = run.evaluate(params, xs, nx)
         loss = _hinge_loss(feats, y, w, b, config.ridge)
         if not math.isfinite(loss):
             raise NumericFailure("training diverged (non-finite loss)")
@@ -450,7 +466,8 @@ def train_svm_templates(dataset: LabeledDataset, group: GroupAction, n_templates
         eta = config.learning_rate / math.sqrt(t)
         if not config.freeze_templates:
             coef = -(active * y)[:, None] * w[None, :]
-            gz = run.subgradient(params, xs, witnesses, coef) / n
+            rows = _used_rows(coef)
+            gz = run.subgradient(params, xs, rows, witnesses_of(rows), coef[rows]) / n
             params = params - eta * gz
         w = w - eta * gw
         b = b - eta * gb

@@ -665,6 +665,26 @@ class TestDistrictCommand:
         assert "n_samples must be at least 2, got 1" in err
 
 
+    @pytest.mark.parametrize("text", [
+        "null", "[null]", '{"samples": null}', "[5]",
+        '[{"label": "a", "vertices": [["x", 0], [1, 0], [0, 1]]}]'],
+        ids=["null", "null-entry", "null-samples", "number-entry", "text-vertex"])
+    def test_malformed_polygon_file_exits_3_naming_the_file(self, tmp_path, capsys, text):
+        path = tmp_path / "polys.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "district", "--polygons", str(path), "--seed", "0")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"validation error: polygon file {path}")
+
+    def test_one_polygon_exits_3_naming_the_file_and_count(self, tmp_path, capsys):
+        src = write_json(tmp_path / "polys.json",
+                         [{"label": "square", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}])
+        code, out, err = run_cli(capsys, "district", "--polygons", src, "--templates", "4",
+                                 "--seed", "0")
+        assert (code, out) == (3, "")
+        assert err == f"validation error: district needs at least 2 polygons, {src} holds 1\n"
+
+
 class TestTextureCommand:
     def test_extract_and_train(self, tmp_path, capsys):
         sys.path.insert(0, "tests")

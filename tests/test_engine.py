@@ -408,9 +408,10 @@ def public_call_training(dataset, group, n_templates, config):
         gw = 2.0 * config.ridge * w - (feats * (active * y)[:, None]).mean(axis=0)
         gb = -float(np.mean(active * y))
         eta = config.learning_rate / math.sqrt(t)
-        coef = -(active * y)[:, None] * w[None, :]
-        gz = mf.bank_subgradient(group, templates, xs, witnesses, coef) / len(xs)
-        templates = templates - eta * gz
+        if not config.freeze_templates:
+            coef = -(active * y)[:, None] * w[None, :]
+            gz = mf.bank_subgradient(group, templates, xs, witnesses, coef) / len(xs)
+            templates = templates - eta * gz
         w, b = w - eta * gw, b - eta * gb
         w_sum += w
         b_sum += b
@@ -420,20 +421,23 @@ def public_call_training(dataset, group, n_templates, config):
     return z_avg, w_avg, b_avg, history, initial, final
 
 
-@pytest.mark.parametrize("kind", ["window", "window-workload", "window-ties", "colperm",
-                                  "cyclic"])
-def test_training_matches_public_call_loop_exactly(kind):
-    # Training validates the samples and takes their norms once per run; the
-    # result must be the public per-epoch calls' bit for bit.
+def training_case(kind):
+    """``(group, dataset, n_templates, config)`` of a training run."""
     n_templates, epochs = 3, 20
-    if kind == "window":
+    if kind in ("window", "window-frozen"):
         group = mf.SlidingWindowShift(2, 3, 15)
         dataset = make_planted_window_dataset(12, c=2, w=3, t=15, noise=0.1, rng_seed=22)
-    elif kind == "window-workload":
+    elif kind in ("window-workload", "window-margins"):
         # The benchmark's train-window shape: 100 samples, 4 templates, 40 epochs.
         group = mf.SlidingWindowShift(3, 10, 200)
         dataset = make_planted_window_dataset(50, c=3, w=10, t=200, noise=0.1, rng_seed=30)
         n_templates, epochs = 4, 40
+        if kind == "window-margins":
+            # The benchmark's signal too: motifs of norm 3 under noise 0.1, so
+            # that most samples leave the active set within a few epochs.
+            planted = make_planted_window_dataset(50, c=3, w=10, t=200, noise=0.1 / 3,
+                                                  rng_seed=30)
+            dataset = LabeledDataset(samples=[(3.0 * x, lab) for x, lab in planted.samples])
     elif kind == "window-ties":
         # Samples constant along the slice axis up to 1e-12, far within the tie
         # tolerance: every position ties and the first must be taken, since
@@ -448,7 +452,19 @@ def test_training_matches_public_call_loop_exactly(kind):
         rng = np.random.default_rng(28)
         xs = [sample_point(group, rng) * (2.0 if i % 2 else 0.5) for i in range(24)]
         dataset = LabeledDataset(samples=[(x, "p" if i % 2 else "n") for i, x in enumerate(xs)])
-    config = TrainConfig(epochs=epochs, learning_rate=0.5, ridge=1e-3, rng_seed=29)
+    config = TrainConfig(epochs=epochs, learning_rate=0.5, ridge=1e-3, rng_seed=29,
+                         freeze_templates=kind == "window-frozen")
+    return group, dataset, n_templates, config
+
+
+@pytest.mark.parametrize("kind", ["window", "window-workload", "window-margins", "window-ties",
+                                  "window-frozen", "colperm", "cyclic", "phase", "perm",
+                                  "enumerated"])
+def test_training_matches_public_call_loop_exactly(kind):
+    # Training validates the samples and takes their norms once per run, and
+    # takes witnesses only for the rows its subgradient reads; the result
+    # must be the public per-epoch calls' bit for bit.
+    group, dataset, n_templates, config = training_case(kind)
     model = train_svm_templates(dataset, group, n_templates, config)
     z_avg, w_avg, b_avg, history, initial, final = public_call_training(
         dataset, group, n_templates, config)
@@ -458,6 +474,31 @@ def test_training_matches_public_call_loop_exactly(kind):
     assert model.config["loss_history"] == history
     assert model.config["initial_loss"] == initial
     assert model.config["final_loss"] == final
+
+
+@pytest.mark.parametrize("kind", ["window-workload", "window-margins", "window-frozen"])
+def test_window_training_ties_only_the_rows_its_subgradient_reads(kind, monkeypatch):
+    # Per epoch, the tie test sees exactly the rows with a nonzero coef in
+    # the public loop's bank_subgradient; with frozen templates, none.
+    group, dataset, n_templates, config = training_case(kind)
+    tied = []
+    first_within = groups._first_within
+    monkeypatch.setattr(groups, "_first_within",
+                        lambda scores, tol: tied.append(len(scores)) or first_within(scores, tol))
+    train_svm_templates(dataset, group, n_templates, config)
+    monkeypatch.undo()
+    read = []
+    subgradient = mf.bank_subgradient
+    monkeypatch.setattr(mf, "bank_subgradient", lambda group, bank, xs, wits, coef: read.append(
+        np.count_nonzero(np.any(coef != 0, axis=1))) or subgradient(group, bank, xs, wits, coef))
+    public_call_training(dataset, group, n_templates, config)
+    assert tied == read
+    if kind == "window-frozen":
+        assert tied == []
+    else:
+        assert len(tied) == config.epochs
+    if kind == "window-margins":
+        assert sum(tied) < config.epochs * len(dataset.samples) // 2 and tied[-1] < 10
 
 
 def test_one_vs_rest_training_matches_public_call_loops():
@@ -524,13 +565,16 @@ def test_window_training_takes_the_whole_tensors_norms(monkeypatch):
     Z[np.arange(16), :, :, rng.integers(0, group.t, 16)] = rng.standard_normal((16, 3, 10))
     run = KINDS["window"].training(group, Z)
     handed = []
-    evaluate = groups._evaluate
-    monkeypatch.setattr(groups, "_evaluate",
-                        lambda bulk, norms, *rest: handed.append(norms) or evaluate(bulk, norms, *rest))
+    tolerance = groups._tie_tolerance
+    monkeypatch.setattr(groups, "_tie_tolerance",
+                        lambda norms, nx: handed.append((norms, nx)) or tolerance(norms, nx))
     X = rng.standard_normal((5,) + group.shape)
-    run.evaluate(run.params, X, _vector_norms(X))
+    nx = _vector_norms(X)
+    witnesses_of = run.evaluate(run.params, X, nx)[1]
+    witnesses_of(np.array([3, 1]))              # the rows asked for, with their own norms
     whole = _vector_norms(run.templates(run.params))
-    assert handed[0].tolist() == whole.tolist()
+    assert handed[0][0].ravel().tolist() == whole.tolist()
+    assert handed[0][1].ravel().tolist() == nx[[3, 1]].tolist()
     assert (_vector_norms(run.params) != whole).any()
 
 

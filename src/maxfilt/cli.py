@@ -329,8 +329,7 @@ def cmd_texture(args) -> int:
         return 0
     dataset = pipeline.ingest(args.manifest, "pgm")
     hermite = not args.random_templates
-    feats = np.stack([pipeline.texture_features(img, levels, degrees, hermite=hermite,
-                                                rng_seed=args.seed) for img in dataset.raws])
+    feats = pipeline.texture_feature_rows(dataset.raws, levels, degrees, hermite, args.seed)
     model = pipeline.fit_texture_features(feats, dataset.labels, levels, degrees,
                                           pca_k=args.pca, hermite=hermite, rng_seed=args.seed)
     pipeline.save_model(model, args.output)

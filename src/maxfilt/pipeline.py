@@ -138,13 +138,23 @@ def _read_manifest(path: str, read, what: str) -> list:
     """``(read(file), label)`` for every sample the manifest at ``path``
     lists (a ``{"samples": [...]}`` object or a bare list of ``{"path",
     "label"}`` entries, paths relative to the manifest); a ValidationError
-    "<what> must share a common shape" when the samples' shapes differ."""
+    "<what> must share a common shape" when the samples' shapes differ.
+    Samples that are not a list, and an entry that is not an object or
+    whose path is not a string, are a ValidationError naming the file (and
+    the entry's index); a missing key is a KeyError."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
     entries = manifest["samples"] if isinstance(manifest, dict) else manifest
-    # Every entry's keys are read before any file; null lists no samples.
-    listed = [(os.path.join(base, e["path"]), str(e["label"])) for e in entries or ()]
+    if not isinstance(entries, (list, type(None))):     # null lists no samples
+        raise ValidationError(f"manifest {path} must list its samples")
+    # Every entry's keys are read before any file.
+    listed = []
+    for i, e in enumerate(entries or ()):
+        if not isinstance(e, dict) or not isinstance(e["path"], str):
+            raise ValidationError(f"manifest {path}: entry {i} is not an object with a "
+                                  "string path")
+        listed.append((os.path.join(base, e["path"]), str(e["label"])))
     samples = [(read(p), label) for p, label in listed]
     if len({raw.shape for raw, _ in samples}) > 1:
         raise ValidationError(f"{what} must share a common shape")
@@ -297,6 +307,45 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
             v = _hermite_grid(deg, s * s) if hermite else np.sort(rng.standard_normal(s * s))
             feats.append(float((patches @ v).sum()))
     return np.asarray(feats)
+
+
+def _texture_workers(n: int) -> int:
+    """Threads that extract ``n`` images' texture features: the CPUs this
+    process may run on, at most ``n``, while the process runs no other
+    thread, and 1 otherwise (also where the thread count cannot be read).
+    A BLAS that keeps worker threads of its own (OpenBLAS at its default
+    thread count) counts as another thread: its workers spin between the
+    per-level products, and a second extraction thread beside them makes
+    training slower, not faster."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            threads = next(int(line.split()[1]) for line in fh if line.startswith(b"Threads:"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError, StopIteration, ValueError):
+        return 1
+    return min(n, cpus) if threads == 1 else 1
+
+
+def texture_feature_rows(images: Sequence[np.ndarray], levels: Sequence[int],
+                         degrees: Sequence[int], hermite: bool = True,
+                         rng_seed: int = 0) -> np.ndarray:
+    """The (N, F) stack of the :func:`texture_features` rows of ``images``,
+    bit for bit the serial loop's.  Each image's features are independent,
+    and the copy, sort and products that make them release the GIL, so the
+    images are mapped over :func:`_texture_workers` threads.  Rows do not
+    depend on the thread count, and the first invalid image in order raises
+    the serial loop's ValidationError."""
+    images = list(images)
+
+    def row(image):
+        return texture_features(image, levels, degrees, hermite=hermite, rng_seed=rng_seed)
+
+    workers = _texture_workers(len(images))
+    if workers <= 1:
+        return np.stack([row(image) for image in images])
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.stack(list(pool.map(row, images)))
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +701,11 @@ def fit_texture_model(images: Sequence[np.ndarray], labels: Sequence[str],
                       pca_k: int = 25, hermite: bool = True,
                       rng_seed: int = 0) -> PipelineModel:
     """Texture pipeline: multiscale sorted-patch features, PCA (capped at the
-    feasible rank), then pooled-covariance LDA."""
-    feats = np.stack([texture_features(img, levels, degrees, hermite=hermite,
-                                       rng_seed=rng_seed) for img in images])
+    feasible rank), then pooled-covariance LDA.  The features are extracted
+    by :func:`texture_feature_rows`, on the idle CPUs when the process runs
+    no other thread; the model does not depend on how many threads took
+    them."""
+    feats = texture_feature_rows(images, levels, degrees, hermite, rng_seed)
     return fit_texture_features(feats, labels, levels, degrees, pca_k, hermite, rng_seed)
 
 

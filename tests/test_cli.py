@@ -534,6 +534,39 @@ class TestTrainPredict:
         assert err == f"validation error: dataset {path} holds no samples\n"
         assert not (tmp_path / "model.json").exists()
 
+    MALFORMED_MANIFESTS = {
+        "null-entry": ({"samples": [None]}, ": entry 0 is not"),
+        "null-after-entry": ([{"path": "s0", "label": "a"}, None], ": entry 1 is not"),
+        "number-entry": ([{"path": "s0", "label": "a"}, 5], ": entry 1 is not"),
+        "null-path": ({"samples": [{"path": None, "label": "a"}]}, ": entry 0 is not"),
+        "number-path": ([{"path": "s0", "label": "a"}, {"path": 3, "label": "b"}],
+                        ": entry 1 is not"),
+        "samples-not-a-list": ({"samples": 5}, " must list its samples"),
+    }
+
+    @pytest.mark.parametrize("manifest, message", MALFORMED_MANIFESTS.values(),
+                             ids=list(MALFORMED_MANIFESTS))
+    @pytest.mark.parametrize("command", [
+        ("train", "--data-format", "ecg_csv", "--group", "window:6x19", "--data"),
+        ("texture", "--manifest")], ids=["train-ecg", "texture-pgm"])
+    def test_malformed_manifest_exits_3_naming_the_file_and_entry(self, tmp_path, capsys,
+                                                                  manifest, message, command):
+        path = write_json(tmp_path / "manifest.json", manifest)
+        code, out, err = run_cli(capsys, *command, path, "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"validation error: manifest {path}{message}")
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        ("train", "--data-format", "ecg_csv", "--group", "window:6x19", "--data"),
+        ("texture", "--manifest")], ids=["train-ecg", "texture-pgm"])
+    def test_manifest_entry_without_a_path_exits_2(self, tmp_path, capsys, command):
+        path = write_json(tmp_path / "manifest.json", [{"label": "a"}])
+        code, out, err = run_cli(capsys, *command, path, "--seed", "0",
+                                 "--output", str(tmp_path / "model.json"))
+        assert (code, out, err) == (2, "", "i/o error: 'path'\n")
+
     # One rule in pipeline.ingest for every format: the file names no sample.
     @pytest.mark.parametrize("name, text, command", [
         ("polys.json", "[]", ("district", "--templates", "4", "--polygons")),

@@ -83,6 +83,24 @@ def test_cli_loads_analysis_and_graphs_on_first_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Texture training imports its thread pool where it starts one, so no
+# import pays for it.
+POOL_COLD = r"""
+import sys
+import numpy as np
+import maxfilt.cli, maxfilt.pipeline as pipeline
+assert "concurrent.futures" not in sys.modules, "loaded on import"
+pipeline._texture_workers = lambda count: 2
+pipeline.texture_feature_rows([np.zeros((4, 4))] * 2, [1], [0])
+assert "concurrent.futures" in sys.modules, "the pool was not used"
+"""
+
+
+def test_texture_thread_pool_loads_on_first_use():
+    proc = run_child(POOL_COLD)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_exported_names_are_unchanged():
     assert sorted(mf.__all__) == EXPORTED
     assert set(EXPORTED) <= set(dir(mf))

@@ -374,6 +374,105 @@ class TestTextureFeatures:
             texture_features(img, levels=[0, 1, 2, 3], degrees=[0, 1, 2]))
 
 
+class TestTextureFeatureRows:
+    """``texture_feature_rows`` is the serial loop over ``texture_features``,
+    bit for bit, whatever number of threads runs it.  The thread count is
+    forced by patching ``_texture_workers``, and kept small."""
+
+    @staticmethod
+    def _images(n):
+        cases = _texture_cases()
+        return [cases[name] for name in sorted(cases)][:n]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("hermite, seed", [(True, 0), (False, 3)])
+    def test_rows_equal_the_serial_loop(self, monkeypatch, workers, n, hermite, seed):
+        import threading
+        images = self._images(n)
+        levels, degrees = [5, 2, 5, 0], range(6)
+        expected = [texture_features(img, levels, degrees, hermite=hermite, rng_seed=seed)
+                    for img in images]
+        callers = []
+        featurize = pipeline.texture_features
+        monkeypatch.setattr(pipeline, "texture_features",
+                            lambda *a, **k: callers.append(threading.get_ident())
+                            or featurize(*a, **k))
+        monkeypatch.setattr(pipeline, "_texture_workers", lambda count: workers)
+        rows = pipeline.texture_feature_rows(images, levels, degrees, hermite, seed)
+        assert rows.dtype == np.float64 and rows.shape == (n, len(expected[0]))
+        assert rows.tobytes() == np.stack(expected).tobytes()
+        assert len(callers) == n
+        # One thread runs in place; more run on a pool, off the caller's thread.
+        on_caller = callers.count(threading.get_ident())
+        assert on_caller == (n if workers == 1 else 0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [
+        [np.zeros((8, 4)), np.zeros((6, 6))],
+        [np.zeros((6, 6)), np.zeros((8, 4))],
+        [np.zeros((6, 6)), np.zeros(16)]], ids=["non-square", "side", "side-then-1d"])
+    def test_first_invalid_image_raises_the_serial_error(self, monkeypatch, workers, bad):
+        good = self._images(2)
+        images = [good[0], bad[0], good[1], bad[1]]
+        with pytest.raises(mf.ValidationError) as serial:
+            for img in images:
+                texture_features(img, [2, 3], range(3))
+        monkeypatch.setattr(pipeline, "_texture_workers", lambda count: workers)
+        with pytest.raises(mf.ValidationError) as rows:
+            pipeline.texture_feature_rows(images, [2, 3], range(3))
+        assert str(rows.value) == str(serial.value)
+
+    def test_one_worker_while_another_thread_runs(self):
+        import threading
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            assert [pipeline._texture_workers(n) for n in (1, 2, 5)] == [1, 1, 1]
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+
+    def test_workers_never_exceed_the_images(self):
+        for n in (1, 2, 3, 5):
+            assert 1 <= pipeline._texture_workers(n) <= n
+
+    def test_one_worker_where_the_cpus_cannot_be_read(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pipeline._texture_workers(5) == 1
+
+    def test_cold_grid_caches_give_the_same_bits(self, monkeypatch):
+        # Three threads fill the shared grid caches at once, switching often.
+        import sys
+        from maxfilt.templates import _half_grid_quantiles
+        images = self._images(5)
+        warm = pipeline.texture_feature_rows(images, [0, 1, 2, 3, 4, 5], range(6))
+        _hermite_grid.cache_clear()
+        _half_grid_quantiles.cache_clear()
+        monkeypatch.setattr(pipeline, "_texture_workers", lambda count: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cold = pipeline.texture_feature_rows(images, [0, 1, 2, 3, 4, 5], range(6))
+        finally:
+            sys.setswitchinterval(interval)
+        assert cold.tobytes() == warm.tobytes()
+
+    def test_texture_model_does_not_depend_on_the_workers(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(24)
+        images = [make_texture_field(16, s, rng) for s in (0.0, 1.0) * 3]
+        files = []
+        for workers in (1, 3):
+            monkeypatch.setattr(pipeline, "_texture_workers", lambda count: workers)
+            model = fit_texture_model(images, list("ab" * 3), levels=[1, 2, 3],
+                                      degrees=range(4), pca_k=3)
+            files.append(tmp_path / f"model{workers}.json")
+            save_model(model, str(files[-1]))
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+
 class TestPCA:
     def test_line_data_recovers_direction(self):
         rng = np.random.default_rng(9)

@@ -71,7 +71,10 @@ def load_operand(path: str, group: GroupAction) -> np.ndarray:
     if isinstance(data, dict) and "vector" in data:
         # A template's vector may also be real where the group is complex.
         data, dtype = data["vector"], None if dtype is complex else float
-    return tmod.array_from_jsonable(data, dtype, len(group.shape))
+    try:
+        return tmod.array_from_jsonable(data, dtype, len(group.shape))
+    except (TypeError, ValueError) as exc:          # not numbers nested in lists
+        raise ValidationError(f"operand file {path}: {exc}") from exc
 
 
 def witness_jsonable(group: GroupAction, witness):

@@ -109,10 +109,10 @@ class Enumerated(_Space):
         mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
         if not mats:
             raise ValidationError("enumerated group needs at least one matrix")
-        d = mats[0].shape[0]
+        d = mats[0].shape[0] if mats[0].ndim == 2 else 0
         for m in mats:
             if m.shape != (d, d):
-                raise ValidationError("enumerated group matrices must share shape")
+                raise ValidationError("enumerated group matrices must be square and share shape")
             if np.max(np.abs(m.T @ m - np.eye(d))) > 1e-10:
                 raise ValidationError("enumerated group matrix is not orthogonal")
         # Closure under product and inverse; inverse = transpose for orthogonal

@@ -815,7 +815,10 @@ def _window_from_spec(rest, channels):
 def _enumerated_from_file(rest, channels):
     with open(rest, "r", encoding="utf-8") as fh:
         mats = json.load(fh)
-    return Enumerated(tuple(np.asarray(m, dtype=float) for m in mats))
+    try:
+        return Enumerated(tuple(np.asarray(m, dtype=float) for m in mats))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"enumerated group file {rest}: {exc}") from exc
 
 
 def from_spec(name: str, rest: str, channels: Optional[int] = None):

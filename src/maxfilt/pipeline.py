@@ -275,6 +275,8 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
     tiled into every patch, sorted once) replaces each eigenfunction; that
     variant is the exact patch-permutation max filter for A/B comparison.
     Levels are integers l >= 0 with 2^l <= side; the image is never written.
+    Sums are pairwise in a fixed order, with no BLAS call: no BLAS thread
+    count moves a bit, and a term meets at most log2(patches) + 4^l roundings.
     """
     img = np.ascontiguousarray(image, dtype=float)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
@@ -303,38 +305,29 @@ def texture_features(image: np.ndarray, levels: Sequence[int], degrees: Sequence
         patches = buf.reshape(n * n, s * s)
         np.copyto(patches.reshape(n, n, s, s), img.reshape(n, s, n, s).swapaxes(1, 2))
         patches.sort(axis=1)
+        rows = n * n
+        while rows > 1:                          # pairwise over the patches, in place
+            rows //= 2
+            patches[:rows] += patches[rows:2 * rows]
         for deg in degrees:
             v = _hermite_grid(deg, s * s) if hermite else np.sort(rng.standard_normal(s * s))
-            feats.append(float((patches @ v).sum()))
+            feats.append(float((patches[0] * v).sum()))
     return np.asarray(feats)
 
 
 def _texture_workers(n: int) -> int:
     """Threads that extract ``n`` images' texture features: the CPUs this
-    process may run on, at most ``n``, while the process runs no other
-    thread, and 1 otherwise (also where the thread count cannot be read).
-    A BLAS that keeps worker threads of its own (OpenBLAS at its default
-    thread count) counts as another thread: its workers spin between the
-    per-level products, and a second extraction thread beside them makes
-    training slower, not faster."""
-    try:
-        with open("/proc/self/status", "rb") as fh:
-            threads = next(int(line.split()[1]) for line in fh if line.startswith(b"Threads:"))
-        cpus = len(os.sched_getaffinity(0))
-    except (OSError, AttributeError, StopIteration, ValueError):
-        return 1
-    return min(n, cpus) if threads == 1 else 1
+    process may run on, at most ``n`` (1 where they cannot be read)."""
+    return min(n, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
 
 
 def texture_feature_rows(images: Sequence[np.ndarray], levels: Sequence[int],
                          degrees: Sequence[int], hermite: bool = True,
                          rng_seed: int = 0) -> np.ndarray:
     """The (N, F) stack of the :func:`texture_features` rows of ``images``,
-    bit for bit the serial loop's.  Each image's features are independent,
-    and the copy, sort and products that make them release the GIL, so the
-    images are mapped over :func:`_texture_workers` threads.  Rows do not
-    depend on the thread count, and the first invalid image in order raises
-    the serial loop's ValidationError."""
+    mapped over :func:`_texture_workers` threads (the copy, sort and sums
+    release the GIL).  Rows are the serial loop's bits, and the first
+    invalid image in order raises the serial loop's ValidationError."""
     images = list(images)
 
     def row(image):
@@ -669,8 +662,8 @@ def save_model(model: PipelineModel, path: str) -> None:
 def load_model(path: str) -> PipelineModel:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {doc.get('format')!r}")
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
+        raise ValidationError(f"model file {path} is not a {MODEL_FORMAT} object")
     # Classifier and PCA arrays have at most two axes: none of their lists is a pair.
     classifier = dict(doc["classifier"])
     for key in ("weights", "means", "precision", "log_priors"):
@@ -702,9 +695,8 @@ def fit_texture_model(images: Sequence[np.ndarray], labels: Sequence[str],
                       rng_seed: int = 0) -> PipelineModel:
     """Texture pipeline: multiscale sorted-patch features, PCA (capped at the
     feasible rank), then pooled-covariance LDA.  The features are extracted
-    by :func:`texture_feature_rows`, on the idle CPUs when the process runs
-    no other thread; the model does not depend on how many threads took
-    them."""
+    by :func:`texture_feature_rows`, one thread per CPU the process may use;
+    the model depends on neither that thread count nor a BLAS's."""
     feats = texture_feature_rows(images, levels, degrees, hermite, rng_seed)
     return fit_texture_features(feats, labels, levels, degrees, pca_k, hermite, rng_seed)
 

@@ -177,6 +177,18 @@ class TestFilterCommand:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("doc, in_group", [({}, False), ("a", False), ([None, 1, 2, 3], True)],
+                             ids=["template-object", "template-string", "enumerated-null-matrix"])
+    def test_malformed_operand_file_exits_3_naming_the_file(self, tmp_path, capsys, doc,
+                                                           in_group):
+        bad = write_json(tmp_path / "bad.json", doc)
+        x = write_json(tmp_path / "x.json", [1.0, 0.0, 0.0, 2.0])
+        group, template = (f"enumerated:{bad}", x) if in_group else ("perm:4", bad)
+        code, out, err = run_cli(capsys, "filter", "--group", group, "--template", template,
+                                 "--input", x)
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and bad in err
+
     @pytest.mark.parametrize("spec, z", [
         ("colperm:2x3", [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
         ("colperm:3x2", [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),   # not a complex 3-vector
@@ -648,6 +660,14 @@ class TestTrainPredict:
                                  "--input", write_json(tmp_path / "x.json", [0.0] * 8))
         assert code == 3 and out == ""
         assert err.startswith("validation error: ")
+
+    @pytest.mark.parametrize("doc", [None, [1, 2], "model"], ids=["null", "list", "string"])
+    def test_model_file_that_is_not_an_object_exits_3_naming_it(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "model.json", doc)
+        code, out, err = run_cli(capsys, "predict", "--model", path,
+                                 "--input", write_json(tmp_path / "x.json", [0.0] * 8))
+        assert (code, out) == (3, "")
+        assert err.startswith("validation error: ") and path in err
 
     def test_non_finite_template_exits_3(self, tmp_path, capsys):
         path, doc = self._model(tmp_path, capsys)

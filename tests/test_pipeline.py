@@ -255,8 +255,9 @@ class TestEcgLift:
 
 def reference_texture_features(image, levels, degrees, hermite=True, rng_seed=0):
     """The per-level loop that :func:`texture_features` replaced: a fresh
-    patch copy and a fresh ``np.sort`` per level.  Its features are the
-    values the buffer loop must reproduce bit for bit."""
+    patch copy and a fresh ``np.sort`` per level, with the same pairwise sum
+    over patches and product.  Its features are the values the buffer loop
+    must reproduce bit for bit."""
     img = np.asarray(image, dtype=float)
     side = img.shape[0]
     rng = np.random.default_rng(rng_seed)
@@ -265,15 +266,32 @@ def reference_texture_features(image, levels, degrees, hermite=True, rng_seed=0)
         s = 2 ** lev
         patches = (img.reshape(side // s, s, side // s, s)
                    .swapaxes(1, 2).reshape(-1, s * s))
-        patches = np.sort(patches, axis=1)
+        col = np.sort(patches, axis=1)
+        while len(col) > 1:
+            col = col[:len(col) // 2] + col[len(col) // 2:]
         for deg in degrees:
             if hermite:
                 spec = mf.HermiteSpec(degree=deg, length=s * s)
                 v = _hermite_grid(spec.degree, spec.length)
             else:
                 v = np.sort(rng.standard_normal(s * s))
-            feats.append(float((patches @ v).sum()))
+            feats.append(float((col[0] * v).sum()))
     return np.asarray(feats)
+
+
+def _run_child(script, **env):
+    """The JSON line ``script`` prints in a fresh interpreter that imports
+    this package, with no BLAS or OpenMP thread setting but ``env``."""
+    import subprocess
+    import sys
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(mf.__file__)))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, base.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 def _texture_cases():
@@ -343,6 +361,38 @@ class TestTextureFeatures:
         ref = reference_texture_features(img, levels, range(6), hermite=hermite, rng_seed=seed)
         assert feats.dtype == ref.dtype and np.array_equal(feats, ref)
         assert np.array_equal(np.signbit(feats), np.signbit(ref))
+
+    @pytest.mark.parametrize("case", sorted(_texture_cases()))
+    @pytest.mark.parametrize("hermite", [True, False])
+    def test_error_within_the_summation_bound(self, case, hermite):
+        # A level's feature is the sum over patches p and ranks i of the
+        # terms P[p, i] v[i].  Each term meets log2(n) additions in the
+        # pairwise tree over the n patches, one product, and at most m - 1
+        # additions in the sum over the m = s^2 ranks, whatever its order.
+        # So the error against the exact value is at most gamma_k * sum
+        # |terms|, with k = log2(n) + m and gamma_k = k u / (1 - k u),
+        # u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 2002, sections 3.1 and 4.2).  The exact value is taken in fractions.
+        from fractions import Fraction
+        img = np.asarray(_texture_cases()[case], dtype=float)
+        levels, degrees = range(6), range(6)
+        feats = iter(texture_features(img, levels, degrees, hermite=hermite, rng_seed=3))
+        rng = np.random.default_rng(3)
+        u = Fraction(1, 2 ** 53)
+        for lev in levels:
+            s = 2 ** lev
+            n, m = img.size // (s * s), s * s
+            patches = np.sort(img.reshape(-1, s, img.shape[0] // s, s).swapaxes(1, 2)
+                              .reshape(n, m), axis=1)
+            cols = [sum(map(Fraction, column)) for column in patches.T.tolist()]
+            abs_cols = [sum(map(Fraction, column)) for column in np.abs(patches).T.tolist()]
+            k = n.bit_length() - 1 + m
+            gamma = k * u / (1 - k * u)
+            for deg in degrees:
+                v = _hermite_grid(deg, m) if hermite else np.sort(rng.standard_normal(m))
+                exact = sum(Fraction(vi) * c for vi, c in zip(v.tolist(), cols))
+                scale = sum(Fraction(abs(vi)) * c for vi, c in zip(v.tolist(), abs_cols))
+                assert abs(Fraction(next(feats)) - exact) <= gamma * scale
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_caller_image_is_never_modified(self, layout):
@@ -423,13 +473,14 @@ class TestTextureFeatureRows:
             pipeline.texture_feature_rows(images, [2, 3], range(3))
         assert str(rows.value) == str(serial.value)
 
-    def test_one_worker_while_another_thread_runs(self):
+    def test_workers_are_the_usable_cpus_whatever_else_runs(self, monkeypatch):
         import threading
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(10,))
         other.start()
         try:
-            assert [pipeline._texture_workers(n) for n in (1, 2, 5)] == [1, 1, 1]
+            assert [pipeline._texture_workers(n) for n in (1, 2, 5)] == [1, 2, 3]
         finally:
             release.set()
             other.join(timeout=10)
@@ -459,6 +510,27 @@ class TestTextureFeatureRows:
         finally:
             sys.setswitchinterval(interval)
         assert cold.tobytes() == warm.tobytes()
+
+    def test_rows_do_not_depend_on_the_blas_thread_count(self):
+        # One child runs BLAS on one thread, the other at its default (one
+        # thread per CPU).  Each reports its threads after importing numpy:
+        # OpenBLAS starts its workers then.
+        script = """
+import hashlib, json, os
+import numpy as np
+from maxfilt import pipeline
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+rng = np.random.default_rng(0)
+images = [rng.uniform(size=(256, 256)) for _ in range(3)]
+rows = pipeline.texture_feature_rows(images, range(2, 9), range(6))
+print(json.dumps({"sha": hashlib.sha256(rows.tobytes()).hexdigest(), "threads": threads}))
+"""
+        runs = [_run_child(script, **blas) for blas in ({"OPENBLAS_NUM_THREADS": "1"}, {})]
+        assert runs[0]["threads"] in (1, None)
+        assert runs[0]["sha"] == runs[1]["sha"]
+        if not (runs[1]["threads"] or 0) > 1:
+            pytest.skip(f"rows equal, but the default BLAS run had {runs[1]['threads']} "
+                        "thread(s): nothing was compared across BLAS thread counts")
 
     def test_texture_model_does_not_depend_on_the_workers(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(24)
